@@ -279,7 +279,9 @@ def _add_simulate(sub) -> None:
     p.add_argument("--max-level", type=_nonnegative_int, default=4)
     p.add_argument("--slot-time", type=_positive_float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="accepted for compatibility and validated (>= 1); "
+                        "has no effect, the simulation runs in one thread")
     p.add_argument("--horizon", type=_nonnegative_int, default=None,
                    help="flood-level cap for the sfn analytic prediction")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")

@@ -1,15 +1,16 @@
 """Seeded slot-accurate Monte-Carlo simulation of both polling protocols.
 
-Every (cycle, slave, try) triple derives its own random stream from the
-master seed, so reports are bit-identical no matter how many worker
-threads execute the cycles.  Slot accounting is exact: a DLC1000 try
-reserves 2*(level+1) slots whether or not it succeeds, an SFN try
-reserves the two full flood windows, 2 + r_dl + r_ul slots, with both
-levels incremented by one per retry.
+Cycles are simulated a block of _BLOCK at a time.  Each slave gets one
+counter-based Philox stream per block, keyed on (seed, slave, block), and
+every still-failing cycle of the block advances by whole-array draws from
+it, so reports are bit-identical across repeats.  Slot accounting is
+exact: a DLC1000 try reserves 2*(level+1) slots whether or not it
+succeeds, an SFN try reserves the two full flood windows, 2 + r_dl + r_ul
+slots, with both levels incremented by one per retry.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,12 @@ from .channel import MASTER, PerMatrix
 PROTOCOLS = ("dlc1000", "sfn")
 
 _SEED_MASK = (1 << 64) - 1
+_BLOCK = 256  # cycles (or trials) per keyed random stream
+_MAX_CHUNK = 32  # DLC1000 tries drawn per call for each still-failing cycle
+# log-miss of a PER-0 link.  The flood's matrix product multiplies the
+# zeros of the transmitter mask by every entry, and 0 * -inf is NaN; exp()
+# of anything below about -745 is exactly 0, so the link stays certain.
+_LOG_CERTAIN = -1000.0
 
 
 @dataclass(frozen=True)
@@ -30,7 +37,7 @@ class SimConfig:
     max_level: int = 4  # DLC1000 repeater-address cap; SFN plans its own levels
     slot_time: float = 1.0
     seed: int = 0
-    workers: int = 1
+    workers: int = 1  # validated but unused: the simulation runs in one thread
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
@@ -110,8 +117,55 @@ def format_report(report: SimReport) -> str:
     return "\n".join(lines)
 
 
-def _try_rng(seed: int, cycle: int, slave: int, attempt: int) -> np.random.Generator:
-    return np.random.default_rng((seed & _SEED_MASK, cycle, slave, attempt))
+def _block_rng(seed: int, key: int, block: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence([seed & _SEED_MASK, key, block])))
+
+
+def _blocks(count: int):
+    """(block index, rows) pairs that cover count cycles or trials."""
+    for block, start in enumerate(range(0, count, _BLOCK)):
+        yield block, min(_BLOCK, count - start)
+
+
+def _log_miss(per: PerMatrix) -> np.ndarray:
+    """log P(link i -> j fails), finite everywhere, zero on the diagonal."""
+    with np.errstate(divide="ignore"):
+        log_miss = np.log(per.per)
+    np.maximum(log_miss, _LOG_CERTAIN, out=log_miss)
+    np.fill_diagonal(log_miss, 0.0)  # a node is not its own transmitter
+    return log_miss
+
+
+def _flood(log_miss: np.ndarray, origin: int, max_level: int, rows: int,
+           rng: np.random.Generator, relays: np.ndarray) -> np.ndarray:
+    """rows independent floods; first-reception level per row and node (-1 if none).
+
+    The origin transmits at level 0, and a node in relays that first
+    receives at level r retransmits exactly once at level r + 1 while the
+    level budget lasts.  A node receives when at least one current
+    transmitter gets through; the links are independent, so that has
+    probability 1 - prod(1 - ok) = -expm1(sum of log_miss over the
+    transmitters), and one uniform per receiver has the same law as one
+    uniform per link.  The origin never first-receives its own packet.
+    """
+    n = log_miss.shape[0]
+    level = np.full((rows, n), -1, dtype=np.int64)
+    waiting = np.ones((rows, n), dtype=bool)  # may still first-receive
+    waiting[:, origin] = False
+    tx = np.zeros((rows, n))  # 1.0 where a node transmits at this level
+    tx[:, origin] = 1.0
+    for r in range(max_level + 1):
+        hear = -np.expm1(tx @ log_miss)
+        fresh = rng.random((rows, n)) < hear
+        fresh &= waiting
+        level[fresh] = r
+        waiting ^= fresh
+        fresh &= relays
+        if not np.count_nonzero(fresh):
+            break
+        tx = fresh.astype(np.float64)
+    return level
 
 
 def flood_trial(per: PerMatrix, origin: int, max_level: int,
@@ -123,30 +177,9 @@ def flood_trial(per: PerMatrix, origin: int, max_level: int,
     Nodes in no_relay (the packet's destination) receive but never
     retransmit.
     """
-    return _flood_trial(1.0 - per.per, origin, max_level, rng,
-                        frozenset(no_relay))
-
-
-def _flood_trial(ok: np.ndarray, origin: int, max_level: int,
-                 rng: np.random.Generator, no_relay) -> np.ndarray:
-    n = ok.shape[0]
-    level = np.full(n, -1, dtype=np.int64)
-    transmitters = np.array([origin])
-    for r in range(max_level + 1):
-        draws = rng.random((transmitters.size, n))
-        reached = (draws < ok[transmitters, :]).any(axis=0)
-        fresh = reached & (level < 0)
-        fresh[origin] = False
-        level[fresh] = r
-        if r == max_level:
-            break
-        nxt = np.flatnonzero(fresh)
-        if no_relay:
-            nxt = nxt[[v not in no_relay for v in nxt]]
-        if nxt.size == 0:
-            break
-        transmitters = nxt
-    return level
+    relays = np.ones(per.node_count, dtype=bool)
+    relays[list(no_relay)] = False
+    return _flood(_log_miss(per), origin, max_level, 1, rng, relays)[0]
 
 
 def _reduce_report(cfg: SimConfig, node_count: int, slots: np.ndarray,
@@ -175,30 +208,6 @@ def _reduce_report(cfg: SimConfig, node_count: int, slots: np.ndarray,
     )
 
 
-def _run_cycles(cfg: SimConfig, node_count: int, run_one):
-    """Execute run_one(cycle) for every cycle, optionally across threads.
-
-    Per-slave counters are summed, which is order-independent, so serial
-    and threaded execution produce identical reports.
-    """
-    slots = np.zeros(node_count - 1, dtype=np.int64)
-    tries = np.zeros(node_count - 1, dtype=np.int64)
-    successes = np.zeros(node_count - 1, dtype=np.int64)
-    if cfg.workers == 1:
-        results = map(run_one, range(cfg.cycles))
-    else:
-        pool = ThreadPoolExecutor(max_workers=cfg.workers)
-        try:
-            results = list(pool.map(run_one, range(cfg.cycles), chunksize=64))
-        finally:
-            pool.shutdown()
-    for c_slots, c_tries, c_succ in results:
-        slots += c_slots
-        tries += c_tries
-        successes += c_succ
-    return slots, tries, successes
-
-
 def simulate_dlc(per: PerMatrix, cfg: SimConfig) -> SimReport:
     """Monte-Carlo polling under dynamic source routing.
 
@@ -221,22 +230,29 @@ def simulate_dlc(per: PerMatrix, cfg: SimConfig) -> SimReport:
         link_ok = np.array([1.0 - p[a, b] for a, b in links])
         plans.append((s, analysis.best_level, link_ok))
 
-    def run_one(cycle: int):
-        c_slots = np.zeros(n - 1, dtype=np.int64)
-        c_tries = np.zeros(n - 1, dtype=np.int64)
-        c_succ = np.zeros(n - 1, dtype=np.int64)
-        for k, (s, level, link_ok) in enumerate(plans):
-            cost = 2 * (level + 1)
-            for attempt in range(cfg.max_retries + 1):
-                rng = _try_rng(cfg.seed, cycle, s, attempt)
-                c_tries[k] += 1
-                c_slots[k] += cost
-                if np.all(rng.random(link_ok.size) < link_ok):
-                    c_succ[k] = 1
-                    break
-        return c_slots, c_tries, c_succ
-
-    return _reduce_report(cfg, n, *_run_cycles(cfg, n, run_one))
+    tries = np.zeros(n - 1, dtype=np.int64)
+    successes = np.zeros(n - 1, dtype=np.int64)
+    for k, (s, level, link_ok) in enumerate(plans):
+        # about one expected success per still-failing cycle and call
+        try_ok = float(np.prod(link_ok))
+        chunk = _MAX_CHUNK if try_ok <= 1.0 / _MAX_CHUNK \
+            else math.ceil(1.0 / try_ok)
+        for block, active in _blocks(cfg.cycles):
+            rng = _block_rng(cfg.seed, s, block)
+            left = cfg.max_retries + 1  # tries each failing cycle may still make
+            while active and left:
+                width = min(chunk, left)
+                ok = (rng.random((active, width, link_ok.size))
+                      < link_ok).all(axis=2)
+                hit = ok.any(axis=1)
+                done = int(hit.sum())
+                tries[k] += int(ok.argmax(axis=1)[hit].sum()) + done \
+                    + (active - done) * width
+                successes[k] += done
+                active -= done
+                left -= width
+    costs = np.array([2 * (level + 1) for _, level, _ in plans], dtype=np.int64)
+    return _reduce_report(cfg, n, costs * tries, tries, successes)
 
 
 def simulate_sfn(per: PerMatrix, cfg: SimConfig) -> SimReport:
@@ -246,39 +262,37 @@ def simulate_sfn(per: PerMatrix, cfg: SimConfig) -> SimReport:
     transmission levels coming from the analytic per-slave plan.  The
     destination only answers after the full downlink window to avoid
     collisions, so a try always occupies (1 + r_dl + j) + (1 + r_ul + j)
-    slots.  Slaves the analysis finds unreachable are polled with levels
-    (0, 0) and consume slots the same way.
+    slots.  The uplink flood runs only when the downlink reached the slave.
+    Slaves the analysis finds unreachable are polled with levels (0, 0)
+    and consume slots the same way.
     """
     if cfg.protocol != "sfn":
         raise ValueError("config protocol must be 'sfn'")
     n = per.node_count
-    ok = 1.0 - per.per
+    log_miss = _log_miss(per)
+    relays = ~np.eye(n, dtype=bool)  # relays[v]: every node but v relays
 
-    plan_levels = []
-    for analysis in sfn.cycle_analysis(per, cfg.slot_time).slaves:
-        plan_levels.append((analysis.slave, analysis.r_dl, analysis.r_ul))
-
-    def run_one(cycle: int):
-        c_slots = np.zeros(n - 1, dtype=np.int64)
-        c_tries = np.zeros(n - 1, dtype=np.int64)
-        c_succ = np.zeros(n - 1, dtype=np.int64)
-        for k, (s, r_dl, r_ul) in enumerate(plan_levels):
+    tries = np.zeros(n - 1, dtype=np.int64)
+    slots = np.zeros(n - 1, dtype=np.int64)
+    successes = np.zeros(n - 1, dtype=np.int64)
+    analyses = sfn.cycle_analysis(per, cfg.slot_time).slaves
+    for k, a in enumerate(analyses):
+        s = a.slave
+        for block, active in _blocks(cfg.cycles):
+            rng = _block_rng(cfg.seed, s, block)
             for attempt in range(cfg.max_retries + 1):
-                rd = r_dl + attempt
-                ru = r_ul + attempt
-                rng = _try_rng(cfg.seed, cycle, s, attempt)
-                c_tries[k] += 1
-                c_slots[k] += 2 + rd + ru
-                down = _flood_trial(ok, MASTER, rd, rng, frozenset((s,)))
-                if down[s] < 0:
-                    continue
-                up = _flood_trial(ok, s, ru, rng, frozenset((MASTER,)))
-                if up[MASTER] >= 0:
-                    c_succ[k] = 1
+                rd, ru = a.r_dl + attempt, a.r_ul + attempt
+                tries[k] += active
+                slots[k] += active * (2 + rd + ru)
+                down = _flood(log_miss, MASTER, rd, active, rng, relays[s])
+                heard = int((down[:, s] >= 0).sum())
+                up = _flood(log_miss, s, ru, heard, rng, relays[MASTER])
+                done = int((up[:, MASTER] >= 0).sum())
+                successes[k] += done
+                active -= done
+                if active == 0:
                     break
-        return c_slots, c_tries, c_succ
-
-    return _reduce_report(cfg, n, *_run_cycles(cfg, n, run_one))
+    return _reduce_report(cfg, n, slots, tries, successes)
 
 
 def simulate(per: PerMatrix, cfg: SimConfig) -> SimReport:
@@ -299,14 +313,17 @@ def sample_first_success_levels(per: PerMatrix, target: int, trials: int,
     """
     if level_cap is None:
         level_cap = per.node_count
-    ok = 1.0 - per.per
+    log_miss = _log_miss(per)
+    relays = np.arange(per.node_count) != target
     levels = np.full(trials, -1, dtype=np.int64)
-    destination = frozenset((target,))
-    for t in range(trials):
+    for block, rows in _blocks(trials):
+        rng = _block_rng(seed, target, block)
+        pending = np.arange(block * _BLOCK, block * _BLOCK + rows)
         for r in range(level_cap + 1):
-            rng = np.random.default_rng((seed & _SEED_MASK, t, r))
-            got = _flood_trial(ok, MASTER, r, rng, destination)
-            if got[target] >= 0:
-                levels[t] = r
+            got = _flood(log_miss, MASTER, r, pending.size, rng,
+                         relays)[:, target] >= 0
+            levels[pending[got]] = r
+            pending = pending[~got]
+            if pending.size == 0:
                 break
     return levels

@@ -53,6 +53,29 @@ def flood_reference(per: np.ndarray, origin: int, initial_tx: float,
     return np.array(tx), np.array(rcv)
 
 
+def per_link_flood(per: np.ndarray, origin: int, max_level: int,
+                   rng: np.random.Generator, no_relay=()) -> list[int]:
+    """One flood with an independent draw for every link of every level.
+
+    Returns each node's first-reception level, -1 if it never receives.
+    """
+    n = per.shape[0]
+    level = [-1] * n
+    transmitters = [origin]
+    for r in range(max_level + 1):
+        fresh = []
+        for node in range(n):
+            if node == origin or level[node] >= 0:
+                continue
+            if any(rng.random() >= per[t][node] for t in transmitters):
+                level[node] = r
+                fresh.append(node)
+        transmitters = [v for v in fresh if v not in no_relay]
+        if not transmitters:
+            break
+    return level
+
+
 def geometric_retry_mean(success_prob: float, terms: int = 10_000) -> float:
     """Partial sum of the expected try count sum((n+1) p (1-p)^n)."""
     total = 0.0

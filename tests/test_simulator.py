@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from plcroute import dlc, sfn
+from plcroute import dlc, sfn, simulator
 from plcroute.channel import PerMatrix, generate_ring
 from plcroute.simulator import (
     SimConfig,
@@ -14,6 +14,8 @@ from plcroute.simulator import (
     simulate_dlc,
     simulate_sfn,
 )
+
+from oracles import per_link_flood
 
 
 def matrix(rows) -> PerMatrix:
@@ -103,6 +105,7 @@ def test_different_seed_different_outcome():
 
 @pytest.mark.parametrize("protocol", ["dlc1000", "sfn"])
 def test_serial_equals_threaded(protocol):
+    # workers is accepted but unused; the report must not depend on it
     m = generate_ring(7, 0.2, 0.7)
     serial = simulate(m, SimConfig(protocol, cycles=60, seed=5, workers=1))
     threaded = simulate(m, SimConfig(protocol, cycles=60, seed=5, workers=4))
@@ -128,28 +131,115 @@ def test_dlc_slot_accounting_reconstructable():
     assert report.total_slots == sum(s.slots for s in report.per_slave)
 
 
+def test_dlc_capped_retries_follow_truncated_geometric():
+    # tries per cycle are min(G, max_retries + 1) for a geometric G; the
+    # cap is not a multiple of the batched draw width, so the last call of
+    # a block draws fewer tries than the others
+    m = generate_ring(8, 0.2, 0.7)
+    cfg = SimConfig("dlc1000", cycles=3000, max_retries=4, max_level=2, seed=6)
+    report = simulate_dlc(m, cfg)
+    tries = cfg.max_retries + 1
+    for stats in report.per_slave:
+        analysis = dlc.slave_analysis(m, stats.slave, cfg.max_level)
+        p = next(o.success_prob for o in analysis.per_level
+                 if o.level == analysis.best_level)
+        miss = 1.0 - p
+        give_up = miss ** tries
+        se = np.sqrt(give_up * (1 - give_up) / cfg.cycles)
+        assert abs(stats.give_ups / cfg.cycles - give_up) <= 4 * se + 1e-12
+        # E[min(G, tries)] and its variance, from P(min > k) = miss^k
+        mean = sum(miss ** k for k in range(tries))
+        second = sum((2 * k + 1) * miss ** k for k in range(tries))
+        se = np.sqrt((second - mean ** 2) / cfg.cycles)
+        assert abs(stats.attempts / cfg.cycles - mean) <= 4 * se + 1e-12
+
+
 def test_sfn_slot_accounting_reconstructable():
-    # replay the simulation stream-for-stream and re-derive the slot count
+    # replay the keyed streams block by block and re-derive the slot count
+    # from the plan and the per-try outcomes; 300 cycles span two blocks
     m = generate_ring(6, 0.2, 0.7)
-    cfg = SimConfig("sfn", cycles=15, max_retries=2, seed=21)
+    cfg = SimConfig("sfn", cycles=300, max_retries=2, seed=21)
     report = simulate_sfn(m, cfg)
-    plans = {a.slave: (a.r_dl, a.r_ul) for a in sfn.cycle_analysis(m).slaves}
+    log_miss = simulator._log_miss(m)
+    relays = ~np.eye(m.node_count, dtype=bool)
     slots = {s: 0 for s in m.slaves}
-    for cycle in range(cfg.cycles):
-        for s in m.slaves:
-            r_dl, r_ul = plans[s]
+    for a in sfn.cycle_analysis(m).slaves:
+        s = a.slave
+        for block, start in enumerate(range(0, cfg.cycles, simulator._BLOCK)):
+            rng = simulator._block_rng(cfg.seed, s, block)
+            failing = min(simulator._BLOCK, cfg.cycles - start)
             for attempt in range(cfg.max_retries + 1):
-                rd, ru = r_dl + attempt, r_ul + attempt
-                rng = np.random.default_rng((cfg.seed, cycle, s, attempt))
-                slots[s] += 2 + rd + ru
-                down = flood_trial(m, 0, rd, rng, no_relay=(s,))
-                if down[s] < 0:
-                    continue
-                up = flood_trial(m, s, ru, rng, no_relay=(0,))
-                if up[0] >= 0:
+                rd, ru = a.r_dl + attempt, a.r_ul + attempt
+                slots[s] += failing * (2 + rd + ru)
+                down = simulator._flood(log_miss, 0, rd, failing, rng,
+                                        relays[s])
+                heard = int(np.count_nonzero(down[:, s] >= 0))
+                up = simulator._flood(log_miss, s, ru, heard, rng, relays[0])
+                failing -= int(np.count_nonzero(up[:, 0] >= 0))
+                if failing == 0:
                     break
     for stats in report.per_slave:
         assert stats.slots == slots[stats.slave]
+
+
+def test_sfn_slots_exact_without_retries():
+    m = generate_ring(8, 0.2, 0.7)
+    cfg = SimConfig("sfn", cycles=300, max_retries=0, seed=4)
+    report = simulate_sfn(m, cfg)
+    plans = {a.slave: (a.r_dl, a.r_ul) for a in sfn.cycle_analysis(m).slaves}
+    for stats in report.per_slave:
+        r_dl, r_ul = plans[stats.slave]
+        assert stats.attempts == cfg.cycles
+        assert stats.slots == (2 + r_dl + r_ul) * stats.attempts
+
+
+def _two_relay_matrix(per_13: float, per_23: float) -> PerMatrix:
+    # the master reaches relays 1 and 2 for sure, only they reach node 3
+    return matrix([
+        [0.0, 0.0, 0.0, 1.0],
+        [0.0, 0.0, 1.0, per_13],
+        [0.0, 1.0, 0.0, per_23],
+        [1.0, per_13, per_23, 0.0],
+    ])
+
+
+@pytest.mark.parametrize("per_13, per_23", [(0.3, 0.6), (0.0, 0.5)])
+def test_batched_flood_reception_is_one_minus_product_of_misses(per_13, per_23):
+    m = _two_relay_matrix(per_13, per_23)
+    rows = 20_000
+    relays = np.ones(4, dtype=bool)
+    with np.errstate(invalid="raise"):  # a NaN from 0 * -inf would raise
+        levels = simulator._flood(simulator._log_miss(m), 0, 3, rows,
+                                  np.random.default_rng(17), relays)
+    assert np.all(levels[:, [1, 2]] == 0)
+    assert np.all(np.isin(levels[:, 3], (-1, 1)))
+    want = 1.0 - per_13 * per_23
+    freq = np.count_nonzero(levels[:, 3] == 1) / rows
+    se = np.sqrt(want * (1.0 - want) / rows)
+    assert abs(freq - want) <= 4 * se + 1e-12
+
+
+def test_batched_flood_matches_per_link_reference():
+    # every node's first-reception level distribution, batched kernel
+    # against one draw per link, with the destination (node 3) not relaying
+    m = generate_ring(7, 0.2, 0.7)
+    max_level, no_relay = 3, (3,)
+    ref_rng = np.random.default_rng(8)
+    ref = np.array([per_link_flood(m.per, 0, max_level, ref_rng, no_relay)
+                    for _ in range(4000)])
+    relays = np.ones(7, dtype=bool)
+    relays[list(no_relay)] = False
+    got = simulator._flood(simulator._log_miss(m), 0, max_level, 20_000,
+                           np.random.default_rng(9), relays)
+    for node in range(7):
+        for level in range(-1, max_level + 1):
+            p_ref = np.mean(ref[:, node] == level)
+            p_got = np.mean(got[:, node] == level)
+            pooled = (p_ref * ref.shape[0] + p_got * got.shape[0]) \
+                / (ref.shape[0] + got.shape[0])
+            se = np.sqrt(pooled * (1 - pooled)
+                         * (1 / ref.shape[0] + 1 / got.shape[0]))
+            assert abs(p_ref - p_got) <= 4 * se + 1e-12, (node, level)
 
 
 def test_flood_trial_levels_respect_budget_and_suppression():
