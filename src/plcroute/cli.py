@@ -11,11 +11,12 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, channel, dlc, metrics, sfn
 from .channel import ChannelSpec, ChannelSpecError, MatrixValidationError, PerMatrix
-from .simulator import SimConfig, SimReport, format_report, simulate
+from .simulator import PROTOCOLS, SimConfig, SimReport, format_report, simulate
 
 DEFAULT_PACKET_BYTES = 64
 
@@ -90,6 +91,22 @@ def _relative_difference(analytic: float, simulated: float) -> float | None:
     return (analytic - simulated) / simulated
 
 
+def _analysis(matrix: PerMatrix, protocol: str, args):
+    """The cycle analysis of one protocol; it is also the simulator's plan."""
+    if protocol == "dlc1000":
+        return dlc.cycle_analysis(matrix, args.max_level, args.slot_time)
+    return sfn.cycle_analysis(matrix, args.slot_time, args.horizon)
+
+
+def _analysis_doc(analysis) -> dict:
+    return {
+        "per_slave": [asdict(a) for a in analysis.slaves],
+        "reachable_total": analysis.total,
+        "unreachable": list(analysis.unreachable),
+        "complete": analysis.complete,
+    }
+
+
 # ---------------------------------------------------------------------------
 # generate
 
@@ -160,51 +177,6 @@ def _add_analyze(sub) -> None:
     p.add_argument("-o", "--output", help="write the JSON document here")
 
 
-def _dlc_doc(analysis: dlc.DlcCycleAnalysis) -> dict:
-    return {
-        "per_slave": [
-            {
-                "slave": a.slave,
-                "best_level": a.best_level,
-                "expected_duration": a.expected_duration,
-                "per_level": [
-                    {"level": o.level, "success_prob": o.success_prob,
-                     "expected_duration": o.expected_duration}
-                    for o in a.per_level
-                ],
-            }
-            for a in analysis.slaves
-        ],
-        "reachable_total": analysis.total,
-        "unreachable": list(analysis.unreachable),
-        "complete": analysis.complete,
-    }
-
-
-def _sfn_doc(analysis: sfn.SfnCycleAnalysis) -> dict:
-    return {
-        "per_slave": [
-            {
-                "slave": a.slave,
-                "r_dl": a.r_dl,
-                "r_ul": a.r_ul,
-                "poll_success": a.poll_success,
-                "expected_duration": a.expected_duration,
-                "candidates": [
-                    {"r_dl": c.r_dl, "r_ul": c.r_ul,
-                     "poll_success": c.poll_success,
-                     "expected_duration": c.expected_duration}
-                    for c in a.candidates
-                ],
-            }
-            for a in analysis.slaves
-        ],
-        "reachable_total": analysis.total,
-        "unreachable": list(analysis.unreachable),
-        "complete": analysis.complete,
-    }
-
-
 def _total_text(total: float, unreachable) -> str:
     if unreachable:
         return (f"inf ({len(unreachable)} unreachable: "
@@ -221,13 +193,13 @@ def _cmd_analyze(args) -> int:
         "slot_time": args.slot_time,
     })
     rows = []
-    if args.protocol in ("dlc1000", "both"):
-        d = dlc.cycle_analysis(matrix, args.max_level, args.slot_time)
+    protocols = PROTOCOLS if args.protocol == "both" else (args.protocol,)
+    analyses = {p: _analysis(matrix, p, args) for p in protocols}
+    if "dlc1000" in analyses:
         doc["max_level"] = args.max_level
-        doc["dlc1000"] = _dlc_doc(d)
-    if args.protocol in ("sfn", "both"):
-        s = sfn.cycle_analysis(matrix, args.slot_time, args.horizon)
-        doc["sfn"] = _sfn_doc(s)
+    for protocol, analysis in analyses.items():
+        doc[protocol] = _analysis_doc(analysis)
+    d, s = analyses.get("dlc1000"), analyses.get("sfn")
 
     if args.protocol == "both":
         headers = ["slave", "dlc_level", "dlc_duration",
@@ -279,47 +251,33 @@ def _add_simulate(sub) -> None:
     p.add_argument("--max-level", type=_nonnegative_int, default=4)
     p.add_argument("--slot-time", type=_positive_float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="accepted for compatibility and validated (>= 1); "
-                        "has no effect, the simulation runs in one thread")
     p.add_argument("--horizon", type=_nonnegative_int, default=None,
-                   help="flood-level cap for the sfn analytic prediction")
+                   help="flood-level cap for the sfn analysis, which also "
+                        "plans the simulated levels (default: node count)")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("-o", "--output", help="write the JSON document here")
 
 
-def _simulate_model(matrix: PerMatrix, protocol: str, args) -> dict:
+def _simulate_model(matrix: PerMatrix, protocol: str, analysis,
+                    args) -> tuple[SimReport, dict]:
+    """Simulate polling with the analysis's plan; the report and its doc."""
     cfg = SimConfig(protocol=protocol, cycles=args.cycles,
                     max_retries=args.max_retries, max_level=args.max_level,
-                    slot_time=args.slot_time, seed=args.seed,
-                    workers=getattr(args, "workers", 1))
-    report = simulate(matrix, cfg)
-    if protocol == "dlc1000":
-        analysis = dlc.cycle_analysis(matrix, args.max_level, args.slot_time)
-    else:
-        analysis = sfn.cycle_analysis(matrix, args.slot_time,
-                                      getattr(args, "horizon", None))
-    return {
-        "report": report,
+                    slot_time=args.slot_time, seed=args.seed)
+    report = simulate(matrix, cfg, analysis)
+    return report, {
+        "simulation": asdict(report),
         "analytic_total": analysis.total,
-        "unreachable": list(analysis.unreachable),
+        "analytic_unreachable": list(analysis.unreachable),
         "relative_difference": _relative_difference(
             analysis.total, report.mean_cycle_duration),
     }
 
 
-def _sim_doc(result: dict) -> dict:
-    return {
-        "simulation": result["report"].to_dict(),
-        "analytic_total": result["analytic_total"],
-        "analytic_unreachable": result["unreachable"],
-        "relative_difference": result["relative_difference"],
-    }
-
-
 def _cmd_simulate(args) -> int:
     matrix = channel.load_matrix(args.matrix, args.matrix_format)
-    result = _simulate_model(matrix, args.protocol, args)
+    analysis = _analysis(matrix, args.protocol, args)
+    report, sim_doc = _simulate_model(matrix, args.protocol, analysis, args)
     doc = _manifest(args, {
         "command": "simulate",
         "matrix": args.matrix,
@@ -329,9 +287,8 @@ def _cmd_simulate(args) -> int:
         "slot_time": args.slot_time,
         "seed": args.seed,
     })
-    doc.update(_sim_doc(result))
-    report: SimReport = result["report"]
-    rel = result["relative_difference"]
+    doc.update(sim_doc)
+    rel = sim_doc["relative_difference"]
     if args.format == "json":
         print(json.dumps(doc, indent=1))
     elif args.format == "csv":
@@ -343,7 +300,7 @@ def _cmd_simulate(args) -> int:
     else:
         print(format_report(report))
         rel_text = "n/a" if rel is None else f"{rel * 100:+.2f}%"
-        print(f"analytic total {result['analytic_total']:.4f}, "
+        print(f"analytic total {analysis.total:.4f}, "
               f"relative difference (analytic-sim)/sim: {rel_text}")
     _write_json(args.output, doc)
     return 0
@@ -370,16 +327,18 @@ def _add_compare(sub) -> None:
                    default=DEFAULT_PACKET_BYTES)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("-o", "--output", help="write the JSON document here")
+    p.set_defaults(horizon=None)  # sfn plans with the default flood horizon
 
 
 def _compare_one(name: str, matrix: PerMatrix, args) -> dict:
     entry = {"model": name, "node_count": matrix.node_count}
-    d = dlc.cycle_analysis(matrix, args.max_level, args.slot_time)
-    s = sfn.cycle_analysis(matrix, args.slot_time, None)
-    entry["dlc1000"] = _dlc_doc(d)
-    entry["sfn"] = _sfn_doc(s)
-    entry["dlc1000_sim"] = _sim_doc(_simulate_model(matrix, "dlc1000", args))
-    entry["sfn_sim"] = _sim_doc(_simulate_model(matrix, "sfn", args))
+    analyses = {p: _analysis(matrix, p, args) for p in PROTOCOLS}
+    # both analyses come before both simulations in the document
+    for protocol, analysis in analyses.items():
+        entry[protocol] = _analysis_doc(analysis)
+    for protocol, analysis in analyses.items():
+        entry[f"{protocol}_sim"] = _simulate_model(
+            matrix, protocol, analysis, args)[1]
     return entry
 
 

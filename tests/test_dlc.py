@@ -177,6 +177,15 @@ def test_cycle_ring10_matches_per_slave_oracle():
         total += best
     assert analysis.total == pytest.approx(total, rel=1e-12)
     assert not analysis.unreachable
+    for a in analysis.slaves:
+        # the chain the simulator polls is best_path's chain for the chosen
+        # level and a best chain of the oracle.  The sequences themselves
+        # are not compared: for slave 6, (8, 7) and (9, 8) have the same
+        # round-trip success, and best_path's search scores (9, 8) one ulp
+        # higher, so it does not return the smaller sequence.
+        _, prob = brute_force_best_path(m, a.slave, a.best_level)
+        assert a.repeaters == best_path(m, a.slave, a.best_level).repeaters
+        assert round_trip_success(m, a.repeaters, a.slave) == prob
 
 
 def test_cycle_unreachable_slaves_listed_and_excluded():

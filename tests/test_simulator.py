@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
@@ -93,23 +95,54 @@ def test_same_seed_same_report():
     a = simulate_sfn(m, cfg)
     b = simulate_sfn(m, cfg)
     assert a == b
-    assert a.to_dict() == b.to_dict()
+    assert asdict(a) == asdict(b)
 
 
 def test_different_seed_different_outcome():
     m = generate_ring(6, 0.2, 0.7)
     a = simulate_sfn(m, SimConfig("sfn", cycles=40, seed=11))
     b = simulate_sfn(m, SimConfig("sfn", cycles=40, seed=12))
-    assert a.to_dict() != b.to_dict()
+    assert asdict(a) != asdict(b)
 
 
 @pytest.mark.parametrize("protocol", ["dlc1000", "sfn"])
-def test_serial_equals_threaded(protocol):
-    # workers is accepted but unused; the report must not depend on it
+def test_given_analysis_equals_own_plan(protocol):
+    # the analysis simulate computes for itself is the one a caller passes
     m = generate_ring(7, 0.2, 0.7)
-    serial = simulate(m, SimConfig(protocol, cycles=60, seed=5, workers=1))
-    threaded = simulate(m, SimConfig(protocol, cycles=60, seed=5, workers=4))
-    assert serial == threaded
+    cfg = SimConfig(protocol, cycles=60, max_level=3, slot_time=0.5, seed=5)
+    if protocol == "dlc1000":
+        analysis = dlc.cycle_analysis(m, cfg.max_level, cfg.slot_time)
+    else:
+        analysis = sfn.cycle_analysis(m, cfg.slot_time)
+    assert simulate(m, cfg) == simulate(m, cfg, analysis)
+
+
+@pytest.mark.parametrize("protocol", ["dlc1000", "sfn"])
+def test_analysis_of_another_matrix_is_rejected(protocol):
+    m = generate_ring(7, 0.2, 0.7)
+    other = generate_ring(6, 0.2, 0.7)
+    if protocol == "dlc1000":
+        analysis = dlc.cycle_analysis(other)
+    else:
+        analysis = sfn.cycle_analysis(other)
+    with pytest.raises(ValueError, match="slaves"):
+        simulate(m, SimConfig(protocol, cycles=10), analysis)
+
+
+def test_dlc_polls_the_chain_of_the_analysis():
+    # node 2 hears the master only through node 1: the analysed chain (1,)
+    # always works, and a level-0 chain swapped into the analysis never does
+    m = line_matrix()
+    cfg = SimConfig("dlc1000", cycles=40, max_retries=0, seed=2)
+    analysis = dlc.cycle_analysis(m)
+    near, far = analysis.slaves
+    assert far.repeaters == (1,)
+    direct = replace(analysis, slaves=(
+        near, replace(far, best_level=0, repeaters=())))
+    routed = simulate_dlc(m, cfg, analysis).per_slave[1]
+    assert routed.successes == 40 and routed.slots == 4 * 40
+    cut = simulate_dlc(m, cfg, direct).per_slave[1]
+    assert cut.successes == 0 and cut.slots == 2 * 40
 
 
 def test_protocol_config_must_match_entry_point():
@@ -182,11 +215,13 @@ def test_sfn_slot_accounting_reconstructable():
         assert stats.slots == slots[stats.slave]
 
 
-def test_sfn_slots_exact_without_retries():
+@pytest.mark.parametrize("horizon", [None, 2])
+def test_sfn_slots_exact_without_retries(horizon):
     m = generate_ring(8, 0.2, 0.7)
     cfg = SimConfig("sfn", cycles=300, max_retries=0, seed=4)
-    report = simulate_sfn(m, cfg)
-    plans = {a.slave: (a.r_dl, a.r_ul) for a in sfn.cycle_analysis(m).slaves}
+    analysis = sfn.cycle_analysis(m, 1.0, horizon)
+    report = simulate_sfn(m, cfg, analysis)
+    plans = {a.slave: (a.r_dl, a.r_ul) for a in analysis.slaves}
     for stats in report.per_slave:
         r_dl, r_ul = plans[stats.slave]
         assert stats.attempts == cfg.cycles
