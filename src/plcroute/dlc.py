@@ -4,13 +4,15 @@ The master reaches a slave through an explicitly addressed chain of
 repeaters and the response retraces the chain in reverse, so one try
 costs 2*(repeaters+1) slots and succeeds only if every directed link on
 the round trip succeeds.  For each allowed repeater count the master uses
-the chain with the highest round-trip success probability; across counts
-it keeps the one with the lowest expected duration under
+the chain with the highest round-trip success probability, found by one
+depth-first search that tries the best bound first at every count; across
+counts it keeps the one with the lowest expected duration under
 retry-until-success.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,109 +82,47 @@ def _check_path(per: PerMatrix, repeaters, slave: int) -> None:
 def round_trip_success(per: PerMatrix, repeaters, slave: int) -> float:
     """No-retry probability that request and response both traverse the chain.
 
-    Multiplies (1 - per) over the forward links master -> R1 -> ... -> slave
-    and the reverse links slave -> ... -> R1 -> master.
+    Multiplies, hop by hop from the master, the success of each forward
+    link u -> v times that of its reverse link v -> u.  best_path ranks
+    chains by this same product, so equal products are exact ties.
     """
     _check_slave(per, slave)
     _check_path(per, repeaters, slave)
-    p = per.per
+    w = _pair_weights(per)
     hops = [MASTER, *repeaters, slave]
     prob = 1.0
     for a, b in zip(hops, hops[1:]):
-        prob *= 1.0 - p[a, b]
-    for a, b in zip(hops[::-1], hops[::-1][1:]):
-        prob *= 1.0 - p[a, b]
-    return prob
+        prob *= w[a, b]
+    return float(prob)
 
 
+@lru_cache(maxsize=1)
 def _pair_weights(per: PerMatrix) -> np.ndarray:
-    # Combined weight of using link u->v on the way out and v->u on the way
-    # back; the round-trip product of a chain is the product of these.
+    """Round-trip weight of each hop, (1 - per[u, v]) * (1 - per[v, u]).
+
+    Read-only and computed once per matrix: PerMatrix is immutable and
+    hashes by identity.
+    """
     p = per.per
     w = (1.0 - p) * (1.0 - p.T)
     np.fill_diagonal(w, 0.0)
+    w.setflags(write=False)
     return w
-
-
-def _search_level_ge3(w: np.ndarray, slave: int, level: int,
-                      reps: list[int]) -> tuple[float, tuple[int, ...]]:
-    """Best simple repeater chain for level >= 3.
-
-    A level-indexed max-product table over (position, last node), computed
-    without the distinctness constraint, gives an upper bound on any
-    completion.  The chain itself is then reconstructed by a lexicographic
-    depth-first search over distinct repeaters pruned with that bound, so
-    the documented smallest-sequence tie-break holds even on degenerate
-    (tied or all-zero) instances.
-    """
-    n = w.shape[0]
-    wr = w.copy()
-    wr[:, MASTER] = 0.0
-    wr[:, slave] = 0.0
-
-    # comp[h][v]: best unconstrained completion when v is the (h-1)-th
-    # repeater; positions run 1..level, comp[level + 1] is the final hop.
-    comp = np.empty((level + 2, n))
-    comp[level + 1] = w[:, slave]
-    for h in range(level, 0, -1):
-        comp[h] = (wr * comp[h + 1][None, :]).max(axis=1)
-
-    best_prob = -1.0
-    best_seq: tuple[int, ...] | None = None
-
-    # Greedy reconstruction seeds the search when it happens to be simple.
-    path, node = [], MASTER
-    for h in range(1, level + 1):
-        node = int(np.argmax(wr[node] * comp[h + 1]))
-        path.append(node)
-    if len(set(path)) == level:
-        prob = w[MASTER, path[0]]
-        for a, b in zip(path, path[1:]):
-            prob *= w[a, b]
-        prob *= w[path[-1], slave]
-        if prob > 0.0:
-            best_prob, best_seq = prob, tuple(path)
-
-    margin = 1.0 + 1e-9  # covers rounding differences between bound and search
-    prefix: list[int] = []
-    used = [False] * n
-
-    def visit(last: int, prob: float) -> None:
-        nonlocal best_prob, best_seq
-        h = len(prefix)
-        if h == level:
-            total = prob * w[last, slave]
-            if total > best_prob or (total == best_prob and
-                                     best_seq is not None and
-                                     tuple(prefix) < best_seq):
-                best_prob, best_seq = total, tuple(prefix)
-            return
-        for r in reps:
-            if used[r]:
-                continue
-            step = prob * w[last, r]
-            bound = step * comp[h + 2][r]
-            if bound <= 0.0 or bound * margin < best_prob:
-                continue
-            used[r] = True
-            prefix.append(r)
-            visit(r, step)
-            prefix.pop()
-            used[r] = False
-
-    visit(MASTER, 1.0)
-    if best_seq is None:
-        # Nothing succeeds at this level: report the smallest valid chain.
-        return 0.0, tuple(reps[:level])
-    return best_prob, best_seq
 
 
 def best_path(per: PerMatrix, slave: int, level: int) -> DlcPathResult:
     """Repeater chain with the highest round-trip success at a given level.
 
-    Ties are broken toward the lexicographically smallest repeater
-    sequence.  If no chain of this length can succeed, the smallest valid
-    sequence is returned with probability 0.
+    One depth-first search serves every level.  tail[k][v] is the best
+    product of k hops from v to the slave over walks that may repeat
+    repeaters, so it bounds every chain that continues from v.  Each node
+    of the search visits its children best bound first, which makes the
+    first chain it completes the greedy one, and stops at the first child
+    whose bound falls below the best chain found so far.  Chains are ranked
+    by round_trip_success's own product, so ties are exact and go to the
+    lexicographically smallest repeater sequence.  If no chain of this
+    length can succeed, the smallest valid sequence is returned with
+    probability 0.
     """
     _check_slave(per, slave)
     n = per.node_count
@@ -190,27 +130,43 @@ def best_path(per: PerMatrix, slave: int, level: int) -> DlcPathResult:
         raise InvalidPathError(
             f"repeater level {level} out of range 0..{n - 2} for {n} nodes"
         )
-    if level == 0:
-        return DlcPathResult((), round_trip_success(per, (), slave))
-
     w = _pair_weights(per)
-    reps = [v for v in range(1, n) if v != slave]
+    # the master and the slave are never repeaters: zero bound
+    t = w[:, slave].copy()
+    t[[MASTER, slave]] = 0.0
+    tail = [None, t]
+    for _ in range(level - 1):
+        t = (w * t).max(axis=1)
+        t[[MASTER, slave]] = 0.0
+        tail.append(t)
 
-    if level == 1:
-        probs = w[MASTER, reps] * w[reps, slave]
-        seq = (reps[int(np.argmax(probs))],)
-    elif level == 2:
-        first = w[MASTER, reps][:, None]
-        mid = w[np.ix_(reps, reps)]
-        last = w[reps, slave][None, :]
-        probs = first * mid * last
-        np.fill_diagonal(probs, -1.0)  # same repeater twice is not a chain
-        i, j = np.unravel_index(int(np.argmax(probs)), probs.shape)
-        seq = (reps[i], reps[j])
-    else:
-        _, seq = _search_level_ge3(w, slave, level, reps)
+    best = 0.0
+    best_seq = tuple(v for v in range(1, level + 2) if v != slave)[:level]
+    margin = 1.0 + 1e-9  # bounds multiply in another order than chains
+    prefix: list[int] = []
 
-    return DlcPathResult(tuple(seq), round_trip_success(per, seq, slave))
+    def visit(last: int, prob: float) -> None:
+        nonlocal best, best_seq
+        depth = len(prefix)
+        if depth == level:
+            total = prob * w[last, slave]
+            if total > best or (total == best and tuple(prefix) < best_seq):
+                best, best_seq = total, tuple(prefix)
+            return
+        step = prob * w[last]
+        bound = step * tail[level - depth]
+        bound[prefix] = 0.0
+        for r in np.argsort(-bound, kind="stable"):
+            # children come in descending order, so none after this one
+            # can win; while best is 0 this also skips dead children
+            if bound[r] * margin <= best:
+                break
+            prefix.append(int(r))
+            visit(int(r), step[r])
+            prefix.pop()
+
+    visit(MASTER, 1.0)
+    return DlcPathResult(best_seq, float(best))
 
 
 def slave_analysis(per: PerMatrix, slave: int, max_level: int = 4,

@@ -2,15 +2,15 @@
 
 Cycles are simulated a block of _BLOCK at a time.  Each slave gets one
 counter-based Philox stream per block, keyed on (seed, slave, block), and
-every still-failing cycle of the block advances by whole-array draws from
-it, so reports are bit-identical across repeats.  Slot accounting is
+the cycles of the block advance by whole-array draws from it (one try
+count per DLC1000 cycle, one flood per still-failing SFN cycle and try),
+so reports are bit-identical across repeats.  Slot accounting is
 exact: a DLC1000 try reserves 2*(level+1) slots whether or not it
 succeeds, an SFN try reserves the two full flood windows, 2 + r_dl + r_ul
 slots, with both levels incremented by one per retry.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -22,7 +22,6 @@ PROTOCOLS = ("dlc1000", "sfn")
 
 _SEED_MASK = (1 << 64) - 1
 _BLOCK = 256  # cycles (or trials) per keyed random stream
-_MAX_CHUNK = 32  # DLC1000 tries drawn per call for each still-failing cycle
 # log-miss of a PER-0 link.  The flood's matrix product multiplies the
 # zeros of the transmitter mask by every entry, and 0 * -inf is NaN; exp()
 # of anything below about -745 is exactly 0, so the link stays certain.
@@ -200,10 +199,13 @@ def simulate_dlc(per: PerMatrix, cfg: SimConfig,
     """Monte-Carlo polling under dynamic source routing.
 
     The master polls each slave over the chain the analysis chose for it
-    and retries on the same chain; every directed link of the round trip
-    is an independent Bernoulli draw.  Unreachable slaves are still polled
-    (at level 0) and consume slots.  Without an analysis, one is computed
-    with cfg.max_level and cfg.slot_time.
+    and retries on the same chain.  A try succeeds exactly when every
+    directed link of its round trip does, with probability
+    dlc.round_trip_success, so each cycle draws its try count at once: a
+    geometric variable G gives min(G, max_retries + 1) tries and a success
+    when G <= max_retries + 1.  Unreachable slaves are still polled (at
+    level 0) and consume slots.  Without an analysis, one is computed with
+    cfg.max_level and cfg.slot_time.
     """
     if cfg.protocol != "dlc1000":
         raise ValueError("config protocol must be 'dlc1000'")
@@ -211,33 +213,19 @@ def simulate_dlc(per: PerMatrix, cfg: SimConfig,
         analysis = dlc.cycle_analysis(per, cfg.max_level, cfg.slot_time)
     _check_slaves(per, analysis)
     n = per.node_count
-    p = per.per
+    cap = cfg.max_retries + 1  # most tries a cycle makes
 
     tries = np.zeros(n - 1, dtype=np.int64)
     successes = np.zeros(n - 1, dtype=np.int64)
     for k, a in enumerate(analysis.slaves):
-        s = a.slave
-        hops = [MASTER, *a.repeaters, s]
-        links = list(zip(hops, hops[1:])) + list(zip(hops[::-1], hops[::-1][1:]))
-        link_ok = np.array([1.0 - p[u, v] for u, v in links])
-        # about one expected success per still-failing cycle and call
-        try_ok = float(np.prod(link_ok))
-        chunk = _MAX_CHUNK if try_ok <= 1.0 / _MAX_CHUNK \
-            else math.ceil(1.0 / try_ok)
-        for block, active in _blocks(cfg.cycles):
-            rng = _block_rng(cfg.seed, s, block)
-            left = cfg.max_retries + 1  # tries each failing cycle may still make
-            while active and left:
-                width = min(chunk, left)
-                ok = (rng.random((active, width, link_ok.size))
-                      < link_ok).all(axis=2)
-                hit = ok.any(axis=1)
-                done = int(hit.sum())
-                tries[k] += int(ok.argmax(axis=1)[hit].sum()) + done \
-                    + (active - done) * width
-                successes[k] += done
-                active -= done
-                left -= width
+        try_ok = dlc.round_trip_success(per, a.repeaters, a.slave)
+        if try_ok == 0.0:  # numpy's geometric rejects p = 0
+            tries[k] = cfg.cycles * cap
+            continue
+        for block, rows in _blocks(cfg.cycles):
+            g = _block_rng(cfg.seed, a.slave, block).geometric(try_ok, rows)
+            tries[k] += np.minimum(g, cap).sum()
+            successes[k] += (g <= cap).sum()
     costs = np.array([2 * (a.best_level + 1) for a in analysis.slaves],
                      dtype=np.int64)
     return _reduce_report(cfg, n, costs * tries, tries, successes)

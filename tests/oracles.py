@@ -10,19 +10,24 @@ from itertools import permutations
 import numpy as np
 
 from plcroute.channel import PerMatrix
-from plcroute.dlc import round_trip_success
 
 
 def brute_force_best_path(per: PerMatrix, slave: int, level: int):
     """Exhaustive maximum over all ordered sequences of distinct repeaters.
 
-    Ties go to the first (lexicographically smallest) sequence.
+    A chain's round-trip success is multiplied hop by hop from the master,
+    each hop contributing its forward link's success times its reverse
+    link's.  Ties go to the first (lexicographically smallest) sequence.
     """
+    p = per.per
     candidates = [v for v in range(1, per.node_count) if v != slave]
     best_prob = -1.0
     best_seq = None
     for seq in permutations(candidates, level):
-        prob = round_trip_success(per, seq, slave)
+        hops = [0, *seq, slave]
+        prob = 1.0
+        for a, b in zip(hops, hops[1:]):
+            prob *= (1.0 - p[a][b]) * (1.0 - p[b][a])
         if prob > best_prob:
             best_prob, best_seq = prob, seq
     return best_seq, best_prob

@@ -13,12 +13,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from plcroute import dlc, sfn
+from plcroute import dlc, sfn, simulator
 from plcroute.channel import DEFAULT_MODELS, PerMatrix, build_matrix, generate_ring
 from plcroute.metrics import routing_overhead
 from plcroute.simulator import (
     SimConfig,
-    flood_trial,
     sample_first_success_levels,
     simulate,
     simulate_dlc,
@@ -114,14 +113,17 @@ def _attempt_success_estimate(per, target, trials, seed, horizon):
 
     A budget-r flood succeeds exactly when the unlimited flood would have
     delivered within level r, so one full flood per trial measures every
-    level at once.
+    level at once.  The floods run a block of rows at a time, each block
+    from its own keyed stream.
     """
+    log_miss = simulator._log_miss(per)
+    relays = np.arange(per.node_count) != target
     reached = np.zeros(horizon + 1)
-    for t in range(trials):
-        rng = np.random.default_rng((seed, t))
-        levels = flood_trial(per, 0, horizon, rng, no_relay=(target,))
-        if levels[target] >= 0:
-            reached[levels[target]] += 1
+    for block, rows in simulator._blocks(trials):
+        rng = simulator._block_rng(seed, target, block)
+        levels = simulator._flood(log_miss, 0, horizon, rows, rng,
+                                  relays)[:, target]
+        reached += np.bincount(levels[levels >= 0], minlength=horizon + 1)
     return np.cumsum(reached) / trials
 
 

@@ -91,6 +91,22 @@ def test_best_path_lexicographic_tie_break():
     assert best_path(m, 5, 2).repeaters == (2, 4)  # not (8, 6)
 
 
+@pytest.mark.parametrize("nodes", [10, 12])
+def test_best_path_equals_oracle_exactly_on_rings(nodes):
+    # ring chains tie exactly in both directions and across two-hop
+    # shortcuts; the search and the oracle multiply the same product, so
+    # the tie-break is exact at every level
+    m = generate_ring(nodes, 0.1, 0.6)
+    for slave in m.slaves:
+        for level in range(5):
+            got = best_path(m, slave, level)
+            want_seq, want_prob = brute_force_best_path(m, slave, level)
+            assert got.repeaters == want_seq, (slave, level)
+            assert got.success_prob == want_prob, (slave, level)
+            assert got.success_prob == round_trip_success(
+                m, got.repeaters, slave)
+
+
 def test_best_path_all_zero_returns_smallest_sequence():
     arr = np.ones((6, 6))
     np.fill_diagonal(arr, 0.0)
@@ -178,13 +194,9 @@ def test_cycle_ring10_matches_per_slave_oracle():
     assert analysis.total == pytest.approx(total, rel=1e-12)
     assert not analysis.unreachable
     for a in analysis.slaves:
-        # the chain the simulator polls is best_path's chain for the chosen
-        # level and a best chain of the oracle.  The sequences themselves
-        # are not compared: for slave 6, (8, 7) and (9, 8) have the same
-        # round-trip success, and best_path's search scores (9, 8) one ulp
-        # higher, so it does not return the smaller sequence.
-        _, prob = brute_force_best_path(m, a.slave, a.best_level)
-        assert a.repeaters == best_path(m, a.slave, a.best_level).repeaters
+        # the chain the simulator polls is the oracle's chain for the level
+        seq, prob = brute_force_best_path(m, a.slave, a.best_level)
+        assert a.repeaters == seq
         assert round_trip_success(m, a.repeaters, a.slave) == prob
 
 

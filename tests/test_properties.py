@@ -40,7 +40,8 @@ def test_round_trip_bounded_by_every_link_factor(m):
 def test_best_path_is_a_true_maximum(m, level):
     slave = 1
     got = best_path(m, slave, level)
-    _, want_prob = brute_force_best_path(m, slave, level)
+    want_seq, want_prob = brute_force_best_path(m, slave, level)
+    assert got.repeaters == want_seq
     assert got.success_prob == pytest.approx(want_prob, abs=1e-12)
     assert round_trip_success(m, got.repeaters, slave) == got.success_prob
 

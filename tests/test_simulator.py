@@ -165,9 +165,8 @@ def test_dlc_slot_accounting_reconstructable():
 
 
 def test_dlc_capped_retries_follow_truncated_geometric():
-    # tries per cycle are min(G, max_retries + 1) for a geometric G; the
-    # cap is not a multiple of the batched draw width, so the last call of
-    # a block draws fewer tries than the others
+    # tries per cycle are min(G, max_retries + 1) for a geometric G, and
+    # a cycle gives up when G exceeds the cap
     m = generate_ring(8, 0.2, 0.7)
     cfg = SimConfig("dlc1000", cycles=3000, max_retries=4, max_level=2, seed=6)
     report = simulate_dlc(m, cfg)
