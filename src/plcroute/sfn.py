@@ -7,11 +7,27 @@ downlink and uplink each get an allowed repeater level chosen around the
 mean first-success level; a poll try occupies the two full windows
 (2 + r_dl + r_ul slots) and is retried with both levels incremented by
 one until it succeeds.
+
+Every flood runs through one kernel, `_flood_levels`, which advances F
+floods as one (F, n) recursion; each row stops at its own last level,
+exactly where a lone flood stops.  A receiver j misses a level with
+probability prod_i (1 - tx_i * ok_ij) over the transmitters i != j.  A
+factor with tx_i = 0 or ok_ij = 0 is exactly 1.0, so the kernel leaves
+such factors out: on a sparse matrix it multiplies over each receiver's
+live in-links (ok > 0), read in ascending transmitter order from a
+slot-major table cached per matrix; when some receiver has more than
+n / 3 live in-links it multiplies over every node that transmits at the
+level.  numpy multiplies along the reduced axis in order, so each
+product, and with it every profile and analysis, is bit for bit the
+dense per-flood product over all n nodes.  `cycle_analysis` floods the
+downlink once and every slave's uplinks together, in row blocks of
+bounded size, keeping only what reaches the master.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +36,9 @@ from .channel import MASTER, PerMatrix
 # Residual probability mass beyond the computed horizon above which a
 # mean first-success level is flagged as unreliable.
 TRUNCATION_TOLERANCE = 1e-9
+# Elements of the (rows, slots, receivers) temporary of one batched flood
+# level; bounds the rows per batch, and so the memory a batch needs.
+_BATCH_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,6 +105,89 @@ class SfnCycleAnalysis:
         return not self.unreachable
 
 
+@lru_cache(maxsize=1)
+def _in_links(per: PerMatrix) -> tuple[np.ndarray | None, np.ndarray]:
+    """Each receiver's live in-links as a slot-major (D, n) table.
+
+    Returns (src, ok): column j of src lists the transmitters i != j with
+    ok[i, j] = 1 - per[i, j] > 0 in ascending order, and ok holds those
+    links' success probabilities; the slots past a receiver's last live
+    link point at dead links, whose ok is 0.  Gathering a slot costs about
+    three times multiplying one (rand_area_300: 2.7 s gathered against
+    0.8 s broadcast), so when a receiver has more than n / 3 live
+    in-links, src is None and ok is the full (n, n) success matrix with a
+    zero diagonal, a node not being its own transmitter.  Read-only and
+    computed once per matrix: PerMatrix is immutable and hashes by
+    identity.
+    """
+    ok = 1.0 - per.per
+    np.fill_diagonal(ok, 0.0)
+    live = ok > 0.0
+    depth = max(1, int(live.sum(axis=0).max()))
+    if 3 * depth > per.node_count:
+        ok.setflags(write=False)
+        return None, ok
+    src = np.argsort(~live, axis=0, kind="stable")[:depth]
+    table = np.take_along_axis(ok, src, axis=0)
+    for a in (src, table):
+        a.setflags(write=False)
+    return src, table
+
+
+def _flood_levels(per: PerMatrix, origins, initial_tx, horizon: int):
+    """Advance one flood per origin, all at once, level by level.
+
+    initial_tx gives each flood's level-0 transmit mass at its origin.
+    Yields (rows, tx, rcv) for r = 0, 1, ...: the indices of the floods
+    still running at level r and, one row each, their transmit and
+    first-reception probabilities at that level.  A flood stops after
+    level horizon or after a level whose receptions leave no node any
+    transmit mass, as `flood` describes.
+    """
+    src, ok = _in_links(per)
+    rows = np.arange(len(origins))
+    origins = np.asarray(origins)
+    tx = np.zeros((rows.size, per.node_count))
+    tx[rows, origins] = initial_tx
+    cum_rcv = np.zeros_like(tx)
+    # transmit mass through level r-1 when building level r+1
+    spent_tx = np.zeros_like(tx)
+    for r in range(horizon + 1):
+        if src is None:
+            live = tx.any(axis=0)
+            miss = tx[:, :, None] * ok if live.all() else \
+                tx[:, live, None] * ok[live]
+        else:
+            miss = tx[:, src]
+            miss *= ok
+        np.subtract(1.0, miss, out=miss)
+        rcv = (1.0 - cum_rcv) * (1.0 - miss.prod(axis=1))
+        rcv[np.arange(rows.size), origins] = 0.0
+        np.maximum(rcv, 0.0, out=rcv)
+        yield rows, tx, rcv
+        if r == horizon:
+            return
+        cum_rcv = cum_rcv + rcv
+        if r >= 1:
+            spent_tx = spent_tx + last_tx
+        last_tx, tx = tx, np.maximum(1.0 - spent_tx, 0.0) * rcv
+        going = tx.any(axis=1)
+        if not going.any():
+            return
+        if not going.all():
+            rows, origins, tx, cum_rcv, spent_tx, last_tx = (
+                a[going] for a in (rows, origins, tx, cum_rcv, spent_tx,
+                                   last_tx))
+
+
+def _check_horizon(per: PerMatrix, horizon: int | None) -> int:
+    if horizon is None:
+        return per.node_count
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    return horizon
+
+
 def flood(per: PerMatrix, origin: int, initial_tx: float = 1.0,
           horizon: int | None = None) -> FloodProfile:
     """Level-by-level transmit/reception recursion for one flood origin.
@@ -98,55 +200,56 @@ def flood(per: PerMatrix, origin: int, initial_tx: float = 1.0,
     transmitter gets through to it.  The origin never first-receives its
     own packet.  Computation stops early once no node has any probability
     left to transmit.
+
+    This is the one-row case of the batched kernel: a batch of floods
+    gives each row exactly this profile, stopped at the same level.  The
+    miss product runs over live links only and in ascending transmitter
+    order; the skipped factors are exactly 1.0, so the result equals the
+    dense product over every node bit for bit.
     """
     if not (0 <= origin < per.node_count):
         raise ValueError(f"origin {origin} out of range")
     if not (0.0 < initial_tx <= 1.0):
         raise ValueError("initial_tx must be in (0, 1]")
-    if horizon is None:
-        horizon = per.node_count
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-
-    n = per.node_count
-    ok = 1.0 - per.per
-
-    tx0 = np.zeros(n)
-    tx0[origin] = initial_tx
-    tx_cols = [tx0]
-    rcv_cols = []
-    cum_rcv = np.zeros(n)
-    spent_tx = np.zeros(n)  # transmit mass through level r-1 when building level r+1
-    tx = tx0
-
-    for r in range(horizon + 1):
-        miss = 1.0 - tx[:, None] * ok
-        np.fill_diagonal(miss, 1.0)  # a node is not its own transmitter
-        col = (1.0 - cum_rcv) * (1.0 - miss.prod(axis=0))
-        col[origin] = 0.0
-        np.maximum(col, 0.0, out=col)
-        rcv_cols.append(col)
-        cum_rcv = cum_rcv + col
-        if r == horizon:
-            break
-        if r >= 1:
-            spent_tx = spent_tx + tx_cols[r - 1]
-        tx = np.maximum(1.0 - spent_tx, 0.0) * col
-        if not tx.any():
-            break
-        tx_cols.append(tx)
-
-    levels = len(rcv_cols)
-    tx_mat = np.zeros((n, levels))
-    for r, colt in enumerate(tx_cols):
-        tx_mat[:, r] = colt
+    horizon = _check_horizon(per, horizon)
+    tx_cols, rcv_cols = [], []
+    for _, tx, rcv in _flood_levels(per, [origin], initial_tx, horizon):
+        tx_cols.append(tx[0])
+        rcv_cols.append(rcv[0])
+    tx_mat = np.column_stack(tx_cols)
     rcv_mat = np.column_stack(rcv_cols)
-    for m in (tx_mat, rcv_mat):
-        m.setflags(write=False)
     cumulative = np.cumsum(rcv_mat, axis=1)
-    cumulative.setflags(write=False)
+    for m in (tx_mat, rcv_mat, cumulative):
+        m.setflags(write=False)
     return FloodProfile(origin, initial_tx, tx_mat, rcv_mat, cumulative,
-                        levels - 1)
+                        len(rcv_cols) - 1)
+
+
+def _master_cumulative(per: PerMatrix, origins, initial_tx,
+                       horizon: int) -> list[np.ndarray]:
+    """The master's cumulative reception per level of each given flood.
+
+    Equal to flood(per, o, m, horizon).cumulative[MASTER] for each origin o
+    and seed m; the floods run in row blocks whose kernel temporary stays
+    within _BATCH_ELEMENTS.
+    """
+    slots = _in_links(per)[1].size  # per row of the kernel's temporary
+    rows_per_block = max(1, _BATCH_ELEMENTS // slots)
+    got = []
+    for start in range(0, len(origins), rows_per_block):
+        block = slice(start, start + rows_per_block)
+        block_origins = origins[block]
+        cols = []
+        levels = np.zeros(len(block_origins), dtype=np.int64)
+        for r, (rows, _, level_rcv) in enumerate(_flood_levels(
+                per, block_origins, initial_tx[block], horizon)):
+            col = np.zeros(len(block_origins))
+            col[rows] = level_rcv[:, MASTER]
+            cols.append(col)
+            levels[rows] = r + 1
+        cumulative = np.cumsum(np.column_stack(cols), axis=1)
+        got.extend(c[:k] for c, k in zip(cumulative, levels))
+    return got
 
 
 def first_success_distribution(attempt_success) -> tuple[np.ndarray, float]:
@@ -166,6 +269,15 @@ def first_success_distribution(attempt_success) -> tuple[np.ndarray, float]:
     return pi, float(still_failing)
 
 
+def _distribution(cumulative: np.ndarray) -> LevelDistribution:
+    pi, truncated = first_success_distribution(cumulative)
+    mass = pi.sum()
+    if mass <= 0.0:
+        return LevelDistribution(pi, None, 1.0, True)
+    mean = float(np.arange(pi.size) @ pi / mass)
+    return LevelDistribution(pi, mean, truncated, False)
+
+
 def level_distribution(profile: FloodProfile, target: int) -> LevelDistribution:
     """First-success level statistics of retrying a flood toward a target.
 
@@ -178,17 +290,69 @@ def level_distribution(profile: FloodProfile, target: int) -> LevelDistribution:
         raise ValueError("target must differ from the flood origin")
     if not (0 <= target < profile.cumulative.shape[0]):
         raise ValueError(f"target {target} out of range")
-    pi, truncated = first_success_distribution(profile.cumulative[target])
-    mass = pi.sum()
-    if mass <= 0.0:
-        return LevelDistribution(pi, None, 1.0, True)
-    mean = float(np.arange(pi.size) @ pi / mass)
-    return LevelDistribution(pi, mean, truncated, False)
+    return _distribution(profile.cumulative[target])
 
 
 def _level_candidates(mean: float) -> list[int]:
     lo, hi = math.floor(mean), math.ceil(mean)
     return [lo] if lo == hi else [lo, hi]
+
+
+def _choose(slave: int, uplinks, slot_time: float) -> SfnSlaveAnalysis:
+    """The least expected duration over a slave's evaluated level pairs.
+
+    uplinks holds (r_dl, downlink success, master's cumulative uplink
+    reception) per downlink candidate; it is empty when the downlink
+    cannot reach the slave.
+    """
+    candidates = []
+    best: SfnCandidate | None = None
+    for r_dl, dl_success, master_cumulative in uplinks:
+        ul_dist = _distribution(master_cumulative)
+        if ul_dist.unreachable:
+            continue
+        for r_ul in _level_candidates(ul_dist.mean_level):
+            # The level recursion can accumulate more reception mass at the
+            # master than the uplink injected (simultaneous relays are
+            # treated as independent chances), so the conditional factor is
+            # capped at 1 to stay a probability.
+            ul_conditional = min(
+                1.0, float(master_cumulative[r_ul]) / dl_success)
+            poll_success = dl_success * ul_conditional
+            if poll_success <= 0.0:
+                continue
+            duration = (2.0 + r_dl + r_ul) * slot_time / poll_success
+            cand = SfnCandidate(r_dl, r_ul, poll_success, duration)
+            candidates.append(cand)
+            if best is None or (cand.expected_duration, cand.r_dl, cand.r_ul) < \
+                    (best.expected_duration, best.r_dl, best.r_ul):
+                best = cand
+    if best is None:
+        return SfnSlaveAnalysis(slave, 0, 0, 0.0, None, tuple(candidates))
+    return SfnSlaveAnalysis(slave, best.r_dl, best.r_ul, best.poll_success,
+                            best.expected_duration, tuple(candidates))
+
+
+def _slave_analyses(per: PerMatrix, slaves, slot_time: float,
+                    horizon: int | None,
+                    downlink: FloodProfile) -> tuple[SfnSlaveAnalysis, ...]:
+    """slave_analysis of each slave, with all their uplinks in one batch."""
+    if slot_time <= 0:
+        raise ValueError("slot_time must be positive")
+    horizon = _check_horizon(per, horizon)
+    plans = []  # (slave, [(r_dl, downlink success), ...])
+    for s in slaves:
+        dl_dist = level_distribution(downlink, s)
+        r_dls = [] if dl_dist.unreachable else \
+            _level_candidates(dl_dist.mean_level)
+        plans.append(
+            (s, [(r, float(downlink.cumulative[s, r])) for r in r_dls]))
+    origins = [s for s, dls in plans for _ in dls]
+    seeds = [m for _, dls in plans for _, m in dls]
+    master = iter(_master_cumulative(per, origins, seeds, horizon))
+    return tuple(
+        _choose(s, [(r_dl, m, next(master)) for r_dl, m in dls], slot_time)
+        for s, dls in plans)
 
 
 def slave_analysis(per: PerMatrix, slave: int, slot_time: float = 1.0,
@@ -207,53 +371,21 @@ def slave_analysis(per: PerMatrix, slave: int, slot_time: float = 1.0,
     """
     if not (1 <= slave < per.node_count):
         raise ValueError(f"slave index {slave} out of range (master is 0)")
-    if slot_time <= 0:
-        raise ValueError("slot_time must be positive")
     if downlink is None:
         downlink = flood(per, MASTER, 1.0, horizon)
-    dl_dist = level_distribution(downlink, slave)
-    if dl_dist.unreachable:
-        return SfnSlaveAnalysis(slave, 0, 0, 0.0, None, ())
-
-    candidates = []
-    best: SfnCandidate | None = None
-    for r_dl in _level_candidates(dl_dist.mean_level):
-        dl_success = float(downlink.cumulative[slave, r_dl])
-        uplink = flood(per, slave, dl_success, horizon)
-        ul_dist = level_distribution(uplink, MASTER)
-        if ul_dist.unreachable:
-            continue
-        for r_ul in _level_candidates(ul_dist.mean_level):
-            # The level recursion can accumulate more reception mass at the
-            # master than the uplink injected (simultaneous relays are
-            # treated as independent chances), so the conditional factor is
-            # capped at 1 to stay a probability.
-            ul_conditional = min(
-                1.0, float(uplink.cumulative[MASTER, r_ul]) / dl_success)
-            poll_success = dl_success * ul_conditional
-            if poll_success <= 0.0:
-                continue
-            duration = (2.0 + r_dl + r_ul) * slot_time / poll_success
-            cand = SfnCandidate(r_dl, r_ul, poll_success, duration)
-            candidates.append(cand)
-            if best is None or (cand.expected_duration, cand.r_dl, cand.r_ul) < \
-                    (best.expected_duration, best.r_dl, best.r_ul):
-                best = cand
-    if best is None:
-        return SfnSlaveAnalysis(slave, 0, 0, 0.0, None, tuple(candidates))
-    return SfnSlaveAnalysis(slave, best.r_dl, best.r_ul, best.poll_success,
-                            best.expected_duration, tuple(candidates))
+    return _slave_analyses(per, (slave,), slot_time, horizon, downlink)[0]
 
 
 def cycle_analysis(per: PerMatrix, slot_time: float = 1.0,
                    horizon: int | None = None) -> SfnCycleAnalysis:
     """Expected duration of one full polling cycle (sum over all slaves).
 
-    The downlink flood is computed once and shared across slaves.
+    The downlink flood is computed once and shared across slaves, and all
+    slaves' uplink floods run through the kernel together; the result
+    equals slave_analysis slave by slave.
     """
     downlink = flood(per, MASTER, 1.0, horizon)
-    slaves = tuple(slave_analysis(per, s, slot_time, horizon, downlink)
-                   for s in per.slaves)
+    slaves = _slave_analyses(per, per.slaves, slot_time, horizon, downlink)
     unreachable = tuple(a.slave for a in slaves if not a.reachable)
     total = sum(a.expected_duration for a in slaves if a.reachable)
     return SfnCycleAnalysis(slaves, float(total), unreachable)

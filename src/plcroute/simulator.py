@@ -12,6 +12,7 @@ slots, with both levels incremented by one per retry.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,12 +108,18 @@ def _blocks(count: int):
         yield block, min(_BLOCK, count - start)
 
 
+@lru_cache(maxsize=1)
 def _log_miss(per: PerMatrix) -> np.ndarray:
-    """log P(link i -> j fails), finite everywhere, zero on the diagonal."""
+    """log P(link i -> j fails), finite everywhere, zero on the diagonal.
+
+    Read-only and computed once per matrix: PerMatrix is immutable and
+    hashes by identity.
+    """
     with np.errstate(divide="ignore"):
         log_miss = np.log(per.per)
     np.maximum(log_miss, _LOG_CERTAIN, out=log_miss)
     np.fill_diagonal(log_miss, 0.0)  # a node is not its own transmitter
+    log_miss.setflags(write=False)
     return log_miss
 
 

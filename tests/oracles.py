@@ -10,6 +10,7 @@ from itertools import permutations
 import numpy as np
 
 from plcroute.channel import PerMatrix
+from plcroute.sfn import FloodProfile
 
 
 def brute_force_best_path(per: PerMatrix, slave: int, level: int):
@@ -56,6 +57,72 @@ def flood_reference(per: np.ndarray, origin: int, initial_tx: float,
             prior = sum(rcv[node][v] for v in range(r))
             rcv[node][r] = (1.0 - prior) * (1.0 - all_miss)
     return np.array(tx), np.array(rcv)
+
+
+def per_origin_flood(per: PerMatrix, origin: int, initial_tx: float = 1.0,
+                     horizon: int | None = None) -> FloodProfile:
+    """Level-by-level transmit/reception recursion for one flood origin.
+
+    The dense one-flood-at-a-time loop that `sfn.flood` used to run; the
+    package's batched kernel must reproduce it bit for bit.
+
+    initial_tx scales the whole profile; an uplink flood is seeded with the
+    probability mass that the downlink delivered to its origin.  At level
+    r >= 1 a node transmits with the first-reception probability of the
+    previous level times its still-unspent transmit mass, and a node first
+    receives if it has not received before and at least one current
+    transmitter gets through to it.  The origin never first-receives its
+    own packet.  Computation stops early once no node has any probability
+    left to transmit.
+    """
+    if not (0 <= origin < per.node_count):
+        raise ValueError(f"origin {origin} out of range")
+    if not (0.0 < initial_tx <= 1.0):
+        raise ValueError("initial_tx must be in (0, 1]")
+    if horizon is None:
+        horizon = per.node_count
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+
+    n = per.node_count
+    ok = 1.0 - per.per
+
+    tx0 = np.zeros(n)
+    tx0[origin] = initial_tx
+    tx_cols = [tx0]
+    rcv_cols = []
+    cum_rcv = np.zeros(n)
+    spent_tx = np.zeros(n)  # transmit mass through level r-1 when building level r+1
+    tx = tx0
+
+    for r in range(horizon + 1):
+        miss = 1.0 - tx[:, None] * ok
+        np.fill_diagonal(miss, 1.0)  # a node is not its own transmitter
+        col = (1.0 - cum_rcv) * (1.0 - miss.prod(axis=0))
+        col[origin] = 0.0
+        np.maximum(col, 0.0, out=col)
+        rcv_cols.append(col)
+        cum_rcv = cum_rcv + col
+        if r == horizon:
+            break
+        if r >= 1:
+            spent_tx = spent_tx + tx_cols[r - 1]
+        tx = np.maximum(1.0 - spent_tx, 0.0) * col
+        if not tx.any():
+            break
+        tx_cols.append(tx)
+
+    levels = len(rcv_cols)
+    tx_mat = np.zeros((n, levels))
+    for r, colt in enumerate(tx_cols):
+        tx_mat[:, r] = colt
+    rcv_mat = np.column_stack(rcv_cols)
+    for m in (tx_mat, rcv_mat):
+        m.setflags(write=False)
+    cumulative = np.cumsum(rcv_mat, axis=1)
+    cumulative.setflags(write=False)
+    return FloodProfile(origin, initial_tx, tx_mat, rcv_mat, cumulative,
+                        levels - 1)
 
 
 def per_link_flood(per: np.ndarray, origin: int, max_level: int,

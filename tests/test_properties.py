@@ -9,7 +9,7 @@ from plcroute.channel import PerMatrix, load_matrix, save_matrix
 from plcroute.dlc import best_path, round_trip_success
 from plcroute.sfn import flood
 
-from oracles import brute_force_best_path
+from oracles import brute_force_best_path, per_origin_flood
 
 
 @st.composite
@@ -56,6 +56,35 @@ def test_flood_profile_conservation(m):
     assert np.all(np.diff(profile.cumulative, axis=1) >= -1e-12)
     assert profile.tx[0, 0] == 1.0
     assert np.all(profile.tx[1:, 0] == 0.0)
+
+
+@st.composite
+def sparse_per_matrices(draw, min_nodes=2, max_nodes=12):
+    """Matrices with dead links (PER 1) and exact 0/1 PERs mixed in."""
+    n = draw(st.integers(min_nodes, max_nodes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    live_fraction = draw(st.sampled_from([0.05, 0.1, 0.2, 0.6, 1.0]))
+    arr = rng.random((n, n))
+    arr[rng.random((n, n)) < 0.2] = 0.0
+    arr[rng.random((n, n)) < 0.1] = 1.0
+    arr[rng.random((n, n)) >= live_fraction] = 1.0
+    np.fill_diagonal(arr, 0.0)
+    return PerMatrix(arr)
+
+
+@given(sparse_per_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_flood_equals_dense_per_origin_loop_bit_for_bit(m, data):
+    n = m.node_count
+    origin = data.draw(st.integers(0, n - 1))
+    initial_tx = data.draw(st.floats(0.0, 1.0, exclude_min=True))
+    horizon = data.draw(st.none() | st.integers(0, n))
+    got = flood(m, origin, initial_tx, horizon)
+    want = per_origin_flood(m, origin, initial_tx, horizon)
+    assert np.array_equal(got.tx, want.tx)
+    assert np.array_equal(got.rcv, want.rcv)
+    assert np.array_equal(got.cumulative, want.cumulative)
+    assert got.horizon == want.horizon
 
 
 @given(per_matrices(min_nodes=2, max_nodes=5),

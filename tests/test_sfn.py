@@ -3,7 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from plcroute.channel import PerMatrix, generate_ring
+from plcroute import sfn
+from plcroute.channel import (
+    ChannelSpec,
+    PerMatrix,
+    build_matrix,
+    generate_ring,
+)
 from plcroute.dlc import cycle_analysis as dlc_cycle_analysis
 from plcroute.sfn import (
     cycle_analysis,
@@ -13,7 +19,12 @@ from plcroute.sfn import (
     slave_analysis,
 )
 
-from oracles import flood_reference, geometric_retry_mean, random_matrix
+from oracles import (
+    flood_reference,
+    geometric_retry_mean,
+    per_origin_flood,
+    random_matrix,
+)
 
 
 def matrix(rows) -> PerMatrix:
@@ -267,3 +278,49 @@ def test_degradation_monotonicity_is_not_universal():
     # a third node's cumulative reception.  Pin a known counterexample so
     # a change in this behavior is noticed.
     assert cumulative_increase_after_degrading(108) > 1e-4
+
+
+def test_batched_floods_stop_each_row_at_its_own_level():
+    # A lossless line 0-8, where a full-mass flood stops once its wave has
+    # passed both ends, and apart from it a lossy triangle 9-11.  A flood in
+    # the triangle, or one seeded with less than full mass, echoes until
+    # the horizon.
+    n = 12
+    arr = np.ones((n, n))
+    for a in range(8):
+        arr[a, a + 1] = arr[a + 1, a] = 0.0
+    arr[9:, 9:] = 0.3
+    np.fill_diagonal(arr, 0.0)
+    m = PerMatrix(arr)
+    origins, seeds = [0, 4, 10, 2, 8], [1.0, 1.0, 0.25, 1.0, 0.75]
+    tx_rows = [[] for _ in origins]
+    rcv_rows = [[] for _ in origins]
+    for rows, tx, rcv in sfn._flood_levels(m, origins, seeds, n):
+        for k, row in enumerate(rows):
+            tx_rows[row].append(tx[k])
+            rcv_rows[row].append(rcv[k])
+    stops = set()
+    for row, (origin, seed) in enumerate(zip(origins, seeds)):
+        want = per_origin_flood(m, origin, seed)
+        assert np.array_equal(np.column_stack(tx_rows[row]), want.tx)
+        assert np.array_equal(np.column_stack(rcv_rows[row]), want.rcv)
+        stops.add(want.horizon)
+    assert len(stops) > 2
+    master = sfn._master_cumulative(m, origins[1:], seeds[1:], n)
+    for got, origin, seed in zip(master, origins[1:], seeds[1:]):
+        want = per_origin_flood(m, origin, seed).cumulative[0]
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name,spec,table", [
+    ("ring_100", ChannelSpec(kind="ring", node_count=100), True),
+    ("rand_area_100", ChannelSpec(kind="rand_area", node_count=100, seed=100),
+     False),
+])
+def test_cycle_analysis_equals_slave_analysis_per_slave(name, spec, table):
+    m = build_matrix(spec)
+    assert (sfn._in_links(m)[0] is not None) == table
+    downlink = flood(m, 0, 1.0)
+    analysis = cycle_analysis(m)
+    assert analysis.slaves == tuple(
+        slave_analysis(m, s, downlink=downlink) for s in m.slaves)

@@ -285,6 +285,19 @@ def test_flood_trial_levels_respect_budget_and_suppression():
         assert levels[0] == -1  # origin never first-receives its own packet
 
 
+def test_log_miss_is_cached_read_only_and_keeps_floods_unchanged():
+    m = generate_ring(10, 0.1, 0.6)
+    first = simulator._log_miss(m)
+    assert simulator._log_miss(m) is first
+    assert not first.flags.writeable
+    twin = PerMatrix(m.per.copy())
+    for origin in (0, 4):
+        runs = [flood_trial(per, origin, 6, np.random.default_rng(11))
+                for per in (m, m, twin)]
+        assert np.array_equal(runs[0], runs[1])
+        assert np.array_equal(runs[0], runs[2])
+
+
 def test_flood_trial_line_is_deterministic():
     m = line_matrix()
     rng = np.random.default_rng(0)
