@@ -22,6 +22,6 @@ from .channel import (  # noqa: F401
     save_matrix,
 )
 from .dlc import DlcCycleAnalysis, DlcPathResult, DlcSlaveAnalysis  # noqa: F401
-from .metrics import OverheadReport, routing_overhead, signaling_volume  # noqa: F401
+from .metrics import OverheadReport, routing_overhead  # noqa: F401
 from .sfn import FloodProfile, LevelDistribution, SfnCycleAnalysis, SfnSlaveAnalysis  # noqa: F401
 from .simulator import SimConfig, SimReport, simulate, simulate_dlc, simulate_sfn  # noqa: F401

@@ -117,7 +117,7 @@ def generate_rand_area(node_count: int,
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Parametric description of a channel model (ring, rand_area, or file)."""
+    """Parametric description of a channel model (ring or rand_area)."""
 
     kind: str
     node_count: int = 0
@@ -126,20 +126,14 @@ class ChannelSpec:
     d50: float = DEFAULT_RAND_AREA_D50
     width: float = DEFAULT_RAND_AREA_WIDTH
     seed: int = 0
-    path: str | None = None
-    format: str = "text"
 
     def to_dict(self) -> dict:
         d = asdict(self)
         if self.kind == "ring":
-            for key in ("d50", "width", "seed", "path", "format"):
+            for key in ("d50", "width", "seed"):
                 d.pop(key)
         elif self.kind == "rand_area":
-            for key in ("per_adjacent", "per_two_hop", "path", "format"):
-                d.pop(key)
-        elif self.kind == "file":
-            for key in ("node_count", "per_adjacent", "per_two_hop",
-                        "d50", "width", "seed"):
+            for key in ("per_adjacent", "per_two_hop"):
                 d.pop(key)
         return d
 
@@ -149,10 +143,6 @@ def build_matrix(spec: ChannelSpec) -> PerMatrix:
         return generate_ring(spec.node_count, spec.per_adjacent, spec.per_two_hop)
     if spec.kind == "rand_area":
         return generate_rand_area(spec.node_count, spec.d50, spec.width, spec.seed)
-    if spec.kind == "file":
-        if not spec.path:
-            raise ChannelSpecError("file spec needs a path")
-        return load_matrix(spec.path, spec.format)
     raise ChannelSpecError(f"unknown channel kind {spec.kind!r}")
 
 

@@ -8,15 +8,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 
 from . import __version__, channel, dlc, metrics, sfn
 from .channel import ChannelSpec, ChannelSpecError, MatrixValidationError, PerMatrix
-from .simulator import PROTOCOLS, SimConfig, SimReport, format_report, simulate
+from .simulator import PROTOCOLS, SimConfig, simulate
 
 DEFAULT_PACKET_BYTES = 64
 
@@ -49,6 +49,36 @@ def _positive_float(text: str) -> float:
     return value
 
 
+# Options that several subcommands take, each declared once.  A subcommand
+# names the ones it takes in its usage-line order, and may override a
+# keyword, such as the --format choices.
+_SHARED_OPTIONS = {
+    "matrix_format": (("--matrix-format",),
+                      dict(choices=("text", "json"), default="text")),
+    "cycles": (("--cycles",), dict(type=_positive_int, default=1000)),
+    "max_retries": (("--max-retries",),
+                    dict(type=_nonnegative_int, default=2)),
+    "max_level": (("--max-level",),
+                  dict(type=_nonnegative_int, default=4,
+                       help="repeater-address cap for dlc1000")),
+    "slot_time": (("--slot-time",), dict(type=_positive_float, default=1.0)),
+    "seed": (("--seed",), dict(type=int, default=0)),
+    "horizon": (("--horizon",),
+                dict(type=_nonnegative_int, default=None,
+                     help="flood-level cap for the sfn analysis, which is also "
+                          "simulate's plan (default: node count)")),
+    "format": (("--format",),
+               dict(choices=("text", "csv", "json"), default="text")),
+    "output": (("-o", "--output"), dict(help="write the JSON document here")),
+}
+
+
+def _add_options(parser, *names: str, **overrides: dict) -> None:
+    for name in names:
+        flags, kwargs = _SHARED_OPTIONS[name]
+        parser.add_argument(*flags, **{**kwargs, **overrides.get(name, {})})
+
+
 def _table(headers: list[str], rows: list[list[str]]) -> str:
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
               for i, h in enumerate(headers)]
@@ -56,14 +86,6 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
         return "  ".join(c.rjust(w) for c, w in zip(cells, widths))
     sep = "-" * (sum(widths) + 2 * (len(widths) - 1))
     return "\n".join([fmt(headers), sep, *(fmt(r) for r in rows)])
-
-
-def _csv_lines(headers: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(headers)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _num(value) -> str:
@@ -77,10 +99,27 @@ def _write_json(path: str | None, doc: dict) -> None:
         Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
-def _manifest(args, extra: dict) -> dict:
-    doc = {"tool": "plcroute", "version": __version__}
-    doc.update(extra)
-    return doc
+def _manifest(**entries) -> dict:
+    return {"tool": "plcroute", "version": __version__, **entries}
+
+
+def _emit(args, doc: dict, text: str, headers=None, rows=None) -> None:
+    """Print a command's result in --format and write doc to -o."""
+    if args.format == "json":
+        print(json.dumps(doc, indent=1))
+    elif args.format == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(headers)
+        writer.writerows(rows)
+    else:
+        print(text)
+    _write_json(args.output, doc)
+
+
+def _settings(args) -> dict:
+    """The simulation settings of simulate and compare, as SimConfig fields."""
+    return {f.name: getattr(args, f.name)
+            for f in fields(SimConfig) if f.name != "protocol"}
 
 
 def _relative_difference(analytic: float, simulated: float) -> float | None:
@@ -116,26 +155,28 @@ def _add_generate(sub) -> None:
     kinds = p.add_subparsers(dest="kind", required=True)
 
     ring = kinds.add_parser("ring", help="ring topology with 1- and 2-hop links")
-    ring.add_argument("--nodes", type=_positive_int, required=True)
+    rand = kinds.add_parser("rand-area",
+                            help="master-centred random area, logistic PER in distance")
+    for k in (ring, rand):
+        k.add_argument("--nodes", type=_positive_int, required=True)
     ring.add_argument("--per-adj", type=float,
                       default=channel.DEFAULT_RING_PER_ADJACENT,
                       help="PER of adjacent links")
     ring.add_argument("--per-2", type=float,
                       default=channel.DEFAULT_RING_PER_TWO_HOP,
                       help="PER of two-hop links")
-    rand = kinds.add_parser("rand-area",
-                            help="master-centred random area, logistic PER in distance")
-    rand.add_argument("--nodes", type=_positive_int, required=True)
     rand.add_argument("--d50", type=_positive_float,
                       default=channel.DEFAULT_RAND_AREA_D50,
                       help="distance with PER 0.5")
     rand.add_argument("--width", type=_positive_float,
                       default=channel.DEFAULT_RAND_AREA_WIDTH,
                       help="logistic width of the PER transition")
-    rand.add_argument("--seed", type=int, default=0)
+    _add_options(rand, "seed")
     for k in (ring, rand):
-        k.add_argument("--format", choices=("text", "json"), default="text")
-        k.add_argument("-o", "--output", required=True)
+        # --format is the matrix file's format; -o names the matrix file
+        _add_options(k, "format", "output",
+                     format={"choices": ("text", "json")},
+                     output={"required": True, "help": None})
 
 
 def _cmd_generate(args) -> int:
@@ -147,12 +188,12 @@ def _cmd_generate(args) -> int:
                            d50=args.d50, width=args.width, seed=args.seed)
     matrix = channel.build_matrix(spec)
     channel.save_matrix(matrix, args.output, args.format)
-    _write_json(args.output + ".manifest.json", _manifest(args, {
-        "command": "generate",
-        "channel": spec.to_dict(),
-        "output": args.output,
-        "matrix_format": args.format,
-    }))
+    _write_json(args.output + ".manifest.json", _manifest(
+        command="generate",
+        channel=spec.to_dict(),
+        output=args.output,
+        matrix_format=args.format,
+    ))
     print(f"wrote {matrix.node_count}x{matrix.node_count} matrix to {args.output}")
     return 0
 
@@ -167,14 +208,8 @@ def _add_analyze(sub) -> None:
     p.add_argument("matrix")
     p.add_argument("--protocol", choices=("dlc1000", "sfn", "both"),
                    default="both")
-    p.add_argument("--matrix-format", choices=("text", "json"), default="text")
-    p.add_argument("--max-level", type=_nonnegative_int, default=4,
-                   help="repeater-address cap for dlc1000")
-    p.add_argument("--horizon", type=_nonnegative_int, default=None,
-                   help="flood-level cap for sfn (default: node count)")
-    p.add_argument("--slot-time", type=_positive_float, default=1.0)
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("-o", "--output", help="write the JSON document here")
+    _add_options(p, "matrix_format", "max_level", "horizon", "slot_time",
+                 "format", "output")
 
 
 def _total_text(total: float, unreachable) -> str:
@@ -186,12 +221,8 @@ def _total_text(total: float, unreachable) -> str:
 
 def _cmd_analyze(args) -> int:
     matrix = channel.load_matrix(args.matrix, args.matrix_format)
-    doc = _manifest(args, {
-        "command": "analyze",
-        "matrix": args.matrix,
-        "node_count": matrix.node_count,
-        "slot_time": args.slot_time,
-    })
+    doc = _manifest(command="analyze", matrix=args.matrix,
+                    node_count=matrix.node_count, slot_time=args.slot_time)
     rows = []
     protocols = PROTOCOLS if args.protocol == "both" else (args.protocol,)
     analyses = {p: _analysis(matrix, p, args) for p in protocols}
@@ -225,14 +256,7 @@ def _cmd_analyze(args) -> int:
                          f"{sa.poll_success:.6f}", _num(sa.expected_duration)])
         totals = f"total: {_total_text(s.total, s.unreachable)}"
 
-    if args.format == "json":
-        print(json.dumps(doc, indent=1))
-    elif args.format == "csv":
-        print(_csv_lines(headers, rows), end="")
-    else:
-        print(_table(headers, rows))
-        print(totals)
-    _write_json(args.output, doc)
+    _emit(args, doc, f"{_table(headers, rows)}\n{totals}", headers, rows)
     return 0
 
 
@@ -245,27 +269,15 @@ def _add_simulate(sub) -> None:
                        help="Monte-Carlo polling simulation with analytic comparison")
     p.add_argument("matrix")
     p.add_argument("--protocol", choices=("dlc1000", "sfn"), required=True)
-    p.add_argument("--matrix-format", choices=("text", "json"), default="text")
-    p.add_argument("--cycles", type=_positive_int, default=1000)
-    p.add_argument("--max-retries", type=_nonnegative_int, default=2)
-    p.add_argument("--max-level", type=_nonnegative_int, default=4)
-    p.add_argument("--slot-time", type=_positive_float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon", type=_nonnegative_int, default=None,
-                   help="flood-level cap for the sfn analysis, which also "
-                        "plans the simulated levels (default: node count)")
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("-o", "--output", help="write the JSON document here")
+    _add_options(p, "matrix_format", "cycles", "max_retries", "max_level",
+                 "slot_time", "seed", "horizon", "format", "output")
 
 
-def _simulate_model(matrix: PerMatrix, protocol: str, analysis,
-                    args) -> tuple[SimReport, dict]:
-    """Simulate polling with the analysis's plan; the report and its doc."""
-    cfg = SimConfig(protocol=protocol, cycles=args.cycles,
-                    max_retries=args.max_retries, max_level=args.max_level,
-                    slot_time=args.slot_time, seed=args.seed)
-    report = simulate(matrix, cfg, analysis)
-    return report, {
+def _simulate_doc(matrix: PerMatrix, protocol: str, analysis, args) -> dict:
+    """Simulate polling with the analysis's plan; the report's doc."""
+    report = simulate(matrix, SimConfig(protocol=protocol, **_settings(args)),
+                      analysis)
+    return {
         "simulation": asdict(report),
         "analytic_total": analysis.total,
         "analytic_unreachable": list(analysis.unreachable),
@@ -277,32 +289,29 @@ def _simulate_model(matrix: PerMatrix, protocol: str, analysis,
 def _cmd_simulate(args) -> int:
     matrix = channel.load_matrix(args.matrix, args.matrix_format)
     analysis = _analysis(matrix, args.protocol, args)
-    report, sim_doc = _simulate_model(matrix, args.protocol, analysis, args)
-    doc = _manifest(args, {
-        "command": "simulate",
-        "matrix": args.matrix,
-        "cycles": args.cycles,
-        "max_retries": args.max_retries,
-        "max_level": args.max_level,
-        "slot_time": args.slot_time,
-        "seed": args.seed,
-    })
-    doc.update(sim_doc)
-    rel = sim_doc["relative_difference"]
-    if args.format == "json":
-        print(json.dumps(doc, indent=1))
-    elif args.format == "csv":
-        headers = ["slave", "attempts", "successes", "mean_round_trip_slots",
-                   "give_ups"]
-        rows = [[s.slave, s.attempts, s.successes, s.mean_round_trip_slots,
-                 s.give_ups] for s in report.per_slave]
-        print(_csv_lines(headers, rows), end="")
-    else:
-        print(format_report(report))
-        rel_text = "n/a" if rel is None else f"{rel * 100:+.2f}%"
-        print(f"analytic total {analysis.total:.4f}, "
-              f"relative difference (analytic-sim)/sim: {rel_text}")
-    _write_json(args.output, doc)
+    doc = _manifest(command="simulate", matrix=args.matrix, **_settings(args))
+    doc.update(_simulate_doc(matrix, args.protocol, analysis, args))
+    sim = doc["simulation"]
+    headers = ["slave", "attempts", "successes", "mean_round_trip_slots",
+               "give_ups"]
+    rows = [[s[h] for h in headers] for s in sim["per_slave"]]
+    cells = [[str(slave), str(tries), str(ok),
+              "-" if mean is None else f"{mean:.3f}", str(gave_up)]
+             for slave, tries, ok, mean, gave_up in rows]
+    rel = doc["relative_difference"]
+    rel_text = "n/a" if rel is None else f"{rel * 100:+.2f}%"
+    text = "\n".join([
+        f"protocol {sim['protocol']}, {sim['cycles']} cycles, "
+        f"seed {sim['seed_echo']}",
+        _table(["slave", "attempts", "successes", "mean_slots", "give_ups"],
+               cells),
+        f"mean cycle duration {sim['mean_cycle_duration']:.4f} "
+        f"({sim['reached_count']} slaves reached), "
+        f"{sim['total_slots']} slots total",
+        f"analytic total {analysis.total:.4f}, "
+        f"relative difference (analytic-sim)/sim: {rel_text}",
+    ])
+    _emit(args, doc, text, headers, rows)
     return 0
 
 
@@ -317,16 +326,11 @@ def _add_compare(sub) -> None:
                    help="matrix files (text format unless --matrix-format json)")
     p.add_argument("--defaults", action="store_true",
                    help="use the five built-in channel models instead of files")
-    p.add_argument("--matrix-format", choices=("text", "json"), default="text")
-    p.add_argument("--cycles", type=_positive_int, default=1000)
-    p.add_argument("--max-retries", type=_nonnegative_int, default=2)
-    p.add_argument("--max-level", type=_nonnegative_int, default=4)
-    p.add_argument("--slot-time", type=_positive_float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    _add_options(p, "matrix_format", "cycles", "max_retries", "max_level",
+                 "slot_time", "seed")
     p.add_argument("--packet-bytes", type=_positive_int,
                    default=DEFAULT_PACKET_BYTES)
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("-o", "--output", help="write the JSON document here")
+    _add_options(p, "format", "output", format={"choices": ("text", "json")})
     p.set_defaults(horizon=None)  # sfn plans with the default flood horizon
 
 
@@ -337,8 +341,8 @@ def _compare_one(name: str, matrix: PerMatrix, args) -> dict:
     for protocol, analysis in analyses.items():
         entry[protocol] = _analysis_doc(analysis)
     for protocol, analysis in analyses.items():
-        entry[f"{protocol}_sim"] = _simulate_model(
-            matrix, protocol, analysis, args)[1]
+        entry[f"{protocol}_sim"] = _simulate_doc(matrix, protocol, analysis,
+                                                 args)
     return entry
 
 
@@ -348,32 +352,21 @@ def _fmt_rel(value) -> str:
 
 def _cmd_compare(args) -> int:
     if args.defaults:
-        models = [(name, channel.build_matrix(spec))
+        models = [(name, partial(channel.build_matrix, spec))
                   for name, spec in channel.DEFAULT_MODELS]
+    elif args.matrices:
+        models = [(path, partial(channel.load_matrix, path,
+                                 args.matrix_format))
+                  for path in args.matrices]
     else:
-        if not args.matrices:
-            raise ChannelSpecError(
-                "no matrices given (pass files or --defaults)")
-        models = []
-        for path in args.matrices:
-            models.append((path, path))  # loaded lazily below, per model
+        raise ChannelSpecError("no matrices given (pass files or --defaults)")
 
-    doc = _manifest(args, {
-        "command": "compare",
-        "cycles": args.cycles,
-        "max_retries": args.max_retries,
-        "max_level": args.max_level,
-        "slot_time": args.slot_time,
-        "seed": args.seed,
-        "packet_bytes": args.packet_bytes,
-        "models": [],
-    })
+    doc = _manifest(command="compare", **_settings(args),
+                    packet_bytes=args.packet_bytes, models=[])
     failures = 0
-    for name, source in models:
+    for name, load in models:
         try:
-            matrix = source if isinstance(source, PerMatrix) else \
-                channel.load_matrix(source, args.matrix_format)
-            doc["models"].append(_compare_one(name, matrix, args))
+            doc["models"].append(_compare_one(name, load(), args))
         except (ChannelSpecError, MatrixValidationError, OSError,
                 ValueError) as exc:
             failures += 1
@@ -392,12 +385,7 @@ def _cmd_compare(args) -> int:
          ("sfn", metrics.routing_overhead("sfn", args.packet_bytes)))
     }
     doc["overhead"] = overhead
-
-    if args.format == "json":
-        print(json.dumps(doc, indent=1))
-    else:
-        _print_compare_tables(doc, args)
-    _write_json(args.output, doc)
+    _emit(args, doc, _compare_text(doc, args.packet_bytes))
     return 1 if failures else 0
 
 
@@ -405,7 +393,7 @@ def _compare_rows(doc: dict, protocol: str) -> list[list[str]]:
     rows = []
     for entry in doc["models"]:
         if "error" in entry:
-            rows.append([entry["model"], "failed", entry["error"], "", ""])
+            rows.append([entry["model"], "failed", entry["error"], ""])
             continue
         ana = entry[protocol]
         sim = entry[f"{protocol}_sim"]
@@ -420,38 +408,38 @@ def _compare_rows(doc: dict, protocol: str) -> list[list[str]]:
     return rows
 
 
-def _print_compare_tables(doc: dict, args) -> None:
+def _compare_text(doc: dict, packet_bytes: int) -> str:
     headers = ["model", "analytic", "simulated", "rel_diff"]
-    print("== dlc1000: analytic vs simulation ==")
-    print(_table(headers, _compare_rows(doc, "dlc1000")))
-    print()
-    print("== sfn: analytic vs simulation ==")
-    print(_table(headers, _compare_rows(doc, "sfn")))
-    print()
-    print("== expected cycle duration by protocol ==")
-    rows = []
+    durations = []
     for entry in doc["models"]:
         if "error" in entry:
-            rows.append([entry["model"], "failed", entry["error"]])
+            durations.append([entry["model"], "failed", entry["error"]])
             continue
-        rows.append([
+        durations.append([
             entry["model"],
             _total_text(entry["sfn"]["reachable_total"],
                         entry["sfn"]["unreachable"]),
             _total_text(entry["dlc1000"]["reachable_total"],
                         entry["dlc1000"]["unreachable"]),
         ])
-    print(_table(["model", "sfn", "dlc1000"], rows))
-    print()
-    print(f"== routing overhead ({args.packet_bytes}-byte packets) ==")
-    rows = []
+    overhead = []
     for proto in ("dlc1000", "sfn"):
         o = doc["overhead"][proto]
-        rows.append([proto, str(o["routing_bits"]),
-                     f"{o['overhead_ratio'] * 100:.1f}%",
-                     str(o["signaling_bits_per_poll_response"])])
-    print(_table(["protocol", "routing_bits", "of_packet",
-                  "signaling_bits_per_response"], rows))
+        overhead.append([proto, str(o["routing_bits"]),
+                         f"{o['overhead_ratio'] * 100:.1f}%",
+                         str(o["signaling_bits_per_poll_response"])])
+    sections = [
+        ("dlc1000: analytic vs simulation", headers,
+         _compare_rows(doc, "dlc1000")),
+        ("sfn: analytic vs simulation", headers, _compare_rows(doc, "sfn")),
+        ("expected cycle duration by protocol", ["model", "sfn", "dlc1000"],
+         durations),
+        (f"routing overhead ({packet_bytes}-byte packets)",
+         ["protocol", "routing_bits", "of_packet",
+          "signaling_bits_per_response"], overhead),
+    ]
+    return "\n\n".join(f"== {title} ==\n{_table(h, rows)}"
+                        for title, h, rows in sections)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Routing overhead and signaling-volume comparison metrics.
+"""Routing-overhead comparison metrics.
 
 DLC1000 carries two 12-bit repeater addresses in every packet header and
 each polled slave reports its five preferred repeaters with a channel
@@ -12,10 +12,10 @@ from dataclasses import dataclass
 DLC_ROUTING_BITS = 24  # two repeater addresses, 12 bits each
 SFN_ROUTING_BITS = 8  # 4-bit downlink level + 4-bit uplink level
 PREFERRED_REPEATERS_REPORTED = 5
-DEFAULT_ADDRESS_BITS = 12
-# Bit width of the reported channel-quality estimate is not standardized;
-# it is configurable and reported alongside results.
-DEFAULT_QUALITY_BITS = 8
+ADDRESS_BITS = 12
+# The bit width of the reported channel-quality estimate is not
+# standardized; 8 bits is this package's assumption.
+QUALITY_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -27,22 +27,17 @@ class OverheadReport:
     signaling_bits_per_poll_response: int
 
 
-def _check_protocol(protocol: str) -> None:
+def routing_overhead(protocol: str, packet_bytes: int = 64) -> OverheadReport:
+    """Share of a data packet spent on routing fields, and the routing
+    payload bits of one poll response."""
     if protocol not in ("dlc1000", "sfn"):
         raise ValueError(f"unknown protocol {protocol!r}")
-
-
-def routing_overhead(protocol: str, packet_bytes: int = 64,
-                     address_bits: int = DEFAULT_ADDRESS_BITS,
-                     quality_bits: int = DEFAULT_QUALITY_BITS) -> OverheadReport:
-    """Share of a data packet spent on routing fields."""
-    _check_protocol(protocol)
     if packet_bytes <= 0:
         raise ValueError("packet_bytes must be positive")
     packet_bits = 8 * packet_bytes
     if protocol == "dlc1000":
         routing_bits = DLC_ROUTING_BITS
-        signaling = PREFERRED_REPEATERS_REPORTED * (address_bits + quality_bits)
+        signaling = PREFERRED_REPEATERS_REPORTED * (ADDRESS_BITS + QUALITY_BITS)
     else:
         routing_bits = SFN_ROUTING_BITS
         signaling = 0
@@ -54,19 +49,3 @@ def routing_overhead(protocol: str, packet_bytes: int = 64,
         signaling_bits_per_poll_response=signaling,
     )
 
-
-def signaling_volume(protocol: str, node_count: int,
-                     address_bits: int = DEFAULT_ADDRESS_BITS,
-                     quality_bits: int = DEFAULT_QUALITY_BITS) -> int:
-    """Routing-payload bits per polling cycle (worst case, every response).
-
-    Each DLC1000 response carries five preferred repeaters with their
-    quality estimates; SFN responses carry no routing payload at all.
-    """
-    _check_protocol(protocol)
-    if node_count < 2:
-        raise ValueError("node_count must be >= 2")
-    if protocol == "sfn":
-        return 0
-    return (node_count - 1) * PREFERRED_REPEATERS_REPORTED * \
-        (address_bits + quality_bits)

@@ -356,8 +356,7 @@ def _slave_analyses(per: PerMatrix, slaves, slot_time: float,
 
 
 def slave_analysis(per: PerMatrix, slave: int, slot_time: float = 1.0,
-                   horizon: int | None = None,
-                   downlink: FloodProfile | None = None) -> SfnSlaveAnalysis:
+                   horizon: int | None = None) -> SfnSlaveAnalysis:
     """Allowed level pair and expected polling duration for one slave.
 
     Downlink candidates are the floor/ceil of the mean downlink
@@ -371,8 +370,7 @@ def slave_analysis(per: PerMatrix, slave: int, slot_time: float = 1.0,
     """
     if not (1 <= slave < per.node_count):
         raise ValueError(f"slave index {slave} out of range (master is 0)")
-    if downlink is None:
-        downlink = flood(per, MASTER, 1.0, horizon)
+    downlink = flood(per, MASTER, 1.0, horizon)
     return _slave_analyses(per, (slave,), slot_time, horizon, downlink)[0]
 
 

@@ -76,27 +76,6 @@ class SimReport:
         return asdict(self)
 
 
-def format_report(report: SimReport) -> str:
-    """Fixed-width text table of a simulation report."""
-    header = (f"{'slave':>5}  {'attempts':>8}  {'successes':>9}  "
-              f"{'mean_slots':>10}  {'give_ups':>8}")
-    lines = [
-        f"protocol {report.protocol}, {report.cycles} cycles, "
-        f"seed {report.seed_echo}",
-        header,
-        "-" * len(header),
-    ]
-    for s in report.per_slave:
-        mean = "-" if s.mean_round_trip_slots is None \
-            else f"{s.mean_round_trip_slots:.3f}"
-        lines.append(f"{s.slave:>5}  {s.attempts:>8}  {s.successes:>9}  "
-                     f"{mean:>10}  {s.give_ups:>8}")
-    lines.append(f"mean cycle duration {report.mean_cycle_duration:.4f} "
-                 f"({report.reached_count} slaves reached), "
-                 f"{report.total_slots} slots total")
-    return "\n".join(lines)
-
-
 def _block_rng(seed: int, key: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(
         np.random.SeedSequence([seed & _SEED_MASK, key, block])))

@@ -222,6 +222,16 @@ def test_compare_single_perfect_matrix(perfect2, capsys, tmp_path):
     assert doc["overhead"]["sfn"]["routing_bits"] == 8
 
 
+def test_compare_rejects_csv_format(ring10, capsys):
+    # compare prints several tables and has no CSV layout
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--cycles", "5", "--format", "csv", ring10])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'csv'" in captured.err
+
+
 def test_compare_empty_input_is_usage_error(capsys):
     code, _, err = run(capsys, "compare")
     assert code == 1
@@ -280,3 +290,42 @@ def test_json_format_prints_document(perfect2, capsys):
     assert code == 0
     doc = json.loads(text)
     assert doc["command"] == "analyze"
+
+
+SIM_TABLE = (
+    "protocol {protocol}, 5 cycles, seed 0\n"
+    "slave  attempts  successes  mean_slots  give_ups\n"
+    "------------------------------------------------\n"
+    "    1         5          5       2.000         0\n"
+    "mean cycle duration 2.0000 (1 slaves reached), 10 slots total\n"
+    "analytic total 2.0000, relative difference (analytic-sim)/sim: +0.00%\n")
+SIM_CSV = ("slave,attempts,successes,mean_round_trip_slots,give_ups\r\n"
+           "1,5,5,2.0,0\r\n")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["analyze"],
+     "slave  dlc_level  dlc_duration  sfn_levels  sfn_duration\n"
+     "--------------------------------------------------------\n"
+     "    1          0        2.0000         0/0        2.0000\n"
+     "totals: dlc1000 2.0000, sfn 2.0000\n"),
+    (["analyze", "--format", "csv"],
+     "slave,dlc_level,dlc_duration,sfn_levels,sfn_duration\r\n"
+     "1,0,2.0000,0/0,2.0000\r\n"),
+    (["simulate", "--protocol", "dlc1000", "--cycles", "5"],
+     SIM_TABLE.format(protocol="dlc1000")),
+    (["simulate", "--protocol", "dlc1000", "--cycles", "5", "--format", "csv"],
+     SIM_CSV),
+    (["simulate", "--protocol", "sfn", "--cycles", "5"],
+     SIM_TABLE.format(protocol="sfn")),
+    (["simulate", "--protocol", "sfn", "--cycles", "5", "--format", "csv"],
+     SIM_CSV),
+], ids=["analyze-text", "analyze-csv", "simulate-dlc1000-text",
+        "simulate-dlc1000-csv", "simulate-sfn-text", "simulate-sfn-csv"])
+def test_text_and_csv_layout_on_perfect_matrix(perfect2, capsys, argv,
+                                               expected):
+    # every try succeeds on a perfect matrix, so the bytes do not depend
+    # on the random streams
+    code, text, err = run(capsys, *argv, perfect2)
+    assert (code, err) == (0, "")
+    assert text == expected

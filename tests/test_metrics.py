@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from plcroute.metrics import routing_overhead, signaling_volume
+from plcroute.metrics import routing_overhead
 
 
 def test_dlc_overhead_64_bytes():
@@ -40,27 +40,6 @@ def test_overhead_validation():
         routing_overhead("dlc1000", 0)
     with pytest.raises(ValueError):
         routing_overhead("token-ring", 64)
-
-
-def test_signaling_volume_dlc():
-    assert signaling_volume("dlc1000", 10, 12, 8) == 9 * 5 * 20
-    assert signaling_volume("dlc1000", 2, 12, 8) == 100
-
-
-def test_signaling_volume_sfn_is_zero():
-    for nodes in (2, 10, 100):
-        assert signaling_volume("sfn", nodes) == 0
-
-
-def test_signaling_volume_linear_in_slaves():
-    base = signaling_volume("dlc1000", 2)
-    for nodes in (3, 7, 50):
-        assert signaling_volume("dlc1000", nodes) == (nodes - 1) * base
-
-
-def test_signaling_volume_validation():
-    with pytest.raises(ValueError):
-        signaling_volume("dlc1000", 1)
 
 
 def test_per_response_signaling_in_overhead_report():

@@ -10,7 +10,6 @@ from plcroute.channel import PerMatrix, generate_ring
 from plcroute.simulator import (
     SimConfig,
     flood_trial,
-    format_report,
     sample_first_success_levels,
     simulate,
     simulate_dlc,
@@ -349,10 +348,3 @@ def test_mean_cycle_duration_times_cycles_bounded_by_total_slots():
 def test_sample_first_success_levels_deterministic_line():
     levels = sample_first_success_levels(line_matrix(), 2, trials=10, seed=1)
     assert np.all(levels == 1)  # needs exactly one relay level
-
-
-def test_format_report_mentions_key_figures():
-    report = simulate_sfn(perfect(3), SimConfig("sfn", cycles=5, seed=1))
-    text = format_report(report)
-    assert "mean cycle duration" in text
-    assert "slave" in text and "give_ups" in text
