@@ -1,4 +1,4 @@
-"""PER-matrix channel models: generation, validation, serialization.
+"""PER-matrix channel models: generation, validation, one text file format.
 
 A channel model is a square matrix of per-link packet error rates.  Node 0
 is the polling master, nodes 1..n-1 are slaves.  Entry [i, j] is the
@@ -8,7 +8,6 @@ as time-constant.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -46,7 +45,7 @@ class PerMatrix:
         if bad.size:
             i, j = bad[0]
             raise MatrixValidationError(
-                f"value {arr[i, j]!r} out of range at ({i},{j})"
+                f"value {float(arr[i, j])!r} out of range at ({i},{j})"
             )
         diag = np.flatnonzero(np.diagonal(arr))
         if diag.size:
@@ -157,51 +156,34 @@ DEFAULT_MODELS: tuple[tuple[str, ChannelSpec], ...] = (
 )
 
 
-def save_matrix(matrix: PerMatrix, path, format: str = "text") -> None:
-    """Write a matrix as comma-separated text (17 significant digits) or JSON."""
-    path = Path(path)
-    if format == "text":
-        lines = [f"# per matrix, {matrix.node_count} nodes"]
-        for row in matrix.per:
-            lines.append(",".join(f"{v:.17g}" for v in row))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    elif format == "json":
-        doc = {"node_count": matrix.node_count, "per": matrix.per.tolist()}
-        path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    else:
-        raise ChannelSpecError(f"unknown matrix format {format!r}")
+def save_matrix(matrix: PerMatrix, path) -> None:
+    """Write a matrix as comma-separated text, 17 significant digits a value."""
+    lines = [f"# per matrix, {matrix.node_count} nodes"]
+    for row in matrix.per:
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_matrix(path, format: str = "text") -> PerMatrix:
+def load_matrix(path) -> PerMatrix:
     """Read a matrix written by save_matrix; validates shape, range, diagonal."""
     path = Path(path)
-    if format == "text":
-        rows = []
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                rows.append([float(cell) for cell in stripped.split(",")])
-            except ValueError as exc:
-                raise MatrixValidationError(
-                    f"unparseable value on line {lineno}: {exc}"
-                ) from None
-        if not rows:
-            raise MatrixValidationError(f"no matrix rows found in {path}")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows) or len(rows) != width:
+    rows = []
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            rows.append([float(cell) for cell in stripped.split(",")])
+        except ValueError as exc:
             raise MatrixValidationError(
-                f"non-square matrix in {path}: {len(rows)} rows, "
-                f"row widths {sorted({len(r) for r in rows})}"
-            )
-        return PerMatrix(np.array(rows))
-    if format == "json":
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        arr = np.array(doc["per"], dtype=float)
-        if arr.ndim != 2 or doc.get("node_count") != arr.shape[0]:
-            raise MatrixValidationError(
-                f"node_count {doc.get('node_count')} does not match matrix shape {arr.shape}"
-            )
-        return PerMatrix(arr)
-    raise ChannelSpecError(f"unknown matrix format {format!r}")
+                f"unparseable value on line {lineno}: {exc}"
+            ) from None
+    if not rows:
+        raise MatrixValidationError(f"no matrix rows found in {path}")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows) or len(rows) != width:
+        raise MatrixValidationError(
+            f"non-square matrix in {path}: {len(rows)} rows, "
+            f"row widths {sorted({len(r) for r in rows})}"
+        )
+    return PerMatrix(np.array(rows))

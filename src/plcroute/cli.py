@@ -1,8 +1,10 @@
 """Command-line front end: generate channels, analyze, simulate, compare.
 
-Subcommands write a machine-readable JSON document with full-precision
-numbers via -o; the text tables round for readability.  Exit codes:
-0 success, 1 validation or argument error, 2 internal error.
+Matrix files are the comma-separated text that channel.save_matrix
+writes, and every duration is a count of slots.  Subcommands write a
+machine-readable JSON document with full-precision numbers via -o; the
+text tables round for readability.  Exit codes: 0 success, 1 validation
+or argument error, 2 internal error.
 """
 from __future__ import annotations
 
@@ -53,15 +55,12 @@ def _positive_float(text: str) -> float:
 # names the ones it takes in its usage-line order, and may override a
 # keyword, such as the --format choices.
 _SHARED_OPTIONS = {
-    "matrix_format": (("--matrix-format",),
-                      dict(choices=("text", "json"), default="text")),
     "cycles": (("--cycles",), dict(type=_positive_int, default=1000)),
     "max_retries": (("--max-retries",),
                     dict(type=_nonnegative_int, default=2)),
     "max_level": (("--max-level",),
                   dict(type=_nonnegative_int, default=4,
                        help="repeater-address cap for dlc1000")),
-    "slot_time": (("--slot-time",), dict(type=_positive_float, default=1.0)),
     "seed": (("--seed",), dict(type=int, default=0)),
     "horizon": (("--horizon",),
                 dict(type=_nonnegative_int, default=None,
@@ -133,8 +132,8 @@ def _relative_difference(analytic: float, simulated: float) -> float | None:
 def _analysis(matrix: PerMatrix, protocol: str, args):
     """The cycle analysis of one protocol; it is also the simulator's plan."""
     if protocol == "dlc1000":
-        return dlc.cycle_analysis(matrix, args.max_level, args.slot_time)
-    return sfn.cycle_analysis(matrix, args.slot_time, args.horizon)
+        return dlc.cycle_analysis(matrix, args.max_level)
+    return sfn.cycle_analysis(matrix, horizon=args.horizon)
 
 
 def _analysis_doc(analysis) -> dict:
@@ -173,10 +172,8 @@ def _add_generate(sub) -> None:
                       help="logistic width of the PER transition")
     _add_options(rand, "seed")
     for k in (ring, rand):
-        # --format is the matrix file's format; -o names the matrix file
-        _add_options(k, "format", "output",
-                     format={"choices": ("text", "json")},
-                     output={"required": True, "help": None})
+        # -o names the matrix file
+        _add_options(k, "output", output={"required": True, "help": None})
 
 
 def _cmd_generate(args) -> int:
@@ -187,12 +184,11 @@ def _cmd_generate(args) -> int:
         spec = ChannelSpec(kind="rand_area", node_count=args.nodes,
                            d50=args.d50, width=args.width, seed=args.seed)
     matrix = channel.build_matrix(spec)
-    channel.save_matrix(matrix, args.output, args.format)
+    channel.save_matrix(matrix, args.output)
     _write_json(args.output + ".manifest.json", _manifest(
         command="generate",
         channel=spec.to_dict(),
         output=args.output,
-        matrix_format=args.format,
     ))
     print(f"wrote {matrix.node_count}x{matrix.node_count} matrix to {args.output}")
     return 0
@@ -208,8 +204,7 @@ def _add_analyze(sub) -> None:
     p.add_argument("matrix")
     p.add_argument("--protocol", choices=("dlc1000", "sfn", "both"),
                    default="both")
-    _add_options(p, "matrix_format", "max_level", "horizon", "slot_time",
-                 "format", "output")
+    _add_options(p, "max_level", "horizon", "format", "output")
 
 
 def _total_text(total: float, unreachable) -> str:
@@ -220,9 +215,9 @@ def _total_text(total: float, unreachable) -> str:
 
 
 def _cmd_analyze(args) -> int:
-    matrix = channel.load_matrix(args.matrix, args.matrix_format)
+    matrix = channel.load_matrix(args.matrix)
     doc = _manifest(command="analyze", matrix=args.matrix,
-                    node_count=matrix.node_count, slot_time=args.slot_time)
+                    node_count=matrix.node_count)
     rows = []
     protocols = PROTOCOLS if args.protocol == "both" else (args.protocol,)
     analyses = {p: _analysis(matrix, p, args) for p in protocols}
@@ -269,8 +264,8 @@ def _add_simulate(sub) -> None:
                        help="Monte-Carlo polling simulation with analytic comparison")
     p.add_argument("matrix")
     p.add_argument("--protocol", choices=("dlc1000", "sfn"), required=True)
-    _add_options(p, "matrix_format", "cycles", "max_retries", "max_level",
-                 "slot_time", "seed", "horizon", "format", "output")
+    _add_options(p, "cycles", "max_retries", "max_level", "seed", "horizon",
+                 "format", "output")
 
 
 def _simulate_doc(matrix: PerMatrix, protocol: str, analysis, args) -> dict:
@@ -287,7 +282,7 @@ def _simulate_doc(matrix: PerMatrix, protocol: str, analysis, args) -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    matrix = channel.load_matrix(args.matrix, args.matrix_format)
+    matrix = channel.load_matrix(args.matrix)
     analysis = _analysis(matrix, args.protocol, args)
     doc = _manifest(command="simulate", matrix=args.matrix, **_settings(args))
     doc.update(_simulate_doc(matrix, args.protocol, analysis, args))
@@ -322,12 +317,10 @@ def _cmd_simulate(args) -> int:
 def _add_compare(sub) -> None:
     p = sub.add_parser("compare",
                        help="both analytics, both simulations, and overhead tables")
-    p.add_argument("matrices", nargs="*",
-                   help="matrix files (text format unless --matrix-format json)")
+    p.add_argument("matrices", nargs="*", help="matrix files")
     p.add_argument("--defaults", action="store_true",
                    help="use the five built-in channel models instead of files")
-    _add_options(p, "matrix_format", "cycles", "max_retries", "max_level",
-                 "slot_time", "seed")
+    _add_options(p, "cycles", "max_retries", "max_level", "seed")
     p.add_argument("--packet-bytes", type=_positive_int,
                    default=DEFAULT_PACKET_BYTES)
     _add_options(p, "format", "output", format={"choices": ("text", "json")})
@@ -355,8 +348,7 @@ def _cmd_compare(args) -> int:
         models = [(name, partial(channel.build_matrix, spec))
                   for name, spec in channel.DEFAULT_MODELS]
     elif args.matrices:
-        models = [(path, partial(channel.load_matrix, path,
-                                 args.matrix_format))
+        models = [(path, partial(channel.load_matrix, path))
                   for path in args.matrices]
     else:
         raise ChannelSpecError("no matrices given (pass files or --defaults)")

@@ -169,11 +169,11 @@ def best_path(per: PerMatrix, slave: int, level: int) -> DlcPathResult:
     return DlcPathResult(best_seq, float(best))
 
 
-def slave_analysis(per: PerMatrix, slave: int, max_level: int = 4,
-                   slot_time: float = 1.0) -> DlcSlaveAnalysis:
+def slave_analysis(per: PerMatrix, slave: int,
+                   max_level: int = 4) -> DlcSlaveAnalysis:
     """Best repeater count and expected polling duration for one slave.
 
-    A level with success probability p costs 2*slot_time*(level+1)/p on
+    A level with success probability p costs 2*(level+1)/p slots on
     average; levels that cannot succeed are kept in the table with no
     duration.  Ties between levels go to the smaller level, and the chain
     best_path found for it is kept as the poll route.  Levels above
@@ -182,15 +182,13 @@ def slave_analysis(per: PerMatrix, slave: int, max_level: int = 4,
     _check_slave(per, slave)
     if max_level < 0:
         raise InvalidPathError("max_level must be >= 0")
-    if slot_time <= 0:
-        raise ValueError("slot_time must be positive")
     options = []
     best: DlcLevelOption | None = None
     repeaters: tuple[int, ...] = ()
     for level in range(min(max_level, per.node_count - 2) + 1):
         path = best_path(per, slave, level)
         prob = path.success_prob
-        duration = 2.0 * slot_time * (level + 1) / prob if prob > 0.0 else None
+        duration = 2.0 * (level + 1) / prob if prob > 0.0 else None
         option = DlcLevelOption(level, prob, duration)
         options.append(option)
         if duration is not None and (
@@ -202,15 +200,13 @@ def slave_analysis(per: PerMatrix, slave: int, max_level: int = 4,
                             best.expected_duration, tuple(options))
 
 
-def cycle_analysis(per: PerMatrix, max_level: int = 4,
-                   slot_time: float = 1.0) -> DlcCycleAnalysis:
+def cycle_analysis(per: PerMatrix, max_level: int = 4) -> DlcCycleAnalysis:
     """Expected duration of one full polling cycle (sum over all slaves).
 
     The total covers reachable slaves only; unreachable slaves are listed
     separately so a partial total stays inspectable.
     """
-    slaves = tuple(slave_analysis(per, s, max_level, slot_time)
-                   for s in per.slaves)
+    slaves = tuple(slave_analysis(per, s, max_level) for s in per.slaves)
     unreachable = tuple(a.slave for a in slaves if not a.reachable)
     total = sum(a.expected_duration for a in slaves if a.reachable)
     return DlcCycleAnalysis(slaves, float(total), unreachable)

@@ -298,7 +298,7 @@ def _level_candidates(mean: float) -> list[int]:
     return [lo] if lo == hi else [lo, hi]
 
 
-def _choose(slave: int, uplinks, slot_time: float) -> SfnSlaveAnalysis:
+def _choose(slave: int, uplinks) -> SfnSlaveAnalysis:
     """The least expected duration over a slave's evaluated level pairs.
 
     uplinks holds (r_dl, downlink success, master's cumulative uplink
@@ -321,7 +321,7 @@ def _choose(slave: int, uplinks, slot_time: float) -> SfnSlaveAnalysis:
             poll_success = dl_success * ul_conditional
             if poll_success <= 0.0:
                 continue
-            duration = (2.0 + r_dl + r_ul) * slot_time / poll_success
+            duration = (2.0 + r_dl + r_ul) / poll_success
             cand = SfnCandidate(r_dl, r_ul, poll_success, duration)
             candidates.append(cand)
             if best is None or (cand.expected_duration, cand.r_dl, cand.r_ul) < \
@@ -333,12 +333,9 @@ def _choose(slave: int, uplinks, slot_time: float) -> SfnSlaveAnalysis:
                             best.expected_duration, tuple(candidates))
 
 
-def _slave_analyses(per: PerMatrix, slaves, slot_time: float,
-                    horizon: int | None,
+def _slave_analyses(per: PerMatrix, slaves, horizon: int | None,
                     downlink: FloodProfile) -> tuple[SfnSlaveAnalysis, ...]:
     """slave_analysis of each slave, with all their uplinks in one batch."""
-    if slot_time <= 0:
-        raise ValueError("slot_time must be positive")
     horizon = _check_horizon(per, horizon)
     plans = []  # (slave, [(r_dl, downlink success), ...])
     for s in slaves:
@@ -351,11 +348,11 @@ def _slave_analyses(per: PerMatrix, slaves, slot_time: float,
     seeds = [m for _, dls in plans for _, m in dls]
     master = iter(_master_cumulative(per, origins, seeds, horizon))
     return tuple(
-        _choose(s, [(r_dl, m, next(master)) for r_dl, m in dls], slot_time)
+        _choose(s, [(r_dl, m, next(master)) for r_dl, m in dls])
         for s, dls in plans)
 
 
-def slave_analysis(per: PerMatrix, slave: int, slot_time: float = 1.0,
+def slave_analysis(per: PerMatrix, slave: int, *,
                    horizon: int | None = None) -> SfnSlaveAnalysis:
     """Allowed level pair and expected polling duration for one slave.
 
@@ -371,10 +368,10 @@ def slave_analysis(per: PerMatrix, slave: int, slot_time: float = 1.0,
     if not (1 <= slave < per.node_count):
         raise ValueError(f"slave index {slave} out of range (master is 0)")
     downlink = flood(per, MASTER, 1.0, horizon)
-    return _slave_analyses(per, (slave,), slot_time, horizon, downlink)[0]
+    return _slave_analyses(per, (slave,), horizon, downlink)[0]
 
 
-def cycle_analysis(per: PerMatrix, slot_time: float = 1.0,
+def cycle_analysis(per: PerMatrix, *,
                    horizon: int | None = None) -> SfnCycleAnalysis:
     """Expected duration of one full polling cycle (sum over all slaves).
 
@@ -383,7 +380,7 @@ def cycle_analysis(per: PerMatrix, slot_time: float = 1.0,
     equals slave_analysis slave by slave.
     """
     downlink = flood(per, MASTER, 1.0, horizon)
-    slaves = _slave_analyses(per, per.slaves, slot_time, horizon, downlink)
+    slaves = _slave_analyses(per, per.slaves, horizon, downlink)
     unreachable = tuple(a.slave for a in slaves if not a.reachable)
     total = sum(a.expected_duration for a in slaves if a.reachable)
     return SfnCycleAnalysis(slaves, float(total), unreachable)

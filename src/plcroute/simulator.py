@@ -35,7 +35,6 @@ class SimConfig:
     cycles: int
     max_retries: int = 2
     max_level: int = 4  # DLC1000 repeater cap when simulate plans by itself
-    slot_time: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -47,8 +46,6 @@ class SimConfig:
             raise ValueError("max_retries must be >= 0")
         if self.max_level < 0:
             raise ValueError("max_level must be >= 0")
-        if self.slot_time <= 0:
-            raise ValueError("slot_time must be positive")
 
 
 @dataclass(frozen=True)
@@ -103,16 +100,17 @@ def _log_miss(per: PerMatrix) -> np.ndarray:
 
 
 def _flood(log_miss: np.ndarray, origin: int, max_level: int, rows: int,
-           rng: np.random.Generator, relays: np.ndarray) -> np.ndarray:
+           rng: np.random.Generator, no_relay) -> np.ndarray:
     """rows independent floods; first-reception level per row and node (-1 if none).
 
-    The origin transmits at level 0, and a node in relays that first
-    receives at level r retransmits exactly once at level r + 1 while the
-    level budget lasts.  A node receives when at least one current
-    transmitter gets through; the links are independent, so that has
-    probability 1 - prod(1 - ok) = -expm1(sum of log_miss over the
-    transmitters), and one uniform per receiver has the same law as one
-    uniform per link.  The origin never first-receives its own packet.
+    The origin transmits at level 0, and a node that first receives at
+    level r retransmits exactly once at level r + 1 while the level budget
+    lasts, except no_relay (the packet's destination, or a list of nodes),
+    which receives but never retransmits.  A node receives when at least
+    one current transmitter gets through; the links are independent, so
+    that has probability 1 - prod(1 - ok) = -expm1(sum of log_miss over
+    the transmitters), and one uniform per receiver has the same law as
+    one uniform per link.  The origin never first-receives its own packet.
     """
     n = log_miss.shape[0]
     level = np.full((rows, n), -1, dtype=np.int64)
@@ -126,7 +124,7 @@ def _flood(log_miss: np.ndarray, origin: int, max_level: int, rows: int,
         fresh &= waiting
         level[fresh] = r
         waiting ^= fresh
-        fresh &= relays
+        fresh[:, no_relay] = False
         if not np.count_nonzero(fresh):
             break
         tx = fresh.astype(np.float64)
@@ -142,40 +140,83 @@ def flood_trial(per: PerMatrix, origin: int, max_level: int,
     Nodes in no_relay (the packet's destination) receive but never
     retransmit.
     """
-    relays = np.ones(per.node_count, dtype=bool)
-    relays[list(no_relay)] = False
-    return _flood(_log_miss(per), origin, max_level, 1, rng, relays)[0]
+    return _flood(_log_miss(per), origin, max_level, 1, rng,
+                  list(no_relay))[0]
 
 
-def _check_slaves(per: PerMatrix, analysis) -> None:
+def _first_successes(per: PerMatrix, legs, tries: int, count: int,
+                     seed: int, key: int) -> np.ndarray:
+    """First successful try of each of count cycles (or trials), -1 if none.
+
+    Try j runs the legs (origin, level, dest) in order, each a flood from
+    origin with allowed level level + j in which dest does not relay; a
+    leg runs only in the cycles whose earlier legs reached their
+    destination, and the try succeeds when the last one does.  A cycle
+    stops at its first success or after tries tries.  Each block of
+    cycles draws from the stream keyed on (seed, key, block).
+    """
+    log_miss = _log_miss(per)
+    first = np.full(count, -1, dtype=np.int64)
+    for block, rows in _blocks(count):
+        rng = _block_rng(seed, key, block)
+        pending = np.arange(block * _BLOCK, block * _BLOCK + rows)
+        for j in range(tries):
+            ok = np.ones(pending.size, dtype=bool)
+            for origin, level, dest in legs:
+                ok[ok] = _flood(log_miss, origin, level + j,
+                                np.count_nonzero(ok), rng, dest)[:, dest] >= 0
+            first[pending[ok]] = j
+            pending = pending[~ok]
+            if pending.size == 0:
+                break
+    return first
+
+
+def _plan(per: PerMatrix, cfg: SimConfig, protocol: str, analysis):
+    """The cycle analysis that a simulation of protocol polls with.
+
+    Computed with cfg.max_level (dlc1000) or the default horizon (sfn)
+    when none is given.  An analysis of the other protocol, or of a matrix
+    with other slaves, is a ValueError.
+    """
+    if cfg.protocol != protocol:
+        raise ValueError(f"config protocol must be {protocol!r}")
+    dlc_plan = protocol == "dlc1000"
+    if analysis is None:
+        analysis = (dlc.cycle_analysis(per, cfg.max_level) if dlc_plan
+                    else sfn.cycle_analysis(per))
+    kind = dlc.DlcCycleAnalysis if dlc_plan else sfn.SfnCycleAnalysis
+    if not isinstance(analysis, kind):
+        raise ValueError(f"a {protocol} simulation cannot poll with a "
+                         f"{type(analysis).__name__}")
     got = tuple(a.slave for a in analysis.slaves)
     if got != tuple(per.slaves):
         raise ValueError(f"analysis covers slaves {got}, the matrix has "
                          f"slaves 1..{per.node_count - 1}")
+    return analysis
 
 
-def _reduce_report(cfg: SimConfig, node_count: int, slots: np.ndarray,
-                   tries: np.ndarray, successes: np.ndarray) -> SimReport:
+def _report(cfg: SimConfig, counts) -> SimReport:
+    """The report of counts, one (attempts, successes, slots) per slave."""
     per_slave = []
-    for k, s in enumerate(range(1, node_count)):
-        succ = int(successes[k])
+    for s, (tries, succ, slots) in enumerate(counts, 1):
+        succ, slots = int(succ), int(slots)
         per_slave.append(SlaveStats(
             slave=s,
-            attempts=int(tries[k]),
+            attempts=int(tries),
             successes=succ,
-            mean_round_trip_slots=float(slots[k]) / succ if succ else None,
+            mean_round_trip_slots=float(slots) / succ if succ else None,
             give_ups=cfg.cycles - succ,
-            slots=int(slots[k]),
+            slots=slots,
         ))
-    reached = successes > 0
-    mean_cycle = cfg.slot_time * float(slots[reached].sum()) / cfg.cycles
+    reached = [s.slots for s in per_slave if s.successes]
     return SimReport(
         protocol=cfg.protocol,
         cycles=cfg.cycles,
         per_slave=tuple(per_slave),
-        mean_cycle_duration=mean_cycle,
-        reached_count=int(reached.sum()),
-        total_slots=int(slots.sum()),
+        mean_cycle_duration=float(sum(reached)) / cfg.cycles,
+        reached_count=len(reached),
+        total_slots=sum(s.slots for s in per_slave),
         seed_echo=cfg.seed,
     )
 
@@ -190,31 +231,23 @@ def simulate_dlc(per: PerMatrix, cfg: SimConfig,
     dlc.round_trip_success, so each cycle draws its try count at once: a
     geometric variable G gives min(G, max_retries + 1) tries and a success
     when G <= max_retries + 1.  Unreachable slaves are still polled (at
-    level 0) and consume slots.  Without an analysis, one is computed with
-    cfg.max_level and cfg.slot_time.
+    level 0) and consume slots.
     """
-    if cfg.protocol != "dlc1000":
-        raise ValueError("config protocol must be 'dlc1000'")
-    if analysis is None:
-        analysis = dlc.cycle_analysis(per, cfg.max_level, cfg.slot_time)
-    _check_slaves(per, analysis)
-    n = per.node_count
+    analysis = _plan(per, cfg, "dlc1000", analysis)
     cap = cfg.max_retries + 1  # most tries a cycle makes
-
-    tries = np.zeros(n - 1, dtype=np.int64)
-    successes = np.zeros(n - 1, dtype=np.int64)
-    for k, a in enumerate(analysis.slaves):
+    counts = []
+    for a in analysis.slaves:
         try_ok = dlc.round_trip_success(per, a.repeaters, a.slave)
+        tries = successes = 0
         if try_ok == 0.0:  # numpy's geometric rejects p = 0
-            tries[k] = cfg.cycles * cap
-            continue
-        for block, rows in _blocks(cfg.cycles):
-            g = _block_rng(cfg.seed, a.slave, block).geometric(try_ok, rows)
-            tries[k] += np.minimum(g, cap).sum()
-            successes[k] += (g <= cap).sum()
-    costs = np.array([2 * (a.best_level + 1) for a in analysis.slaves],
-                     dtype=np.int64)
-    return _reduce_report(cfg, n, costs * tries, tries, successes)
+            tries = cfg.cycles * cap
+        else:
+            for block, rows in _blocks(cfg.cycles):
+                g = _block_rng(cfg.seed, a.slave, block).geometric(try_ok, rows)
+                tries += int(np.minimum(g, cap).sum())
+                successes += int((g <= cap).sum())
+        counts.append((tries, successes, 2 * (a.best_level + 1) * tries))
+    return _report(cfg, counts)
 
 
 def simulate_sfn(per: PerMatrix, cfg: SimConfig,
@@ -224,41 +257,24 @@ def simulate_sfn(per: PerMatrix, cfg: SimConfig,
     Try j for a slave uses allowed levels (r_dl + j, r_ul + j), the first
     transmission levels coming from the analytic per-slave plan.  The
     destination only answers after the full downlink window to avoid
-    collisions, so a try always occupies (1 + r_dl + j) + (1 + r_ul + j)
-    slots.  The uplink flood runs only when the downlink reached the slave.
-    Slaves the analysis finds unreachable are polled with levels (0, 0)
-    and consume slots the same way.  Without an analysis, one is computed
-    with cfg.slot_time and the default horizon.
+    collisions, so try j always occupies 2 + r_dl + r_ul + 2j slots, and a
+    cycle that makes t tries spends t * (1 + r_dl + r_ul + t).  The uplink
+    flood runs only when the downlink reached the slave.  Slaves the
+    analysis finds unreachable are polled with levels (0, 0) and consume
+    slots the same way.
     """
-    if cfg.protocol != "sfn":
-        raise ValueError("config protocol must be 'sfn'")
-    if analysis is None:
-        analysis = sfn.cycle_analysis(per, cfg.slot_time)
-    _check_slaves(per, analysis)
-    n = per.node_count
-    log_miss = _log_miss(per)
-    relays = ~np.eye(n, dtype=bool)  # relays[v]: every node but v relays
-
-    tries = np.zeros(n - 1, dtype=np.int64)
-    slots = np.zeros(n - 1, dtype=np.int64)
-    successes = np.zeros(n - 1, dtype=np.int64)
-    for k, a in enumerate(analysis.slaves):
+    analysis = _plan(per, cfg, "sfn", analysis)
+    cap = cfg.max_retries + 1  # most tries a cycle makes
+    counts = []
+    for a in analysis.slaves:
         s = a.slave
-        for block, active in _blocks(cfg.cycles):
-            rng = _block_rng(cfg.seed, s, block)
-            for attempt in range(cfg.max_retries + 1):
-                rd, ru = a.r_dl + attempt, a.r_ul + attempt
-                tries[k] += active
-                slots[k] += active * (2 + rd + ru)
-                down = _flood(log_miss, MASTER, rd, active, rng, relays[s])
-                heard = int((down[:, s] >= 0).sum())
-                up = _flood(log_miss, s, ru, heard, rng, relays[MASTER])
-                done = int((up[:, MASTER] >= 0).sum())
-                successes[k] += done
-                active -= done
-                if active == 0:
-                    break
-    return _reduce_report(cfg, n, slots, tries, successes)
+        first = _first_successes(
+            per, ((MASTER, a.r_dl, s), (s, a.r_ul, MASTER)), cap,
+            cfg.cycles, cfg.seed, s)
+        made = np.where(first >= 0, first + 1, cap)
+        counts.append((made.sum(), np.count_nonzero(first >= 0),
+                       (made * (1 + a.r_dl + a.r_ul + made)).sum()))
+    return _report(cfg, counts)
 
 
 def simulate(per: PerMatrix, cfg: SimConfig, analysis=None) -> SimReport:
@@ -280,17 +296,5 @@ def sample_first_success_levels(per: PerMatrix, target: int, trials: int,
     """
     if level_cap is None:
         level_cap = per.node_count
-    log_miss = _log_miss(per)
-    relays = np.arange(per.node_count) != target
-    levels = np.full(trials, -1, dtype=np.int64)
-    for block, rows in _blocks(trials):
-        rng = _block_rng(seed, target, block)
-        pending = np.arange(block * _BLOCK, block * _BLOCK + rows)
-        for r in range(level_cap + 1):
-            got = _flood(log_miss, MASTER, r, pending.size, rng,
-                         relays)[:, target] >= 0
-            levels[pending[got]] = r
-            pending = pending[~got]
-            if pending.size == 0:
-                break
-    return levels
+    return _first_successes(per, ((MASTER, 0, target),), level_cap + 1,
+                            trials, seed, target)

@@ -117,12 +117,11 @@ def _attempt_success_estimate(per, target, trials, seed, horizon):
     from its own keyed stream.
     """
     log_miss = simulator._log_miss(per)
-    relays = np.arange(per.node_count) != target
     reached = np.zeros(horizon + 1)
     for block, rows in simulator._blocks(trials):
         rng = simulator._block_rng(seed, target, block)
         levels = simulator._flood(log_miss, 0, horizon, rows, rng,
-                                  relays)[:, target]
+                                  target)[:, target]
         reached += np.bincount(levels[levels >= 0], minlength=horizon + 1)
     return np.cumsum(reached) / trials
 

@@ -122,19 +122,20 @@ def test_text_parse_non_square(tmp_path):
 def test_text_parse_out_of_range(tmp_path):
     path = tmp_path / "m.per"
     path.write_text("0,1.5\n0.4,0\n")
-    with pytest.raises(MatrixValidationError, match="out of range at \\(0,1\\)"):
+    with pytest.raises(MatrixValidationError) as exc:
         load_matrix(path)
+    # a Python float, not numpy 2's np.float64(1.5)
+    assert str(exc.value) == "value 1.5 out of range at (0,1)"
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_save_load_round_trip_is_identity(tmp_path, fmt):
+def test_save_load_round_trip_is_identity(tmp_path):
     rng = np.random.default_rng(5)
     arr = rng.random((7, 7))
     np.fill_diagonal(arr, 0.0)
     m = PerMatrix(arr)
-    path = tmp_path / f"m.{fmt}"
-    save_matrix(m, path, fmt)
-    back = load_matrix(path, fmt)
+    path = tmp_path / "m.per"
+    save_matrix(m, path)
+    back = load_matrix(path)
     assert back.node_count == m.node_count
     assert np.array_equal(back.per, m.per)  # bit-exact
 

@@ -128,7 +128,7 @@ def test_best_path_level_out_of_range():
 def test_slave_analysis_duration_arithmetic():
     # direct success prob 0.5 -> 4 slots expected at level 0
     m = matrix([[0.0, 0.5], [0.0, 0.0]])
-    analysis = slave_analysis(m, 1, max_level=0, slot_time=1.0)
+    analysis = slave_analysis(m, 1, max_level=0)
     assert analysis.best_level == 0
     assert analysis.expected_duration == pytest.approx(4.0, abs=1e-15)
 

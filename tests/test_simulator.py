@@ -43,7 +43,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(protocol="sfn", cycles=1, max_retries=-1)
     with pytest.raises(ValueError):
-        SimConfig(protocol="sfn", cycles=1, slot_time=0.0)
+        SimConfig(protocol="dlc1000", cycles=1, max_level=-1)
 
 
 def test_dlc_perfect_two_nodes():
@@ -108,11 +108,11 @@ def test_different_seed_different_outcome():
 def test_given_analysis_equals_own_plan(protocol):
     # the analysis simulate computes for itself is the one a caller passes
     m = generate_ring(7, 0.2, 0.7)
-    cfg = SimConfig(protocol, cycles=60, max_level=3, slot_time=0.5, seed=5)
+    cfg = SimConfig(protocol, cycles=60, max_level=3, seed=5)
     if protocol == "dlc1000":
-        analysis = dlc.cycle_analysis(m, cfg.max_level, cfg.slot_time)
+        analysis = dlc.cycle_analysis(m, cfg.max_level)
     else:
-        analysis = sfn.cycle_analysis(m, cfg.slot_time)
+        analysis = sfn.cycle_analysis(m)
     assert simulate(m, cfg) == simulate(m, cfg, analysis)
 
 
@@ -126,6 +126,16 @@ def test_analysis_of_another_matrix_is_rejected(protocol):
         analysis = sfn.cycle_analysis(other)
     with pytest.raises(ValueError, match="slaves"):
         simulate(m, SimConfig(protocol, cycles=10), analysis)
+
+
+@pytest.mark.parametrize("protocol", ["dlc1000", "sfn"])
+def test_analysis_of_the_other_protocol_is_rejected(protocol):
+    # an sfn plan has no repeater chain, a dlc1000 plan no flood levels
+    m = generate_ring(7, 0.2, 0.7)
+    other = sfn.cycle_analysis(m) if protocol == "dlc1000" \
+        else dlc.cycle_analysis(m)
+    with pytest.raises(ValueError, match=type(other).__name__):
+        simulate(m, SimConfig(protocol, cycles=5), other)
 
 
 def test_dlc_polls_the_chain_of_the_analysis():
@@ -186,38 +196,43 @@ def test_dlc_capped_retries_follow_truncated_geometric():
 
 
 def test_sfn_slot_accounting_reconstructable():
-    # replay the keyed streams block by block and re-derive the slot count
-    # from the plan and the per-try outcomes; 300 cycles span two blocks
+    # replay the keyed streams block by block and re-derive the slot,
+    # try and success counts from the plan and the per-try outcomes;
+    # 300 cycles span two blocks
     m = generate_ring(6, 0.2, 0.7)
     cfg = SimConfig("sfn", cycles=300, max_retries=2, seed=21)
     report = simulate_sfn(m, cfg)
     log_miss = simulator._log_miss(m)
-    relays = ~np.eye(m.node_count, dtype=bool)
-    slots = {s: 0 for s in m.slaves}
+    want = {}
     for a in sfn.cycle_analysis(m).slaves:
         s = a.slave
+        slots = attempts = successes = 0
         for block, start in enumerate(range(0, cfg.cycles, simulator._BLOCK)):
             rng = simulator._block_rng(cfg.seed, s, block)
             failing = min(simulator._BLOCK, cfg.cycles - start)
             for attempt in range(cfg.max_retries + 1):
                 rd, ru = a.r_dl + attempt, a.r_ul + attempt
-                slots[s] += failing * (2 + rd + ru)
-                down = simulator._flood(log_miss, 0, rd, failing, rng,
-                                        relays[s])
+                slots += failing * (2 + rd + ru)
+                attempts += failing
+                down = simulator._flood(log_miss, 0, rd, failing, rng, s)
                 heard = int(np.count_nonzero(down[:, s] >= 0))
-                up = simulator._flood(log_miss, s, ru, heard, rng, relays[0])
-                failing -= int(np.count_nonzero(up[:, 0] >= 0))
+                up = simulator._flood(log_miss, s, ru, heard, rng, 0)
+                done = int(np.count_nonzero(up[:, 0] >= 0))
+                successes += done
+                failing -= done
                 if failing == 0:
                     break
+        want[s] = (slots, attempts, successes)
     for stats in report.per_slave:
-        assert stats.slots == slots[stats.slave]
+        assert (stats.slots, stats.attempts, stats.successes) \
+            == want[stats.slave]
 
 
 @pytest.mark.parametrize("horizon", [None, 2])
 def test_sfn_slots_exact_without_retries(horizon):
     m = generate_ring(8, 0.2, 0.7)
     cfg = SimConfig("sfn", cycles=300, max_retries=0, seed=4)
-    analysis = sfn.cycle_analysis(m, 1.0, horizon)
+    analysis = sfn.cycle_analysis(m, horizon=horizon)
     report = simulate_sfn(m, cfg, analysis)
     plans = {a.slave: (a.r_dl, a.r_ul) for a in analysis.slaves}
     for stats in report.per_slave:
@@ -240,10 +255,9 @@ def _two_relay_matrix(per_13: float, per_23: float) -> PerMatrix:
 def test_batched_flood_reception_is_one_minus_product_of_misses(per_13, per_23):
     m = _two_relay_matrix(per_13, per_23)
     rows = 20_000
-    relays = np.ones(4, dtype=bool)
     with np.errstate(invalid="raise"):  # a NaN from 0 * -inf would raise
         levels = simulator._flood(simulator._log_miss(m), 0, 3, rows,
-                                  np.random.default_rng(17), relays)
+                                  np.random.default_rng(17), 3)
     assert np.all(levels[:, [1, 2]] == 0)
     assert np.all(np.isin(levels[:, 3], (-1, 1)))
     want = 1.0 - per_13 * per_23
@@ -256,14 +270,12 @@ def test_batched_flood_matches_per_link_reference():
     # every node's first-reception level distribution, batched kernel
     # against one draw per link, with the destination (node 3) not relaying
     m = generate_ring(7, 0.2, 0.7)
-    max_level, no_relay = 3, (3,)
+    max_level, dest = 3, 3
     ref_rng = np.random.default_rng(8)
-    ref = np.array([per_link_flood(m.per, 0, max_level, ref_rng, no_relay)
+    ref = np.array([per_link_flood(m.per, 0, max_level, ref_rng, (dest,))
                     for _ in range(4000)])
-    relays = np.ones(7, dtype=bool)
-    relays[list(no_relay)] = False
     got = simulator._flood(simulator._log_miss(m), 0, max_level, 20_000,
-                           np.random.default_rng(9), relays)
+                           np.random.default_rng(9), dest)
     for node in range(7):
         for level in range(-1, max_level + 1):
             p_ref = np.mean(ref[:, node] == level)
