@@ -62,10 +62,6 @@ _SHARED_OPTIONS = {
                   dict(type=_nonnegative_int, default=4,
                        help="repeater-address cap for dlc1000")),
     "seed": (("--seed",), dict(type=int, default=0)),
-    "horizon": (("--horizon",),
-                dict(type=_nonnegative_int, default=None,
-                     help="flood-level cap for the sfn analysis, which is also "
-                          "simulate's plan (default: node count)")),
     "format": (("--format",),
                dict(choices=("text", "csv", "json"), default="text")),
     "output": (("-o", "--output"), dict(help="write the JSON document here")),
@@ -133,7 +129,7 @@ def _analysis(matrix: PerMatrix, protocol: str, args):
     """The cycle analysis of one protocol; it is also the simulator's plan."""
     if protocol == "dlc1000":
         return dlc.cycle_analysis(matrix, args.max_level)
-    return sfn.cycle_analysis(matrix, horizon=args.horizon)
+    return sfn.cycle_analysis(matrix)
 
 
 def _analysis_doc(analysis) -> dict:
@@ -204,7 +200,7 @@ def _add_analyze(sub) -> None:
     p.add_argument("matrix")
     p.add_argument("--protocol", choices=("dlc1000", "sfn", "both"),
                    default="both")
-    _add_options(p, "max_level", "horizon", "format", "output")
+    _add_options(p, "max_level", "format", "output")
 
 
 def _total_text(total: float, unreachable) -> str:
@@ -264,8 +260,8 @@ def _add_simulate(sub) -> None:
                        help="Monte-Carlo polling simulation with analytic comparison")
     p.add_argument("matrix")
     p.add_argument("--protocol", choices=("dlc1000", "sfn"), required=True)
-    _add_options(p, "cycles", "max_retries", "max_level", "seed", "horizon",
-                 "format", "output")
+    _add_options(p, "cycles", "max_retries", "max_level", "seed", "format",
+                 "output")
 
 
 def _simulate_doc(matrix: PerMatrix, protocol: str, analysis, args) -> dict:
@@ -324,7 +320,6 @@ def _add_compare(sub) -> None:
     p.add_argument("--packet-bytes", type=_positive_int,
                    default=DEFAULT_PACKET_BYTES)
     _add_options(p, "format", "output", format={"choices": ("text", "json")})
-    p.set_defaults(horizon=None)  # sfn plans with the default flood horizon
 
 
 def _compare_one(name: str, matrix: PerMatrix, args) -> dict:
@@ -364,19 +359,8 @@ def _cmd_compare(args) -> int:
             failures += 1
             doc["models"].append({"model": name, "error": str(exc)})
 
-    overhead = {
-        proto: {
-            "routing_bits": rep.routing_bits_per_packet,
-            "packet_bits": rep.packet_bits,
-            "overhead_ratio": rep.overhead_ratio,
-            "signaling_bits_per_poll_response":
-                rep.signaling_bits_per_poll_response,
-        }
-        for proto, rep in
-        (("dlc1000", metrics.routing_overhead("dlc1000", args.packet_bytes)),
-         ("sfn", metrics.routing_overhead("sfn", args.packet_bytes)))
-    }
-    doc["overhead"] = overhead
+    doc["overhead"] = {p: asdict(metrics.routing_overhead(p, args.packet_bytes))
+                       for p in PROTOCOLS}
     _emit(args, doc, _compare_text(doc, args.packet_bytes))
     return 1 if failures else 0
 
@@ -417,7 +401,7 @@ def _compare_text(doc: dict, packet_bytes: int) -> str:
     overhead = []
     for proto in ("dlc1000", "sfn"):
         o = doc["overhead"][proto]
-        overhead.append([proto, str(o["routing_bits"]),
+        overhead.append([proto, str(o["routing_bits_per_packet"]),
                          f"{o['overhead_ratio'] * 100:.1f}%",
                          str(o["signaling_bits_per_poll_response"])])
     sections = [
@@ -452,7 +436,12 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            # an unknown option's value may have been taken as a positional,
+            # which leaves the real one behind; name only the options then
+            named = [t for t in unknown if t.startswith("-")] or unknown
+            parser.error(f"unrecognized arguments: {' '.join(named)}")
         if args.command == "generate":
             return _cmd_generate(args)
         if args.command == "analyze":

@@ -180,14 +180,6 @@ def _flood_levels(per: PerMatrix, origins, initial_tx, horizon: int):
                                    last_tx))
 
 
-def _check_horizon(per: PerMatrix, horizon: int | None) -> int:
-    if horizon is None:
-        return per.node_count
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    return horizon
-
-
 def flood(per: PerMatrix, origin: int, initial_tx: float = 1.0,
           horizon: int | None = None) -> FloodProfile:
     """Level-by-level transmit/reception recursion for one flood origin.
@@ -198,8 +190,9 @@ def flood(per: PerMatrix, origin: int, initial_tx: float = 1.0,
     previous level times its still-unspent transmit mass, and a node first
     receives if it has not received before and at least one current
     transmitter gets through to it.  The origin never first-receives its
-    own packet.  Computation stops early once no node has any probability
-    left to transmit.
+    own packet.  Computation stops after level horizon (by default the
+    node count, the cap every analysis uses) or earlier, once no node has
+    any probability left to transmit.
 
     This is the one-row case of the batched kernel: a batch of floods
     gives each row exactly this profile, stopped at the same level.  The
@@ -211,7 +204,10 @@ def flood(per: PerMatrix, origin: int, initial_tx: float = 1.0,
         raise ValueError(f"origin {origin} out of range")
     if not (0.0 < initial_tx <= 1.0):
         raise ValueError("initial_tx must be in (0, 1]")
-    horizon = _check_horizon(per, horizon)
+    if horizon is None:
+        horizon = per.node_count
+    elif horizon < 0:
+        raise ValueError("horizon must be >= 0")
     tx_cols, rcv_cols = [], []
     for _, tx, rcv in _flood_levels(per, [origin], initial_tx, horizon):
         tx_cols.append(tx[0])
@@ -225,12 +221,12 @@ def flood(per: PerMatrix, origin: int, initial_tx: float = 1.0,
                         len(rcv_cols) - 1)
 
 
-def _master_cumulative(per: PerMatrix, origins, initial_tx,
-                       horizon: int) -> list[np.ndarray]:
+def _master_cumulative(per: PerMatrix, origins,
+                       initial_tx) -> list[np.ndarray]:
     """The master's cumulative reception per level of each given flood.
 
-    Equal to flood(per, o, m, horizon).cumulative[MASTER] for each origin o
-    and seed m; the floods run in row blocks whose kernel temporary stays
+    Equal to flood(per, o, m).cumulative[MASTER] for each origin o and
+    seed m; the floods run in row blocks whose kernel temporary stays
     within _BATCH_ELEMENTS.
     """
     slots = _in_links(per)[1].size  # per row of the kernel's temporary
@@ -242,7 +238,7 @@ def _master_cumulative(per: PerMatrix, origins, initial_tx,
         cols = []
         levels = np.zeros(len(block_origins), dtype=np.int64)
         for r, (rows, _, level_rcv) in enumerate(_flood_levels(
-                per, block_origins, initial_tx[block], horizon)):
+                per, block_origins, initial_tx[block], per.node_count)):
             col = np.zeros(len(block_origins))
             col[rows] = level_rcv[:, MASTER]
             cols.append(col)
@@ -333,10 +329,9 @@ def _choose(slave: int, uplinks) -> SfnSlaveAnalysis:
                             best.expected_duration, tuple(candidates))
 
 
-def _slave_analyses(per: PerMatrix, slaves, horizon: int | None,
+def _slave_analyses(per: PerMatrix, slaves,
                     downlink: FloodProfile) -> tuple[SfnSlaveAnalysis, ...]:
     """slave_analysis of each slave, with all their uplinks in one batch."""
-    horizon = _check_horizon(per, horizon)
     plans = []  # (slave, [(r_dl, downlink success), ...])
     for s in slaves:
         dl_dist = level_distribution(downlink, s)
@@ -346,14 +341,13 @@ def _slave_analyses(per: PerMatrix, slaves, horizon: int | None,
             (s, [(r, float(downlink.cumulative[s, r])) for r in r_dls]))
     origins = [s for s, dls in plans for _ in dls]
     seeds = [m for _, dls in plans for _, m in dls]
-    master = iter(_master_cumulative(per, origins, seeds, horizon))
+    master = iter(_master_cumulative(per, origins, seeds))
     return tuple(
         _choose(s, [(r_dl, m, next(master)) for r_dl, m in dls])
         for s, dls in plans)
 
 
-def slave_analysis(per: PerMatrix, slave: int, *,
-                   horizon: int | None = None) -> SfnSlaveAnalysis:
+def slave_analysis(per: PerMatrix, slave: int) -> SfnSlaveAnalysis:
     """Allowed level pair and expected polling duration for one slave.
 
     Downlink candidates are the floor/ceil of the mean downlink
@@ -367,20 +361,19 @@ def slave_analysis(per: PerMatrix, slave: int, *,
     """
     if not (1 <= slave < per.node_count):
         raise ValueError(f"slave index {slave} out of range (master is 0)")
-    downlink = flood(per, MASTER, 1.0, horizon)
-    return _slave_analyses(per, (slave,), horizon, downlink)[0]
+    downlink = flood(per, MASTER)
+    return _slave_analyses(per, (slave,), downlink)[0]
 
 
-def cycle_analysis(per: PerMatrix, *,
-                   horizon: int | None = None) -> SfnCycleAnalysis:
+def cycle_analysis(per: PerMatrix) -> SfnCycleAnalysis:
     """Expected duration of one full polling cycle (sum over all slaves).
 
     The downlink flood is computed once and shared across slaves, and all
     slaves' uplink floods run through the kernel together; the result
     equals slave_analysis slave by slave.
     """
-    downlink = flood(per, MASTER, 1.0, horizon)
-    slaves = _slave_analyses(per, per.slaves, horizon, downlink)
+    downlink = flood(per, MASTER)
+    slaves = _slave_analyses(per, per.slaves, downlink)
     unreachable = tuple(a.slave for a in slaves if not a.reachable)
     total = sum(a.expected_duration for a in slaves if a.reachable)
     return SfnCycleAnalysis(slaves, float(total), unreachable)

@@ -175,9 +175,9 @@ def _first_successes(per: PerMatrix, legs, tries: int, count: int,
 def _plan(per: PerMatrix, cfg: SimConfig, protocol: str, analysis):
     """The cycle analysis that a simulation of protocol polls with.
 
-    Computed with cfg.max_level (dlc1000) or the default horizon (sfn)
-    when none is given.  An analysis of the other protocol, or of a matrix
-    with other slaves, is a ValueError.
+    Computed with cfg.max_level (dlc1000) or sfn.cycle_analysis when none
+    is given.  An analysis of the other protocol, or of a matrix with other
+    slaves, is a ValueError.
     """
     if cfg.protocol != protocol:
         raise ValueError(f"config protocol must be {protocol!r}")
@@ -285,16 +285,14 @@ def simulate(per: PerMatrix, cfg: SimConfig, analysis=None) -> SimReport:
 
 
 def sample_first_success_levels(per: PerMatrix, target: int, trials: int,
-                                seed: int = 0,
-                                level_cap: int | None = None) -> np.ndarray:
+                                seed: int = 0) -> np.ndarray:
     """Empirical first-success levels of the escalating downlink chain.
 
     Each trial floods from the master with allowed level 0, 1, 2, ... until
     the target receives, with independent draws per attempt; this is the
     simulated counterpart of the analytic first-success level
-    distribution.  Returns one level per trial (-1 if the cap is hit).
+    distribution.  Returns one level per trial, -1 if the target is not
+    reached by level node_count, the analysis's flood cap.
     """
-    if level_cap is None:
-        level_cap = per.node_count
-    return _first_successes(per, ((MASTER, 0, target),), level_cap + 1,
+    return _first_successes(per, ((MASTER, 0, target),), per.node_count + 1,
                             trials, seed, target)

@@ -132,7 +132,7 @@ def _histogram_check(target: int, chain_trials: int, probe_trials: int):
     horizon = dist.pi.size - 1
 
     levels = sample_first_success_levels(RING10, target, chain_trials,
-                                         seed=55 + target, level_cap=horizon)
+                                         seed=55 + target)
     assert np.all(levels >= 0)
     counts = np.bincount(levels, minlength=horizon + 1)[:horizon + 1]
 

@@ -120,19 +120,6 @@ def test_simulate_same_command_same_output(ring10, capsys, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_simulate_horizon_plans_the_simulated_levels(ring10, capsys, tmp_path):
-    # at horizon 2 the analysis polls slave 5 with levels (2, 2) instead of
-    # the default (3, 3); without retries every cycle is one try
-    out = tmp_path / "sim.json"
-    code, _, _ = run(capsys, "simulate", "--protocol", "sfn", "--horizon", "2",
-                     "--max-retries", "0", "--cycles", "50", "-o", str(out),
-                     ring10)
-    assert code == 0
-    stats = json.loads(out.read_text())["simulation"]["per_slave"]
-    slave5 = next(s for s in stats if s["slave"] == 5)
-    assert slave5["slots"] == (2 + 2 + 2) * 50
-
-
 DLC_SLAVE_KEYS = {"slave", "best_level", "repeaters", "expected_duration",
                   "per_level"}
 DLC_LEVEL_KEYS = {"level", "success_prob", "expected_duration"}
@@ -218,8 +205,8 @@ def test_compare_single_perfect_matrix(perfect2, capsys, tmp_path):
     model = doc["models"][0]
     assert model["dlc1000"]["reachable_total"] == 2.0
     assert model["sfn"]["reachable_total"] == 2.0
-    assert doc["overhead"]["dlc1000"]["routing_bits"] == 24
-    assert doc["overhead"]["sfn"]["routing_bits"] == 8
+    assert doc["overhead"]["dlc1000"]["routing_bits_per_packet"] == 24
+    assert doc["overhead"]["sfn"]["routing_bits_per_packet"] == 8
 
 
 def test_compare_rejects_csv_format(ring10, capsys):
@@ -283,6 +270,20 @@ def test_unknown_argument_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--bogus-flag"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("option", [["--slot-time", "0.5"], ["--horizon", "2"]],
+                         ids=["slot_time", "horizon"])
+def test_unknown_option_error_names_the_option_not_the_matrix(ring10, capsys,
+                                                              option):
+    # argparse takes the unknown option's value as the matrix path, which
+    # leaves the real path among the unrecognized arguments
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", *option, ring10])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {option[0]}\n" in err
+    assert ring10 not in err
 
 
 def test_json_format_prints_document(perfect2, capsys):

@@ -306,7 +306,7 @@ def test_batched_floods_stop_each_row_at_its_own_level():
         assert np.array_equal(np.column_stack(rcv_rows[row]), want.rcv)
         stops.add(want.horizon)
     assert len(stops) > 2
-    master = sfn._master_cumulative(m, origins[1:], seeds[1:], n)
+    master = sfn._master_cumulative(m, origins[1:], seeds[1:])
     for got, origin, seed in zip(master, origins[1:], seeds[1:]):
         want = per_origin_flood(m, origin, seed).cumulative[0]
         assert np.array_equal(got, want)

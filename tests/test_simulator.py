@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from plcroute import dlc, sfn, simulator
-from plcroute.channel import PerMatrix, generate_ring
+from plcroute.channel import (DEFAULT_MODELS, PerMatrix, build_matrix,
+                              generate_ring)
 from plcroute.simulator import (
     SimConfig,
     flood_trial,
@@ -228,11 +229,13 @@ def test_sfn_slot_accounting_reconstructable():
             == want[stats.slave]
 
 
-@pytest.mark.parametrize("horizon", [None, 2])
-def test_sfn_slots_exact_without_retries(horizon):
-    m = generate_ring(8, 0.2, 0.7)
+@pytest.mark.parametrize("m", [
+    generate_ring(8, 0.2, 0.7),
+    build_matrix(dict(DEFAULT_MODELS)["rand_area_20"]),
+], ids=["ring_8", "rand_area_20"])
+def test_sfn_slots_exact_without_retries(m):
     cfg = SimConfig("sfn", cycles=300, max_retries=0, seed=4)
-    analysis = sfn.cycle_analysis(m, horizon=horizon)
+    analysis = sfn.cycle_analysis(m)
     report = simulate_sfn(m, cfg, analysis)
     plans = {a.slave: (a.r_dl, a.r_ul) for a in analysis.slaves}
     for stats in report.per_slave:
