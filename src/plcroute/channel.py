@@ -64,9 +64,14 @@ class PerMatrix:
 
 
 def logistic_per(distance, d50: float, width: float):
-    """Distance-to-PER map: 0.5 at d50, rising with distance, clamped to [0, 1]."""
+    """Distance-to-PER map: 0.5 at d50, rising with distance, within [0, 1].
+
+    Far below d50 on a narrow width, exp overflows to inf and the PER is
+    exactly 0.0, the logistic's limit.
+    """
     x = (np.asarray(distance, dtype=float) - d50) / width
-    return np.clip(1.0 / (1.0 + np.exp(-x)), 0.0, 1.0)
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def generate_ring(node_count: int,

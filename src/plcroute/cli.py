@@ -198,8 +198,6 @@ def _add_analyze(sub) -> None:
     p = sub.add_parser("analyze",
                        help="expected polling-cycle durations from a matrix")
     p.add_argument("matrix")
-    p.add_argument("--protocol", choices=("dlc1000", "sfn", "both"),
-                   default="both")
     _add_options(p, "max_level", "format", "output")
 
 
@@ -212,41 +210,18 @@ def _total_text(total: float, unreachable) -> str:
 
 def _cmd_analyze(args) -> int:
     matrix = channel.load_matrix(args.matrix)
+    d = _analysis(matrix, "dlc1000", args)
+    s = _analysis(matrix, "sfn", args)
     doc = _manifest(command="analyze", matrix=args.matrix,
-                    node_count=matrix.node_count)
-    rows = []
-    protocols = PROTOCOLS if args.protocol == "both" else (args.protocol,)
-    analyses = {p: _analysis(matrix, p, args) for p in protocols}
-    if "dlc1000" in analyses:
-        doc["max_level"] = args.max_level
-    for protocol, analysis in analyses.items():
-        doc[protocol] = _analysis_doc(analysis)
-    d, s = analyses.get("dlc1000"), analyses.get("sfn")
-
-    if args.protocol == "both":
-        headers = ["slave", "dlc_level", "dlc_duration",
-                   "sfn_levels", "sfn_duration"]
-        for da, sa in zip(d.slaves, s.slaves):
-            rows.append([str(da.slave), str(da.best_level),
-                         _num(da.expected_duration),
-                         f"{sa.r_dl}/{sa.r_ul}", _num(sa.expected_duration)])
-        totals = (f"totals: dlc1000 {_total_text(d.total, d.unreachable)}, "
-                  f"sfn {_total_text(s.total, s.unreachable)}")
-    elif args.protocol == "dlc1000":
-        headers = ["slave", "best_level", "success_prob", "expected_duration"]
-        for da in d.slaves:
-            prob = next(o.success_prob for o in da.per_level
-                        if o.level == da.best_level)
-            rows.append([str(da.slave), str(da.best_level), f"{prob:.6f}",
-                         _num(da.expected_duration)])
-        totals = f"total: {_total_text(d.total, d.unreachable)}"
-    else:
-        headers = ["slave", "r_dl", "r_ul", "poll_success", "expected_duration"]
-        for sa in s.slaves:
-            rows.append([str(sa.slave), str(sa.r_dl), str(sa.r_ul),
-                         f"{sa.poll_success:.6f}", _num(sa.expected_duration)])
-        totals = f"total: {_total_text(s.total, s.unreachable)}"
-
+                    node_count=matrix.node_count, max_level=args.max_level,
+                    dlc1000=_analysis_doc(d), sfn=_analysis_doc(s))
+    headers = ["slave", "dlc_level", "dlc_duration",
+               "sfn_levels", "sfn_duration"]
+    rows = [[str(da.slave), str(da.best_level), _num(da.expected_duration),
+             f"{sa.r_dl}/{sa.r_ul}", _num(sa.expected_duration)]
+            for da, sa in zip(d.slaves, s.slaves)]
+    totals = (f"totals: dlc1000 {_total_text(d.total, d.unreachable)}, "
+              f"sfn {_total_text(s.total, s.unreachable)}")
     _emit(args, doc, f"{_table(headers, rows)}\n{totals}", headers, rows)
     return 0
 

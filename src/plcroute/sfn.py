@@ -5,8 +5,10 @@ packet retransmits it exactly once in the next slot, and simultaneous
 transmissions are treated as independent chances at each receiver.  The
 downlink and uplink each get an allowed repeater level chosen around the
 mean first-success level; a poll try occupies the two full windows
-(2 + r_dl + r_ul slots) and is retried with both levels incremented by
-one until it succeeds.
+(2 + r_dl + r_ul slots).  The expected duration is the paper's
+fixed-level formula, (2 + r_dl + r_ul) / poll_success: it prices every
+retry like the first try.  The simulator (`simulator.simulate_sfn`) retries
+with both levels incremented by one per failure, up to its retry cap.
 
 Every flood runs through one kernel, `_flood_levels`, which advances F
 floods as one (F, n) recursion; each row stops at its own last level,
@@ -155,8 +157,7 @@ def _flood_levels(per: PerMatrix, origins, initial_tx, horizon: int):
     for r in range(horizon + 1):
         if src is None:
             live = tx.any(axis=0)
-            miss = tx[:, :, None] * ok if live.all() else \
-                tx[:, live, None] * ok[live]
+            miss = tx[:, live, None] * ok[live]
         else:
             miss = tx[:, src]
             miss *= ok

@@ -69,6 +69,17 @@ def test_logistic_midpoint_and_small_distance():
     assert expected == pytest.approx(0.0025, abs=3e-4)
 
 
+def test_narrow_logistic_saturates_without_warning():
+    # far below d50, exp overflows to inf: the PER is the limit, exactly 0.0
+    # (a RuntimeWarning fails the test suite)
+    assert float(logistic_per(0.0, 0.3, 1e-4)) == 0.0
+    assert float(logistic_per(0.6, 0.3, 1e-4)) == 1.0
+    m = generate_rand_area(20, width=1e-4)
+    off_diagonal = m.per[~np.eye(20, dtype=bool)]
+    assert np.all((off_diagonal >= 0.0) & (off_diagonal <= 1.0))
+    assert np.any(off_diagonal == 0.0) and np.any(off_diagonal == 1.0)
+
+
 def test_rand_area_deterministic_per_seed():
     a = generate_rand_area(20, 0.3, 0.07, seed=7)
     b = generate_rand_area(20, 0.3, 0.07, seed=7)

@@ -59,8 +59,7 @@ def test_generate_ring_too_small_fails(tmp_path, capsys):
 
 def test_analyze_perfect_two_nodes_both(perfect2, capsys, tmp_path):
     out = tmp_path / "analysis.json"
-    code, text, _ = run(capsys, "analyze", "--protocol", "both",
-                        "-o", str(out), perfect2)
+    code, text, _ = run(capsys, "analyze", "-o", str(out), perfect2)
     assert code == 0
     assert "totals: dlc1000 2.0000, sfn 2.0000" in text
     doc = json.loads(out.read_text())
@@ -79,8 +78,7 @@ def test_analyze_ring_orders_protocols(ring10, capsys, tmp_path):
 def test_analyze_reports_unreachable(tmp_path, capsys):
     path = tmp_path / "cut.per"
     path.write_text("0,0.1,1\n0.1,0,1\n1,1,0\n")
-    code, text, _ = run(capsys, "analyze", "--protocol", "dlc1000",
-                        "--max-level", "1", str(path))
+    code, text, _ = run(capsys, "analyze", "--max-level", "1", str(path))
     assert code == 0
     assert "unreachable" in text
     assert "inf" in text
@@ -272,8 +270,9 @@ def test_unknown_argument_exits_one(capsys):
     assert exc.value.code == 1
 
 
-@pytest.mark.parametrize("option", [["--slot-time", "0.5"], ["--horizon", "2"]],
-                         ids=["slot_time", "horizon"])
+@pytest.mark.parametrize("option", [["--slot-time", "0.5"], ["--horizon", "2"],
+                                    ["--protocol", "sfn"]],
+                         ids=["slot_time", "horizon", "protocol"])
 def test_unknown_option_error_names_the_option_not_the_matrix(ring10, capsys,
                                                               option):
     # argparse takes the unknown option's value as the matrix path, which

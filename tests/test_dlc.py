@@ -107,6 +107,27 @@ def test_best_path_equals_oracle_exactly_on_rings(nodes):
                 m, got.repeaters, slave)
 
 
+def test_best_path_equals_oracle_exactly_on_quantized_pers():
+    # PERs in multiples of 0.1, dead and perfect links included, make
+    # asymmetric matrices full of exact ties that neither continuous random
+    # PERs nor symmetric rings produce
+    cases = 0
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 10))
+        arr = rng.integers(0, 11, size=(n, n)) / 10
+        np.fill_diagonal(arr, 0.0)
+        m = PerMatrix(arr)
+        for slave in m.slaves:
+            for level in range(min(3, n - 2) + 1):
+                got = best_path(m, slave, level)
+                want_seq, want_prob = brute_force_best_path(m, slave, level)
+                assert got.repeaters == want_seq, (seed, slave, level)
+                assert got.success_prob == want_prob, (seed, slave, level)
+                cases += 1
+    assert cases == 2070
+
+
 def test_best_path_all_zero_returns_smallest_sequence():
     arr = np.ones((6, 6))
     np.fill_diagonal(arr, 0.0)
