@@ -3,8 +3,9 @@
 Matrix files are the comma-separated text that channel.save_matrix
 writes, and every duration is a count of slots.  Subcommands write a
 machine-readable JSON document with full-precision numbers via -o; the
-text tables round for readability.  Exit codes: 0 success, 1 validation
-or argument error, 2 internal error.
+text tables round for readability.  The library (SimConfig, the channel
+generators, dlc.slave_analysis) checks the options' ranges, not the parser.
+Exit codes: 0 success, 1 validation or argument error, 2 internal error.
 """
 from __future__ import annotations
 
@@ -20,8 +21,6 @@ from . import __version__, channel, dlc, metrics, sfn
 from .channel import ChannelSpec, ChannelSpecError, MatrixValidationError, PerMatrix
 from .simulator import PROTOCOLS, SimConfig, simulate
 
-DEFAULT_PACKET_BYTES = 64
-
 
 class _Parser(argparse.ArgumentParser):
     # argument errors are validation errors (exit 1), not internal ones
@@ -30,36 +29,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
-
-
 # Options that several subcommands take, each declared once.  A subcommand
 # names the ones it takes in its usage-line order, and may override a
 # keyword, such as the --format choices.
 _SHARED_OPTIONS = {
-    "cycles": (("--cycles",), dict(type=_positive_int, default=1000)),
-    "max_retries": (("--max-retries",),
-                    dict(type=_nonnegative_int, default=2)),
+    "cycles": (("--cycles",), dict(type=int, default=1000)),
+    "max_retries": (("--max-retries",), dict(type=int, default=2)),
     "max_level": (("--max-level",),
-                  dict(type=_nonnegative_int, default=4,
+                  dict(type=int, default=4,
                        help="repeater-address cap for dlc1000")),
     "seed": (("--seed",), dict(type=int, default=0)),
     "format": (("--format",),
@@ -99,7 +76,9 @@ def _manifest(**entries) -> dict:
 
 
 def _emit(args, doc: dict, text: str, headers=None, rows=None) -> None:
-    """Print a command's result in --format and write doc to -o."""
+    """Write doc to -o, then print the result in --format, so a command
+    whose -o cannot be written prints no result."""
+    _write_json(args.output, doc)
     if args.format == "json":
         print(json.dumps(doc, indent=1))
     elif args.format == "csv":
@@ -108,13 +87,18 @@ def _emit(args, doc: dict, text: str, headers=None, rows=None) -> None:
         writer.writerows(rows)
     else:
         print(text)
-    _write_json(args.output, doc)
 
 
-def _settings(args) -> dict:
-    """The simulation settings of simulate and compare, as SimConfig fields."""
-    return {f.name: getattr(args, f.name)
-            for f in fields(SimConfig) if f.name != "protocol"}
+def _config(args, protocol: str) -> SimConfig:
+    """protocol's SimConfig from the parsed options; it checks their ranges."""
+    return SimConfig(protocol=protocol,
+                     **{f.name: getattr(args, f.name)
+                        for f in fields(SimConfig) if f.name != "protocol"})
+
+
+def _settings(cfg: SimConfig) -> dict:
+    """The settings a document records: cfg's fields but the protocol."""
+    return {k: v for k, v in asdict(cfg).items() if k != "protocol"}
 
 
 def _relative_difference(analytic: float, simulated: float) -> float | None:
@@ -125,10 +109,10 @@ def _relative_difference(analytic: float, simulated: float) -> float | None:
     return (analytic - simulated) / simulated
 
 
-def _analysis(matrix: PerMatrix, protocol: str, args):
+def _analysis(matrix: PerMatrix, protocol: str, max_level: int):
     """The cycle analysis of one protocol; it is also the simulator's plan."""
     if protocol == "dlc1000":
-        return dlc.cycle_analysis(matrix, args.max_level)
+        return dlc.cycle_analysis(matrix, max_level)
     return sfn.cycle_analysis(matrix)
 
 
@@ -147,23 +131,24 @@ def _analysis_doc(analysis) -> dict:
 
 def _add_generate(sub) -> None:
     p = sub.add_parser("generate", help="generate a PER-matrix channel model")
+    p.set_defaults(run=_cmd_generate)
     kinds = p.add_subparsers(dest="kind", required=True)
 
     ring = kinds.add_parser("ring", help="ring topology with 1- and 2-hop links")
     rand = kinds.add_parser("rand-area",
                             help="master-centred random area, logistic PER in distance")
     for k in (ring, rand):
-        k.add_argument("--nodes", type=_positive_int, required=True)
+        k.add_argument("--nodes", type=int, required=True)
     ring.add_argument("--per-adj", type=float,
                       default=channel.DEFAULT_RING_PER_ADJACENT,
                       help="PER of adjacent links")
     ring.add_argument("--per-2", type=float,
                       default=channel.DEFAULT_RING_PER_TWO_HOP,
                       help="PER of two-hop links")
-    rand.add_argument("--d50", type=_positive_float,
+    rand.add_argument("--d50", type=float,
                       default=channel.DEFAULT_RAND_AREA_D50,
                       help="distance with PER 0.5")
-    rand.add_argument("--width", type=_positive_float,
+    rand.add_argument("--width", type=float,
                       default=channel.DEFAULT_RAND_AREA_WIDTH,
                       help="logistic width of the PER transition")
     _add_options(rand, "seed")
@@ -197,6 +182,7 @@ def _cmd_generate(args) -> int:
 def _add_analyze(sub) -> None:
     p = sub.add_parser("analyze",
                        help="expected polling-cycle durations from a matrix")
+    p.set_defaults(run=_cmd_analyze)
     p.add_argument("matrix")
     _add_options(p, "max_level", "format", "output")
 
@@ -210,8 +196,8 @@ def _total_text(total: float, unreachable) -> str:
 
 def _cmd_analyze(args) -> int:
     matrix = channel.load_matrix(args.matrix)
-    d = _analysis(matrix, "dlc1000", args)
-    s = _analysis(matrix, "sfn", args)
+    d = _analysis(matrix, "dlc1000", args.max_level)
+    s = _analysis(matrix, "sfn", args.max_level)
     doc = _manifest(command="analyze", matrix=args.matrix,
                     node_count=matrix.node_count, max_level=args.max_level,
                     dlc1000=_analysis_doc(d), sfn=_analysis_doc(s))
@@ -233,16 +219,16 @@ def _cmd_analyze(args) -> int:
 def _add_simulate(sub) -> None:
     p = sub.add_parser("simulate",
                        help="Monte-Carlo polling simulation with analytic comparison")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("matrix")
     p.add_argument("--protocol", choices=("dlc1000", "sfn"), required=True)
     _add_options(p, "cycles", "max_retries", "max_level", "seed", "format",
                  "output")
 
 
-def _simulate_doc(matrix: PerMatrix, protocol: str, analysis, args) -> dict:
+def _simulate_doc(matrix: PerMatrix, cfg: SimConfig, analysis) -> dict:
     """Simulate polling with the analysis's plan; the report's doc."""
-    report = simulate(matrix, SimConfig(protocol=protocol, **_settings(args)),
-                      analysis)
+    report = simulate(matrix, cfg, analysis)
     return {
         "simulation": asdict(report),
         "analytic_total": analysis.total,
@@ -253,10 +239,11 @@ def _simulate_doc(matrix: PerMatrix, protocol: str, analysis, args) -> dict:
 
 
 def _cmd_simulate(args) -> int:
+    cfg = _config(args, args.protocol)
     matrix = channel.load_matrix(args.matrix)
-    analysis = _analysis(matrix, args.protocol, args)
-    doc = _manifest(command="simulate", matrix=args.matrix, **_settings(args))
-    doc.update(_simulate_doc(matrix, args.protocol, analysis, args))
+    analysis = _analysis(matrix, cfg.protocol, cfg.max_level)
+    doc = _manifest(command="simulate", matrix=args.matrix, **_settings(cfg))
+    doc.update(_simulate_doc(matrix, cfg, analysis))
     sim = doc["simulation"]
     headers = ["slave", "attempts", "successes", "mean_round_trip_slots",
                "give_ups"]
@@ -288,24 +275,24 @@ def _cmd_simulate(args) -> int:
 def _add_compare(sub) -> None:
     p = sub.add_parser("compare",
                        help="both analytics, both simulations, and overhead tables")
+    p.set_defaults(run=_cmd_compare)
     p.add_argument("matrices", nargs="*", help="matrix files")
     p.add_argument("--defaults", action="store_true",
                    help="use the five built-in channel models instead of files")
-    _add_options(p, "cycles", "max_retries", "max_level", "seed")
-    p.add_argument("--packet-bytes", type=_positive_int,
-                   default=DEFAULT_PACKET_BYTES)
-    _add_options(p, "format", "output", format={"choices": ("text", "json")})
+    _add_options(p, "cycles", "max_retries", "max_level", "seed", "format",
+                 "output", format={"choices": ("text", "json")})
 
 
-def _compare_one(name: str, matrix: PerMatrix, args) -> dict:
+def _compare_one(name: str, matrix: PerMatrix, configs: dict) -> dict:
     entry = {"model": name, "node_count": matrix.node_count}
-    analyses = {p: _analysis(matrix, p, args) for p in PROTOCOLS}
+    analyses = {p: _analysis(matrix, p, cfg.max_level)
+                for p, cfg in configs.items()}
     # both analyses come before both simulations in the document
     for protocol, analysis in analyses.items():
         entry[protocol] = _analysis_doc(analysis)
     for protocol, analysis in analyses.items():
-        entry[f"{protocol}_sim"] = _simulate_doc(matrix, protocol, analysis,
-                                                 args)
+        entry[f"{protocol}_sim"] = _simulate_doc(matrix, configs[protocol],
+                                                 analysis)
     return entry
 
 
@@ -314,6 +301,9 @@ def _fmt_rel(value) -> str:
 
 
 def _cmd_compare(args) -> int:
+    configs = {p: _config(args, p) for p in PROTOCOLS}
+    if args.defaults and args.matrices:
+        raise ChannelSpecError("pass matrix files or --defaults, not both")
     if args.defaults:
         models = [(name, partial(channel.build_matrix, spec))
                   for name, spec in channel.DEFAULT_MODELS]
@@ -323,20 +313,20 @@ def _cmd_compare(args) -> int:
     else:
         raise ChannelSpecError("no matrices given (pass files or --defaults)")
 
-    doc = _manifest(command="compare", **_settings(args),
-                    packet_bytes=args.packet_bytes, models=[])
+    overhead = {p: metrics.routing_overhead(p) for p in PROTOCOLS}
+    doc = _manifest(command="compare", **_settings(configs["sfn"]),
+                    packet_bytes=overhead["sfn"].packet_bits // 8, models=[])
     failures = 0
     for name, load in models:
         try:
-            doc["models"].append(_compare_one(name, load(), args))
+            doc["models"].append(_compare_one(name, load(), configs))
         except (ChannelSpecError, MatrixValidationError, OSError,
                 ValueError) as exc:
             failures += 1
             doc["models"].append({"model": name, "error": str(exc)})
 
-    doc["overhead"] = {p: asdict(metrics.routing_overhead(p, args.packet_bytes))
-                       for p in PROTOCOLS}
-    _emit(args, doc, _compare_text(doc, args.packet_bytes))
+    doc["overhead"] = {p: asdict(o) for p, o in overhead.items()}
+    _emit(args, doc, _compare_text(doc))
     return 1 if failures else 0
 
 
@@ -359,7 +349,7 @@ def _compare_rows(doc: dict, protocol: str) -> list[list[str]]:
     return rows
 
 
-def _compare_text(doc: dict, packet_bytes: int) -> str:
+def _compare_text(doc: dict) -> str:
     headers = ["model", "analytic", "simulated", "rel_diff"]
     durations = []
     for entry in doc["models"]:
@@ -385,7 +375,7 @@ def _compare_text(doc: dict, packet_bytes: int) -> str:
         ("sfn: analytic vs simulation", headers, _compare_rows(doc, "sfn")),
         ("expected cycle duration by protocol", ["model", "sfn", "dlc1000"],
          durations),
-        (f"routing overhead ({packet_bytes}-byte packets)",
+        (f"routing overhead ({doc['packet_bytes']}-byte packets)",
          ["protocol", "routing_bits", "of_packet",
           "signaling_bits_per_response"], overhead),
     ]
@@ -417,13 +407,7 @@ def main(argv=None) -> int:
             # which leaves the real one behind; name only the options then
             named = [t for t in unknown if t.startswith("-")] or unknown
             parser.error(f"unrecognized arguments: {' '.join(named)}")
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        return _cmd_compare(args)
+        return args.run(args)
     except SystemExit:
         raise
     except (ChannelSpecError, MatrixValidationError, OSError, ValueError) as exc:

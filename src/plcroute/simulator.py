@@ -140,6 +140,10 @@ def flood_trial(per: PerMatrix, origin: int, max_level: int,
     Nodes in no_relay (the packet's destination) receive but never
     retransmit.
     """
+    if not (0 <= origin < per.node_count):
+        raise ValueError(f"origin {origin} out of range 0..{per.node_count - 1}")
+    if max_level < 0:
+        raise ValueError("max_level must be >= 0")
     return _flood(_log_miss(per), origin, max_level, 1, rng,
                   list(no_relay))[0]
 
@@ -294,5 +298,7 @@ def sample_first_success_levels(per: PerMatrix, target: int, trials: int,
     distribution.  Returns one level per trial, -1 if the target is not
     reached by level node_count, the analysis's flood cap.
     """
+    if not (MASTER < target < per.node_count):
+        raise ValueError(f"target {target} out of range 1..{per.node_count - 1}")
     return _first_successes(per, ((MASTER, 0, target),), per.node_count + 1,
                             trials, seed, target)

@@ -178,9 +178,61 @@ def test_compare_analyses_each_protocol_once(ring10, capsys, monkeypatch):
 
 
 def test_simulate_zero_cycles_is_argument_error(ring10, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--protocol", "sfn", "--cycles", "0", ring10])
-    assert exc.value.code == 1
+    code, out, err = run(capsys, "simulate", "--protocol", "sfn",
+                         "--cycles", "0", ring10)
+    assert (code, out) == (1, "")
+    assert "cycles must be >= 1" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    # simulate's matrix does not exist: its settings are checked first
+    (["simulate", "--protocol", "sfn", "--cycles", "0", "{missing}"],
+     "cycles must be >= 1"),
+    (["simulate", "--protocol", "dlc1000", "--max-retries", "-1",
+      "{missing}"], "max_retries must be >= 0"),
+    (["simulate", "--protocol", "sfn", "--max-level", "-1", "{missing}"],
+     "max_level must be >= 0"),
+    (["analyze", "--max-level", "-1", "{ring10}"], "max_level must be >= 0"),
+    (["compare", "--defaults", "--cycles", "0"], "cycles must be >= 1"),
+    (["generate", "ring", "--nodes", "0"], "at least 3 nodes"),
+    (["generate", "rand-area", "--nodes", "1"], "at least 2 nodes"),
+    (["generate", "rand-area", "--nodes", "20", "--d50", "0"], "d50 > 0"),
+    (["generate", "rand-area", "--nodes", "20", "--width", "-1"],
+     "width > 0"),
+], ids=["simulate-cycles", "simulate-max-retries", "simulate-max-level",
+        "analyze-max-level", "compare-cycles", "ring-nodes",
+        "rand-area-nodes", "rand-area-d50", "rand-area-width"])
+def test_library_range_check_exits_one_and_writes_nothing(
+        ring10, tmp_path, capsys, monkeypatch, argv, message):
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    paths = {"ring10": ring10, "missing": str(tmp_path / "missing.per")}
+    argv = [a.format(**paths) for a in argv]
+    output = str(outdir / ("x.per" if argv[0] == "generate" else "x.json"))
+    analyses = _count_calls(monkeypatch, dlc, "cycle_analysis")
+    code, out, err = run(capsys, *argv, "-o", output)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and message in err
+    assert list(outdir.iterdir()) == []
+    if argv[0] in ("simulate", "compare"):
+        assert analyses == []  # rejected before the first analysis
+
+
+def test_compare_defaults_with_files_fails_before_any_model(ring10, capsys,
+                                                           monkeypatch):
+    analyses = _count_calls(monkeypatch, dlc, "cycle_analysis")
+    code, out, err = run(capsys, "compare", "--defaults", "--cycles", "1",
+                         ring10)
+    assert (code, out) == (1, "")
+    assert err == "error: pass matrix files or --defaults, not both\n"
+    assert analyses == []
+
+
+def test_unwritable_output_prints_no_result(ring10, tmp_path, capsys):
+    code, out, err = run(capsys, "analyze", ring10,
+                         "-o", str(tmp_path / "missing" / "x.json"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
 
 
 def test_simulate_text_and_csv_formats(ring10, capsys):
@@ -270,18 +322,21 @@ def test_unknown_argument_exits_one(capsys):
     assert exc.value.code == 1
 
 
-@pytest.mark.parametrize("option", [["--slot-time", "0.5"], ["--horizon", "2"],
-                                    ["--protocol", "sfn"]],
-                         ids=["slot_time", "horizon", "protocol"])
+@pytest.mark.parametrize("argv", [["analyze", "--slot-time", "0.5"],
+                                  ["analyze", "--horizon", "2"],
+                                  ["analyze", "--protocol", "sfn"],
+                                  ["compare", "--packet-bytes", "64"]],
+                         ids=["slot_time", "horizon", "protocol",
+                              "packet_bytes"])
 def test_unknown_option_error_names_the_option_not_the_matrix(ring10, capsys,
-                                                              option):
+                                                              argv):
     # argparse takes the unknown option's value as the matrix path, which
     # leaves the real path among the unrecognized arguments
     with pytest.raises(SystemExit) as exc:
-        main(["analyze", *option, ring10])
+        main([*argv, ring10])
     assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert f"unrecognized arguments: {option[0]}\n" in err
+    assert f"unrecognized arguments: {argv[1]}\n" in err
     assert ring10 not in err
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -317,6 +318,24 @@ def test_flood_trial_line_is_deterministic():
     rng = np.random.default_rng(0)
     levels = flood_trial(m, 0, 2, rng, no_relay=(2,))
     assert levels[1] == 0 and levels[2] == 1
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda m, rng: flood_trial(m, -1, 5, rng), "origin -1 out of range 0..5"),
+    (lambda m, rng: flood_trial(m, 6, 5, rng), "origin 6 out of range 0..5"),
+    (lambda m, rng: flood_trial(m, 0, -1, rng), "max_level must be >= 0"),
+    (lambda m, rng: sample_first_success_levels(m, 0, 10),
+     "target 0 out of range 1..5"),
+    (lambda m, rng: sample_first_success_levels(m, -1, 10),
+     "target -1 out of range 1..5"),
+    (lambda m, rng: sample_first_success_levels(m, 6, 10),
+     "target 6 out of range 1..5"),
+], ids=["flood-origin-negative", "flood-origin-too-large",
+        "flood-max-level-negative", "sample-target-master",
+        "sample-target-negative", "sample-target-too-large"])
+def test_flood_and_sampler_reject_out_of_range_nodes(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(generate_ring(6), np.random.default_rng(0))
 
 
 def test_dlc_success_rate_matches_best_path_probability():
