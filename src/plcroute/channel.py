@@ -9,6 +9,7 @@ as time-constant.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,13 @@ class ChannelSpecError(ValueError):
 
 class MatrixValidationError(ValueError):
     """Raised when a PER matrix violates its structural invariants."""
+
+
+def _check_seed(seed, error=ValueError) -> None:
+    """Raise error unless seed is an integer in 0..2**64-1, the one range
+    that both numpy's generators and the simulator's keyed streams take."""
+    if not (isinstance(seed, Integral) and 0 <= seed < 1 << 64):
+        raise error("seed must be an integer in 0..2**64-1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +119,7 @@ def generate_rand_area(node_count: int,
         raise ChannelSpecError("rand_area model needs at least 2 nodes")
     if d50 <= 0 or width <= 0:
         raise ChannelSpecError("rand_area model needs d50 > 0 and width > 0")
+    _check_seed(seed, ChannelSpecError)
     rng = np.random.default_rng(seed)
     positions = np.vstack([[0.5, 0.5], rng.random((node_count - 1, 2))])
     dist = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=-1)

@@ -12,13 +12,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import signal
 import sys
 from dataclasses import asdict, fields
 from functools import partial
+from itertools import groupby
 from pathlib import Path
 
 from . import __version__, channel, dlc, metrics, sfn
-from .channel import ChannelSpec, ChannelSpecError, MatrixValidationError, PerMatrix
+from .channel import ChannelSpec, ChannelSpecError, PerMatrix
 from .simulator import PROTOCOLS, SimConfig, simulate
 
 
@@ -55,7 +57,7 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
               for i, h in enumerate(headers)]
     def fmt(cells):
-        return "  ".join(c.rjust(w) for c, w in zip(cells, widths))
+        return "  ".join(c.rjust(w) for c, w in zip(cells, widths)).rstrip()
     sep = "-" * (sum(widths) + 2 * (len(widths) - 1))
     return "\n".join([fmt(headers), sep, *(fmt(r) for r in rows)])
 
@@ -187,10 +189,19 @@ def _add_analyze(sub) -> None:
     _add_options(p, "max_level", "format", "output")
 
 
+def _runs(nodes) -> str:
+    """Ascending node numbers as runs, such as 2-4,7,9-10."""
+    # node - index is constant along a run of consecutive numbers
+    runs = [[n for _, n in run] for _, run in
+            groupby(enumerate(nodes), lambda pair: pair[1] - pair[0])]
+    return ",".join(f"{r[0]}-{r[-1]}" if len(r) > 1 else f"{r[0]}"
+                    for r in runs)
+
+
 def _total_text(total: float, unreachable) -> str:
     if unreachable:
-        return (f"inf ({len(unreachable)} unreachable: "
-                f"{','.join(map(str, unreachable))}; reachable sum {total:.4f})")
+        return (f"inf ({len(unreachable)} unreachable: {_runs(unreachable)}; "
+                f"reachable sum {total:.4f})")
     return f"{total:.4f}"
 
 
@@ -296,10 +307,6 @@ def _compare_one(name: str, matrix: PerMatrix, configs: dict) -> dict:
     return entry
 
 
-def _fmt_rel(value) -> str:
-    return "n/a" if value is None else f"{value * 100:+.1f}%"
-
-
 def _cmd_compare(args) -> int:
     configs = {p: _config(args, p) for p in PROTOCOLS}
     if args.defaults and args.matrices:
@@ -320,8 +327,7 @@ def _cmd_compare(args) -> int:
     for name, load in models:
         try:
             doc["models"].append(_compare_one(name, load(), configs))
-        except (ChannelSpecError, MatrixValidationError, OSError,
-                ValueError) as exc:
+        except (OSError, ValueError) as exc:
             failures += 1
             doc["models"].append({"model": name, "error": str(exc)})
 
@@ -330,50 +336,32 @@ def _cmd_compare(args) -> int:
     return 1 if failures else 0
 
 
-def _compare_rows(doc: dict, protocol: str) -> list[list[str]]:
-    rows = []
-    for entry in doc["models"]:
-        if "error" in entry:
-            rows.append([entry["model"], "failed", entry["error"], ""])
-            continue
-        ana = entry[protocol]
-        sim = entry[f"{protocol}_sim"]
-        total = _total_text(ana["reachable_total"], ana["unreachable"])
-        reached = sim["simulation"]["reached_count"]
-        rows.append([
-            entry["model"],
-            total,
-            f"{sim['simulation']['mean_cycle_duration']:.2f} ({reached} slaves)",
-            _fmt_rel(sim["relative_difference"]),
-        ])
-    return rows
-
-
 def _compare_text(doc: dict) -> str:
-    headers = ["model", "analytic", "simulated", "rel_diff"]
+    """One row per model: each protocol's analytic total, simulated mean
+    and their rel_diff, then the routing-overhead table."""
+    headers = ["model", *(f"{prefix}_{column}" for prefix in ("dlc", "sfn")
+                          for column in ("analytic", "simulated", "rel_diff"))]
     durations = []
     for entry in doc["models"]:
         if "error" in entry:
-            durations.append([entry["model"], "failed", entry["error"]])
+            durations.append([entry["model"], "failed", entry["error"],
+                              *[""] * (len(headers) - 3)])
             continue
-        durations.append([
-            entry["model"],
-            _total_text(entry["sfn"]["reachable_total"],
-                        entry["sfn"]["unreachable"]),
-            _total_text(entry["dlc1000"]["reachable_total"],
-                        entry["dlc1000"]["unreachable"]),
-        ])
-    overhead = []
-    for proto in ("dlc1000", "sfn"):
-        o = doc["overhead"][proto]
-        overhead.append([proto, str(o["routing_bits_per_packet"]),
-                         f"{o['overhead_ratio'] * 100:.1f}%",
-                         str(o["signaling_bits_per_poll_response"])])
+        row = [entry["model"]]
+        for protocol in PROTOCOLS:
+            ana, sim = entry[protocol], entry[f"{protocol}_sim"]
+            report, rel = sim["simulation"], sim["relative_difference"]
+            row += [_total_text(ana["reachable_total"], ana["unreachable"]),
+                    f"{report['mean_cycle_duration']:.2f} "
+                    f"({report['reached_count']} slaves)",
+                    "n/a" if rel is None else f"{rel * 100:+.1f}%"]
+        durations.append(row)
+    overhead = [[proto, str(o["routing_bits_per_packet"]),
+                 f"{o['overhead_ratio'] * 100:.1f}%",
+                 str(o["signaling_bits_per_poll_response"])]
+                for proto, o in doc["overhead"].items()]
     sections = [
-        ("dlc1000: analytic vs simulation", headers,
-         _compare_rows(doc, "dlc1000")),
-        ("sfn: analytic vs simulation", headers, _compare_rows(doc, "sfn")),
-        ("expected cycle duration by protocol", ["model", "sfn", "dlc1000"],
+        ("expected cycle duration: analytic vs simulation", headers,
          durations),
         (f"routing overhead ({doc['packet_bytes']}-byte packets)",
          ["protocol", "routing_bits", "of_packet",
@@ -410,7 +398,7 @@ def main(argv=None) -> int:
         return args.run(args)
     except SystemExit:
         raise
-    except (ChannelSpecError, MatrixValidationError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive
@@ -419,6 +407,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # a closed stdout pipe ends the process as it ends cat: by the signal,
+    # with nothing on stderr
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -136,15 +136,15 @@ def _in_links(per: PerMatrix) -> tuple[np.ndarray | None, np.ndarray]:
     return src, table
 
 
-def _flood_levels(per: PerMatrix, origins, initial_tx, horizon: int):
+def _flood_levels(per: PerMatrix, origins, initial_tx):
     """Advance one flood per origin, all at once, level by level.
 
     initial_tx gives each flood's level-0 transmit mass at its origin.
     Yields (rows, tx, rcv) for r = 0, 1, ...: the indices of the floods
     still running at level r and, one row each, their transmit and
     first-reception probabilities at that level.  A flood stops after
-    level horizon or after a level whose receptions leave no node any
-    transmit mass, as `flood` describes.
+    level n, the node count, or after a level whose receptions leave no
+    node any transmit mass, as `flood` describes.
     """
     src, ok = _in_links(per)
     rows = np.arange(len(origins))
@@ -154,7 +154,7 @@ def _flood_levels(per: PerMatrix, origins, initial_tx, horizon: int):
     cum_rcv = np.zeros_like(tx)
     # transmit mass through level r-1 when building level r+1
     spent_tx = np.zeros_like(tx)
-    for r in range(horizon + 1):
+    for r in range(per.node_count + 1):
         if src is None:
             live = tx.any(axis=0)
             miss = tx[:, live, None] * ok[live]
@@ -166,7 +166,7 @@ def _flood_levels(per: PerMatrix, origins, initial_tx, horizon: int):
         rcv[np.arange(rows.size), origins] = 0.0
         np.maximum(rcv, 0.0, out=rcv)
         yield rows, tx, rcv
-        if r == horizon:
+        if r == per.node_count:
             return
         cum_rcv = cum_rcv + rcv
         if r >= 1:
@@ -181,8 +181,8 @@ def _flood_levels(per: PerMatrix, origins, initial_tx, horizon: int):
                                    last_tx))
 
 
-def flood(per: PerMatrix, origin: int, initial_tx: float = 1.0,
-          horizon: int | None = None) -> FloodProfile:
+def flood(per: PerMatrix, origin: int,
+          initial_tx: float = 1.0) -> FloodProfile:
     """Level-by-level transmit/reception recursion for one flood origin.
 
     initial_tx scales the whole profile; an uplink flood is seeded with the
@@ -191,9 +191,9 @@ def flood(per: PerMatrix, origin: int, initial_tx: float = 1.0,
     previous level times its still-unspent transmit mass, and a node first
     receives if it has not received before and at least one current
     transmitter gets through to it.  The origin never first-receives its
-    own packet.  Computation stops after level horizon (by default the
-    node count, the cap every analysis uses) or earlier, once no node has
-    any probability left to transmit.
+    own packet.  Computation stops after level n, the node count, or
+    earlier, once no node has any probability left to transmit; the
+    profile's horizon is the last level computed.
 
     This is the one-row case of the batched kernel: a batch of floods
     gives each row exactly this profile, stopped at the same level.  The
@@ -205,12 +205,8 @@ def flood(per: PerMatrix, origin: int, initial_tx: float = 1.0,
         raise ValueError(f"origin {origin} out of range")
     if not (0.0 < initial_tx <= 1.0):
         raise ValueError("initial_tx must be in (0, 1]")
-    if horizon is None:
-        horizon = per.node_count
-    elif horizon < 0:
-        raise ValueError("horizon must be >= 0")
     tx_cols, rcv_cols = [], []
-    for _, tx, rcv in _flood_levels(per, [origin], initial_tx, horizon):
+    for _, tx, rcv in _flood_levels(per, [origin], initial_tx):
         tx_cols.append(tx[0])
         rcv_cols.append(rcv[0])
     tx_mat = np.column_stack(tx_cols)
@@ -239,7 +235,7 @@ def _master_cumulative(per: PerMatrix, origins,
         cols = []
         levels = np.zeros(len(block_origins), dtype=np.int64)
         for r, (rows, _, level_rcv) in enumerate(_flood_levels(
-                per, block_origins, initial_tx[block], per.node_count)):
+                per, block_origins, initial_tx[block])):
             col = np.zeros(len(block_origins))
             col[rows] = level_rcv[:, MASTER]
             cols.append(col)

@@ -17,11 +17,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import dlc, sfn
-from .channel import MASTER, PerMatrix
+from .channel import MASTER, PerMatrix, _check_seed
 
 PROTOCOLS = ("dlc1000", "sfn")
 
-_SEED_MASK = (1 << 64) - 1
 _BLOCK = 256  # cycles (or trials) per keyed random stream
 # log-miss of a PER-0 link.  The flood's matrix product multiplies the
 # zeros of the transmitter mask by every entry, and 0 * -inf is NaN; exp()
@@ -46,6 +45,7 @@ class SimConfig:
             raise ValueError("max_retries must be >= 0")
         if self.max_level < 0:
             raise ValueError("max_level must be >= 0")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class SimReport:
 
 def _block_rng(seed: int, key: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([seed & _SEED_MASK, key, block])))
+        np.random.SeedSequence([seed, key, block])))
 
 
 def _blocks(count: int):
@@ -300,5 +300,6 @@ def sample_first_success_levels(per: PerMatrix, target: int, trials: int,
     """
     if not (MASTER < target < per.node_count):
         raise ValueError(f"target {target} out of range 1..{per.node_count - 1}")
+    _check_seed(seed)
     return _first_successes(per, ((MASTER, 0, target),), per.node_count + 1,
                             trials, seed, target)

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import plcroute
 from plcroute import dlc, sfn
 from plcroute.channel import PerMatrix, load_matrix, save_matrix
-from plcroute.cli import main
+from plcroute.cli import _total_text, main
 
 
 def run(capsys, *argv):
@@ -82,6 +88,21 @@ def test_analyze_reports_unreachable(tmp_path, capsys):
     assert code == 0
     assert "unreachable" in text
     assert "inf" in text
+
+
+def test_analyze_ring100_lists_unreachable_slaves_as_runs(tmp_path, capsys):
+    path = str(tmp_path / "ring100.per")
+    assert run(capsys, "generate", "ring", "--nodes", "100", "-o", path)[0] == 0
+    code, text, _ = run(capsys, "analyze", path)
+    assert code == 0
+    assert text.splitlines()[-1] == (
+        "totals: dlc1000 inf (79 unreachable: 11-89; "
+        "reachable sum 237747.7448), sfn 5282.0866")
+
+
+def test_unreachable_runs_mix_single_slaves_and_ranges():
+    assert _total_text(1.5, (2, 3, 4, 7, 9, 10)) == (
+        "inf (6 unreachable: 2-4,7,9-10; reachable sum 1.5000)")
 
 
 def test_analyze_invalid_matrix_fails(tmp_path, capsys):
@@ -184,6 +205,9 @@ def test_simulate_zero_cycles_is_argument_error(ring10, capsys):
     assert "cycles must be >= 1" in err
 
 
+SEED_RANGE = "seed must be an integer in 0..2**64-1"
+
+
 @pytest.mark.parametrize("argv,message", [
     # simulate's matrix does not exist: its settings are checked first
     (["simulate", "--protocol", "sfn", "--cycles", "0", "{missing}"],
@@ -199,9 +223,18 @@ def test_simulate_zero_cycles_is_argument_error(ring10, capsys):
     (["generate", "rand-area", "--nodes", "20", "--d50", "0"], "d50 > 0"),
     (["generate", "rand-area", "--nodes", "20", "--width", "-1"],
      "width > 0"),
+    # a seed is an integer in 0..2**64-1 wherever it is taken
+    (["generate", "rand-area", "--nodes", "5", "--seed", "-1"], SEED_RANGE),
+    (["simulate", "--protocol", "sfn", "--seed", "-3", "{missing}"],
+     SEED_RANGE),
+    (["compare", "--defaults", "--seed", "-1"], SEED_RANGE),
+    (["simulate", "--protocol", "dlc1000", "--seed", str(1 << 64),
+      "{missing}"], SEED_RANGE),
 ], ids=["simulate-cycles", "simulate-max-retries", "simulate-max-level",
         "analyze-max-level", "compare-cycles", "ring-nodes",
-        "rand-area-nodes", "rand-area-d50", "rand-area-width"])
+        "rand-area-nodes", "rand-area-d50", "rand-area-width",
+        "rand-area-seed", "simulate-seed", "compare-seed",
+        "simulate-seed-too-large"])
 def test_library_range_check_exits_one_and_writes_nothing(
         ring10, tmp_path, capsys, monkeypatch, argv, message):
     outdir = tmp_path / "out"
@@ -260,7 +293,7 @@ def test_compare_single_perfect_matrix(perfect2, capsys, tmp_path):
 
 
 def test_compare_rejects_csv_format(ring10, capsys):
-    # compare prints several tables and has no CSV layout
+    # compare prints two tables and has no CSV layout
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--cycles", "5", "--format", "csv", ring10])
     assert exc.value.code == 1
@@ -354,6 +387,19 @@ SIM_TABLE = (
     "    1         5          5       2.000         0\n"
     "mean cycle duration 2.0000 (1 slaves reached), 10 slots total\n"
     "analytic total 2.0000, relative difference (analytic-sim)/sim: +0.00%\n")
+COMPARE_TABLE = (
+    "== expected cycle duration: analytic vs simulation ==\n"
+    "       model  dlc_analytic    dlc_simulated  dlc_rel_diff"
+    "  sfn_analytic    sfn_simulated  sfn_rel_diff\n"
+    + "-" * 102 + "\n"
+    "perfect2.per        2.0000  2.00 (1 slaves)         +0.0%"
+    "        2.0000  2.00 (1 slaves)         +0.0%\n"
+    "\n"
+    "== routing overhead (64-byte packets) ==\n"
+    "protocol  routing_bits  of_packet  signaling_bits_per_response\n"
+    "--------------------------------------------------------------\n"
+    " dlc1000            24       4.7%                          100\n"
+    "     sfn             8       1.6%                            0\n")
 SIM_CSV = ("slave,attempts,successes,mean_round_trip_slots,give_ups\r\n"
            "1,5,5,2.0,0\r\n")
 
@@ -375,12 +421,46 @@ SIM_CSV = ("slave,attempts,successes,mean_round_trip_slots,give_ups\r\n"
      SIM_TABLE.format(protocol="sfn")),
     (["simulate", "--protocol", "sfn", "--cycles", "5", "--format", "csv"],
      SIM_CSV),
+    (["compare", "--cycles", "5"], COMPARE_TABLE),
 ], ids=["analyze-text", "analyze-csv", "simulate-dlc1000-text",
-        "simulate-dlc1000-csv", "simulate-sfn-text", "simulate-sfn-csv"])
-def test_text_and_csv_layout_on_perfect_matrix(perfect2, capsys, argv,
-                                               expected):
+        "simulate-dlc1000-csv", "simulate-sfn-text", "simulate-sfn-csv",
+        "compare-text"])
+def test_text_and_csv_layout_on_perfect_matrix(perfect2, capsys, monkeypatch,
+                                               argv, expected):
     # every try succeeds on a perfect matrix, so the bytes do not depend
-    # on the random streams
-    code, text, err = run(capsys, *argv, perfect2)
+    # on the random streams; compare names the model by the path it gets
+    monkeypatch.chdir(Path(perfect2).parent)
+    code, text, err = run(capsys, *argv, Path(perfect2).name)
     assert (code, err) == (0, "")
     assert text == expected
+
+
+def test_compare_prints_one_failed_row_per_failed_model(perfect2, capsys,
+                                                       monkeypatch):
+    monkeypatch.chdir(Path(perfect2).parent)
+    code, text, _ = run(capsys, "compare", "--cycles", "5", "perfect2.per",
+                        "missing.per")
+    assert code == 1
+    failed = [line for line in text.splitlines() if "failed" in line]
+    assert len(failed) == 1
+    assert failed[0].split()[:2] == ["missing.per", "failed"]
+    assert failed[0].endswith("No such file or directory: 'missing.per'")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+def test_closed_stdout_pipe_ends_process_by_sigpipe_silently():
+    # the JSON document is far larger than a pipe buffer (64 KiB), so the
+    # writer is still writing when the reader goes away
+    src = str(Path(plcroute.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "plcroute.cli", "compare", "--defaults",
+         "--cycles", "1", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.wait(timeout=120)
+    assert proc.returncode == -signal.SIGPIPE
+    assert err == b""

@@ -78,9 +78,8 @@ def test_flood_equals_dense_per_origin_loop_bit_for_bit(m, data):
     n = m.node_count
     origin = data.draw(st.integers(0, n - 1))
     initial_tx = data.draw(st.floats(0.0, 1.0, exclude_min=True))
-    horizon = data.draw(st.none() | st.integers(0, n))
-    got = flood(m, origin, initial_tx, horizon)
-    want = per_origin_flood(m, origin, initial_tx, horizon)
+    got = flood(m, origin, initial_tx)
+    want = per_origin_flood(m, origin, initial_tx)
     assert np.array_equal(got.tx, want.tx)
     assert np.array_equal(got.rcv, want.rcv)
     assert np.array_equal(got.cumulative, want.cumulative)

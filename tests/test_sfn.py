@@ -73,7 +73,7 @@ def test_flood_initial_tx_seeds_level_zero():
 def test_flood_matches_reference_recursion(seed, n):
     rng = np.random.default_rng(seed)
     m = random_matrix(rng, n)
-    profile = flood(m, 0, 1.0, horizon=6)
+    profile = flood(m, 0, 1.0)
     tx_ref, rcv_ref = flood_reference(m.per, 0, 1.0, 6)
     levels = profile.horizon + 1
     assert np.allclose(profile.tx, tx_ref[:, :levels], atol=1e-12, rtol=0)
@@ -83,7 +83,7 @@ def test_flood_matches_reference_recursion(seed, n):
 def test_flood_fractional_seed_matches_reference():
     rng = np.random.default_rng(9)
     m = random_matrix(rng, 5)
-    profile = flood(m, 2, 0.4, horizon=5)
+    profile = flood(m, 2, 0.4)
     tx_ref, rcv_ref = flood_reference(m.per, 2, 0.4, 5)
     levels = profile.horizon + 1
     assert np.allclose(profile.tx, tx_ref[:, :levels], atol=1e-12, rtol=0)
@@ -102,7 +102,7 @@ def test_flood_conservation_and_monotone_cumulative():
 
 
 def test_flood_early_stop_when_transmissions_die():
-    profile = flood(line_matrix(), 0, 1.0, horizon=10)
+    profile = flood(line_matrix(), 0, 1.0)
     # nothing can transmit past level 1 on a 3-node line
     assert profile.horizon <= 2
 
@@ -115,8 +115,6 @@ def test_flood_rejects_bad_arguments():
         flood(m, 0, 0.0)
     with pytest.raises(ValueError):
         flood(m, 0, 1.2)
-    with pytest.raises(ValueError):
-        flood(m, 0, 1.0, horizon=-1)
 
 
 def test_first_success_distribution_hand_values():
@@ -284,7 +282,7 @@ def test_batched_floods_stop_each_row_at_its_own_level():
     # A lossless line 0-8, where a full-mass flood stops once its wave has
     # passed both ends, and apart from it a lossy triangle 9-11.  A flood in
     # the triangle, or one seeded with less than full mass, echoes until
-    # the horizon.
+    # level n, the node count.
     n = 12
     arr = np.ones((n, n))
     for a in range(8):
@@ -295,7 +293,7 @@ def test_batched_floods_stop_each_row_at_its_own_level():
     origins, seeds = [0, 4, 10, 2, 8], [1.0, 1.0, 0.25, 1.0, 0.75]
     tx_rows = [[] for _ in origins]
     rcv_rows = [[] for _ in origins]
-    for rows, tx, rcv in sfn._flood_levels(m, origins, seeds, n):
+    for rows, tx, rcv in sfn._flood_levels(m, origins, seeds):
         for k, row in enumerate(rows):
             tx_rows[row].append(tx[k])
             rcv_rows[row].append(rcv[k])

@@ -46,6 +46,10 @@ def test_config_validation():
         SimConfig(protocol="sfn", cycles=1, max_retries=-1)
     with pytest.raises(ValueError):
         SimConfig(protocol="dlc1000", cycles=1, max_level=-1)
+    for seed in (-1, 1 << 64, 1.0):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(protocol="sfn", cycles=1, seed=seed)
+    assert SimConfig(protocol="sfn", cycles=1, seed=(1 << 64) - 1)
 
 
 def test_dlc_perfect_two_nodes():
@@ -330,9 +334,12 @@ def test_flood_trial_line_is_deterministic():
      "target -1 out of range 1..5"),
     (lambda m, rng: sample_first_success_levels(m, 6, 10),
      "target 6 out of range 1..5"),
+    (lambda m, rng: sample_first_success_levels(m, 1, 10, seed=-1),
+     "seed must be an integer in 0..2**64-1"),
 ], ids=["flood-origin-negative", "flood-origin-too-large",
         "flood-max-level-negative", "sample-target-master",
-        "sample-target-negative", "sample-target-too-large"])
+        "sample-target-negative", "sample-target-too-large",
+        "sample-seed-negative"])
 def test_flood_and_sampler_reject_out_of_range_nodes(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(generate_ring(6), np.random.default_rng(0))
