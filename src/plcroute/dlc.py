@@ -8,6 +8,15 @@ the chain with the highest round-trip success probability, found by one
 depth-first search that tries the best bound first at every count; across
 counts it keeps the one with the lowest expected duration under
 retry-until-success.
+
+The search's bound tables depend on the slave, not on the repeater
+count, so `best_path` keeps the last slave's tables and extends them to
+the count it is asked for: `slave_analysis`, which asks for every count
+of one slave in turn, builds each table once.  A table step reads each
+node's live pair links from a slot-major table cached per matrix when no
+node has more than n / 3 of them, and the dense matrix otherwise, the
+same layout rule that `sfn` uses for its floods; both give every table,
+chain and analysis bit for bit.
 """
 from __future__ import annotations
 
@@ -16,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import MASTER, PerMatrix
+from .channel import MASTER, PerMatrix, _live_links
 
 
 class InvalidPathError(ValueError):
@@ -110,16 +119,46 @@ def _pair_weights(per: PerMatrix) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=1)
+def _pair_links(per: PerMatrix) -> tuple[np.ndarray | None, np.ndarray]:
+    """_pair_weights as a slot-major table of each node's live pair links.
+
+    (src, links) as `channel._live_links` gives them; w is symmetric, so
+    column v lists the nodes u with a live round trip u <-> v.
+    """
+    return _live_links(_pair_weights(per))
+
+
+@lru_cache(maxsize=1)
+def _tails(per: PerMatrix, slave: int) -> list:
+    """Bound tables [None, tail[1], ...] of the search towards one slave.
+
+    Holds tail[1] only; best_path appends the deeper tables as its level
+    needs them.  One slave is cached at a time, and slave_analysis asks
+    for its levels in ascending order, so it builds each table once.
+    """
+    t = _pair_weights(per)[:, slave].copy()
+    t[[MASTER, slave]] = 0.0  # the master and the slave are never repeaters
+    return [None, t]
+
+
 def best_path(per: PerMatrix, slave: int, level: int) -> DlcPathResult:
     """Repeater chain with the highest round-trip success at a given level.
 
     One depth-first search serves every level.  tail[k][v] is the best
     product of k hops from v to the slave over walks that may repeat
-    repeaters, so it bounds every chain that continues from v.  Each node
-    of the search visits its children best bound first, which makes the
-    first chain it completes the greedy one, and stops at the first child
-    whose bound falls below the best chain found so far.  Chains are ranked
-    by round_trip_success's own product, so ties are exact and go to the
+    repeaters, so it bounds every chain that continues from v.  A table
+    step takes, for every node, the max over its pair links of link
+    weight times the previous table, read from the live links alone when
+    no node has more than n / 3 of them and from the dense matrix
+    otherwise; max is exact and every product has the same two operands
+    either way (w is symmetric), so both give the same tables bit for
+    bit.  The tables depend on the slave, not the level, and are kept
+    for the next call on the same slave (_tails).  Each node of the
+    search visits its children best bound first, which makes the first
+    chain it completes the greedy one, and stops at the first child whose
+    bound falls below the best chain found so far.  Chains are ranked by
+    round_trip_success's own product, so ties are exact and go to the
     lexicographically smallest repeater sequence.  If no chain of this
     length can succeed, the smallest valid sequence is returned with
     probability 0.
@@ -131,12 +170,14 @@ def best_path(per: PerMatrix, slave: int, level: int) -> DlcPathResult:
             f"repeater level {level} out of range 0..{n - 2} for {n} nodes"
         )
     w = _pair_weights(per)
-    # the master and the slave are never repeaters: zero bound
-    t = w[:, slave].copy()
-    t[[MASTER, slave]] = 0.0
-    tail = [None, t]
-    for _ in range(level - 1):
-        t = (w * t).max(axis=1)
+    src, links = _pair_links(per)
+    tail = _tails(per, slave)
+    while len(tail) <= level:
+        t = tail[-1]
+        if src is None:
+            t = (links * t).max(axis=1)
+        else:
+            t = (links * t[src]).max(axis=0)
         t[[MASTER, slave]] = 0.0
         tail.append(t)
 
@@ -156,13 +197,16 @@ def best_path(per: PerMatrix, slave: int, level: int) -> DlcPathResult:
         step = prob * w[last]
         bound = step * tail[level - depth]
         bound[prefix] = 0.0
-        for r in np.argsort(-bound, kind="stable"):
-            # children come in descending order, so none after this one
-            # can win; while best is 0 this also skips dead children
+        while True:
+            # the highest bound left, the smallest node among equals, so
+            # children come in stable descending order and none after this
+            # one can win; while best is 0 this also skips dead children
+            r = int(bound.argmax())
             if bound[r] * margin <= best:
                 break
-            prefix.append(int(r))
-            visit(int(r), step[r])
+            bound[r] = -1.0  # visited
+            prefix.append(r)
+            visit(r, step[r])
             prefix.pop()
 
     visit(MASTER, 1.0)

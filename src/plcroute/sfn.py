@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import MASTER, PerMatrix
+from .channel import MASTER, PerMatrix, _live_links
 
 # Residual probability mass beyond the computed horizon above which a
 # mean first-success level is flagged as unreliable.
@@ -114,26 +114,15 @@ def _in_links(per: PerMatrix) -> tuple[np.ndarray | None, np.ndarray]:
     Returns (src, ok): column j of src lists the transmitters i != j with
     ok[i, j] = 1 - per[i, j] > 0 in ascending order, and ok holds those
     links' success probabilities; the slots past a receiver's last live
-    link point at dead links, whose ok is 0.  Gathering a slot costs about
-    three times multiplying one (rand_area_300: 2.7 s gathered against
-    0.8 s broadcast), so when a receiver has more than n / 3 live
-    in-links, src is None and ok is the full (n, n) success matrix with a
-    zero diagonal, a node not being its own transmitter.  Read-only and
-    computed once per matrix: PerMatrix is immutable and hashes by
-    identity.
+    link point at dead links, whose ok is 0.  When a receiver has more
+    than n / 3 live in-links, src is None and ok is the full (n, n)
+    success matrix with a zero diagonal, a node not being its own
+    transmitter (`channel._live_links`).  Read-only and computed once per
+    matrix: PerMatrix is immutable and hashes by identity.
     """
     ok = 1.0 - per.per
     np.fill_diagonal(ok, 0.0)
-    live = ok > 0.0
-    depth = max(1, int(live.sum(axis=0).max()))
-    if 3 * depth > per.node_count:
-        ok.setflags(write=False)
-        return None, ok
-    src = np.argsort(~live, axis=0, kind="stable")[:depth]
-    table = np.take_along_axis(ok, src, axis=0)
-    for a in (src, table):
-        a.setflags(write=False)
-    return src, table
+    return _live_links(ok)
 
 
 def _flood_levels(per: PerMatrix, origins, initial_tx):

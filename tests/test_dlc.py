@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from plcroute.channel import PerMatrix, generate_ring
+from plcroute import dlc
+from plcroute.channel import ChannelSpec, PerMatrix, build_matrix, generate_ring
 from plcroute.dlc import (
     InvalidPathError,
     best_path,
@@ -91,12 +92,18 @@ def test_best_path_lexicographic_tie_break():
     assert best_path(m, 5, 2).repeaters == (2, 4)  # not (8, 6)
 
 
-@pytest.mark.parametrize("nodes", [10, 12])
-def test_best_path_equals_oracle_exactly_on_rings(nodes):
+@pytest.mark.parametrize("nodes,table", [
+    pytest.param(10, False, id="10"),
+    pytest.param(12, True, id="12"),
+])
+def test_best_path_equals_oracle_exactly_on_rings(nodes, table):
     # ring chains tie exactly in both directions and across two-hop
     # shortcuts; the search and the oracle multiply the same product, so
-    # the tie-break is exact at every level
+    # the tie-break is exact at every level.  Four live pair links per
+    # node exceed n / 3 on ring_10 but not on ring_12, so the bound
+    # tables are dense on one and read from live links on the other
     m = generate_ring(nodes, 0.1, 0.6)
+    assert (dlc._pair_links(m)[0] is not None) == table
     for slave in m.slaves:
         for level in range(5):
             got = best_path(m, slave, level)
@@ -242,3 +249,40 @@ def test_cycle_total_is_sum_of_slave_durations():
     # dropping any slave from the polling list can only shrink the sum
     for skip in range(len(reachable)):
         assert sum(d for i, d in enumerate(reachable) if i != skip) <= analysis.total
+
+
+@pytest.mark.parametrize("name,spec,table", [
+    ("ring_100", ChannelSpec(kind="ring", node_count=100), True),
+    ("rand_area_100", ChannelSpec(kind="rand_area", node_count=100, seed=100),
+     False),
+])
+def test_slave_analysis_equals_best_path_per_level(name, spec, table):
+    # slave_analysis searches every level against the bound tables that
+    # its lower levels left cached; with the cache emptied, best_path
+    # builds only the tables its own level needs
+    m = build_matrix(spec)
+    assert (dlc._pair_links(m)[0] is not None) == table
+    for slave in m.slaves:
+        analysis = slave_analysis(m, slave, 4)
+        assert [o.level for o in analysis.per_level] == [0, 1, 2, 3, 4]
+        for option in analysis.per_level:
+            dlc._tails.cache_clear()
+            path = best_path(m, slave, option.level)
+            assert option.success_prob == path.success_prob, (slave, option)
+            if analysis.reachable and option.level == analysis.best_level:
+                assert analysis.repeaters == path.repeaters, slave
+
+
+def test_cycle_analysis_pins_ring_1000():
+    # the wide-area ring: four repeaters of at most two ring hops each
+    # reach the 10 slaves on either side of the master and no further
+    m = generate_ring(1000, 0.1, 0.6)
+    assert dlc._pair_links(m)[0] is not None
+    analysis = cycle_analysis(m, 4)
+    assert analysis.total == 237747.74479573916
+    assert analysis.unreachable == tuple(range(11, 990))
+    chains = {a.slave: (a.best_level, a.repeaters) for a in analysis.slaves
+              if a.slave in (1, 10, 250, 500, 990, 999)}
+    assert chains == {1: (0, ()), 10: (4, (2, 4, 6, 8)), 250: (0, ()),
+                      500: (0, ()), 990: (4, (998, 996, 994, 992)),
+                      999: (0, ())}
