@@ -19,11 +19,16 @@ such factors out: on a sparse matrix it multiplies over each receiver's
 live in-links (ok > 0), read in ascending transmitter order from a
 slot-major table cached per matrix; when some receiver has more than
 n / 3 live in-links it multiplies over every node that transmits at the
-level.  numpy multiplies along the reduced axis in order, so each
-product, and with it every profile and analysis, is bit for bit the
-dense per-flood product over all n nodes.  `cycle_analysis` floods the
-downlink once and every slave's uplinks together, in row blocks of
-bounded size, keeping only what reaches the master.
+level, or, in a block left with one flood, over every node without
+gathering rows once more than half of them transmit, a silent node's
+factor being exactly 1.0.  numpy
+multiplies along the reduced axis in order, so each product, and with it
+every profile and analysis, is bit for bit the dense per-flood product
+over all n nodes.  `cycle_analysis` floods the downlink once and every
+slave's uplinks together, in row blocks of bounded size, keeping only
+what reaches the master; an uplink flood stops after the first level at
+which the master's cumulative reception reaches 1.0, since every later
+level adds exactly 0 to it.
 """
 from __future__ import annotations
 
@@ -125,7 +130,7 @@ def _in_links(per: PerMatrix) -> tuple[np.ndarray | None, np.ndarray]:
     return _live_links(ok)
 
 
-def _flood_levels(per: PerMatrix, origins, initial_tx):
+def _flood_levels(per: PerMatrix, origins, initial_tx, *, until=None):
     """Advance one flood per origin, all at once, level by level.
 
     initial_tx gives each flood's level-0 transmit mass at its origin.
@@ -133,7 +138,10 @@ def _flood_levels(per: PerMatrix, origins, initial_tx):
     still running at level r and, one row each, their transmit and
     first-reception probabilities at that level.  A flood stops after
     level n, the node count, or after a level whose receptions leave no
-    node any transmit mass, as `flood` describes.
+    node any transmit mass, as `flood` describes.  Given a node `until`,
+    a flood also stops after the first level at which that node's
+    cumulative reception reaches 1.0: every later reception of the node
+    is (1 - cumulative) * (...) clipped at 0, so exactly 0.
     """
     src, ok = _in_links(per)
     rows = np.arange(len(origins))
@@ -146,7 +154,12 @@ def _flood_levels(per: PerMatrix, origins, initial_tx):
     for r in range(per.node_count + 1):
         if src is None:
             live = tx.any(axis=0)
-            miss = tx[:, live, None] * ok[live]
+            if rows.size == 1 and 2 * np.count_nonzero(live) > per.node_count:
+                # a lone flood: gathering its live rows of ok would copy
+                # as much as the product multiplies
+                miss = (tx[0, :, None] * ok)[None]
+            else:
+                miss = tx[:, live, None] * ok[live]
         else:
             miss = tx[:, src]
             miss *= ok
@@ -162,6 +175,8 @@ def _flood_levels(per: PerMatrix, origins, initial_tx):
             spent_tx = spent_tx + last_tx
         last_tx, tx = tx, np.maximum(1.0 - spent_tx, 0.0) * rcv
         going = tx.any(axis=1)
+        if until is not None:
+            going &= cum_rcv[:, until] < 1.0
         if not going.any():
             return
         if not going.all():
@@ -174,8 +189,10 @@ def flood(per: PerMatrix, origin: int,
           initial_tx: float = 1.0) -> FloodProfile:
     """Level-by-level transmit/reception recursion for one flood origin.
 
-    initial_tx scales the whole profile; an uplink flood is seeded with the
-    probability mass that the downlink delivered to its origin.  At level
+    initial_tx is the origin's level-0 transmit mass, the seed of the
+    recursion; it does not scale the profile, whose later levels are not
+    linear in it.  An uplink flood is seeded with the probability mass
+    that the downlink delivered to its origin.  At level
     r >= 1 a node transmits with the first-reception probability of the
     previous level times its still-unspent transmit mass, and a node first
     receives if it has not received before and at least one current
@@ -212,8 +229,10 @@ def _master_cumulative(per: PerMatrix, origins,
     """The master's cumulative reception per level of each given flood.
 
     Equal to flood(per, o, m).cumulative[MASTER] for each origin o and
-    seed m; the floods run in row blocks whose kernel temporary stays
-    within _BATCH_ELEMENTS.
+    seed m, cut after its first entry of 1.0 or more: a flood stops at the
+    level where the master's reception becomes certain, because every
+    later entry repeats that one.  The floods run in row blocks whose
+    kernel temporary stays within _BATCH_ELEMENTS.
     """
     slots = _in_links(per)[1].size  # per row of the kernel's temporary
     rows_per_block = max(1, _BATCH_ELEMENTS // slots)
@@ -224,7 +243,7 @@ def _master_cumulative(per: PerMatrix, origins,
         cols = []
         levels = np.zeros(len(block_origins), dtype=np.int64)
         for r, (rows, _, level_rcv) in enumerate(_flood_levels(
-                per, block_origins, initial_tx[block])):
+                per, block_origins, initial_tx[block], until=MASTER)):
             col = np.zeros(len(block_origins))
             col[rows] = level_rcv[:, MASTER]
             cols.append(col)

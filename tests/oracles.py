@@ -66,8 +66,10 @@ def per_origin_flood(per: PerMatrix, origin: int, initial_tx: float = 1.0,
     The dense one-flood-at-a-time loop that `sfn.flood` used to run; the
     package's batched kernel must reproduce it bit for bit.
 
-    initial_tx scales the whole profile; an uplink flood is seeded with the
-    probability mass that the downlink delivered to its origin.  At level
+    initial_tx is the origin's level-0 transmit mass, the seed of the
+    recursion; it does not scale the profile, whose later levels are not
+    linear in it.  An uplink flood is seeded with the probability mass
+    that the downlink delivered to its origin.  At level
     r >= 1 a node transmits with the first-reception probability of the
     previous level times its still-unspent transmit mass, and a node first
     receives if it has not received before and at least one current

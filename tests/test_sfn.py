@@ -278,6 +278,15 @@ def test_degradation_monotonicity_is_not_universal():
     assert cumulative_increase_after_degrading(108) > 1e-4
 
 
+def until_master_closes(cumulative: np.ndarray) -> np.ndarray:
+    """The master's cumulative reception cut after its first 1.0.
+
+    Every later entry repeats it, so `_master_cumulative` leaves them off.
+    """
+    closed = np.flatnonzero(cumulative >= 1.0)
+    return cumulative[:closed[0] + 1] if closed.size else cumulative
+
+
 def test_batched_floods_stop_each_row_at_its_own_level():
     # A lossless line 0-8, where a full-mass flood stops once its wave has
     # passed both ends, and apart from it a lossy triangle 9-11.  A flood in
@@ -305,9 +314,13 @@ def test_batched_floods_stop_each_row_at_its_own_level():
         stops.add(want.horizon)
     assert len(stops) > 2
     master = sfn._master_cumulative(m, origins[1:], seeds[1:])
+    cut = 0
     for got, origin, seed in zip(master, origins[1:], seeds[1:]):
-        want = per_origin_flood(m, origin, seed).cumulative[0]
+        full = per_origin_flood(m, origin, seed).cumulative[0]
+        want = until_master_closes(full)
         assert np.array_equal(got, want)
+        cut += want.size < full.size
+    assert cut >= 1
 
 
 @pytest.mark.parametrize("name,spec,table", [
@@ -320,3 +333,66 @@ def test_cycle_analysis_equals_slave_analysis_per_slave(name, spec, table):
     assert (sfn._in_links(m)[0] is not None) == table
     analysis = cycle_analysis(m)
     assert analysis.slaves == tuple(slave_analysis(m, s) for s in m.slaves)
+
+
+def uplink_seeds(per: PerMatrix):
+    """(slave, r_dl, downlink success) of every uplink flood that
+    cycle_analysis runs, in its order."""
+    downlink = flood(per, 0)
+    plan = []
+    for s in per.slaves:
+        dist = level_distribution(downlink, s)
+        if not dist.unreachable:
+            plan.extend((s, r, float(downlink.cumulative[s, r]))
+                        for r in sfn._level_candidates(dist.mean_level))
+    return plan
+
+
+def full_length_cycle_analysis(per: PerMatrix):
+    """cycle_analysis rebuilt from the oracle's full-length uplinks."""
+    uplinks = {s: [] for s in per.slaves}
+    for s, r_dl, seed in uplink_seeds(per):
+        master = per_origin_flood(per, s, seed).cumulative[0]
+        uplinks[s].append((r_dl, seed, master))
+    slaves = tuple(sfn._choose(s, uplinks[s]) for s in per.slaves)
+    return slaves, sum(until_master_closes(m).size < m.size
+                       for ups in uplinks.values() for _, _, m in ups)
+
+
+def closing_matrix(seed: int) -> PerMatrix:
+    """Seeded random matrix with many lossless (PER 0) and dead (PER 1)
+    links, so that the master's reception closes in many uplink floods."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 16))
+    arr = rng.random((n, n))
+    draw = rng.random((n, n))
+    arr[draw < 0.3] = 0.0
+    arr[draw > 0.8] = 1.0
+    np.fill_diagonal(arr, 0.0)
+    return PerMatrix(arr)
+
+
+@pytest.mark.parametrize("batch", [1, 1 << 16, 1 << 30])
+def test_cycle_analysis_equals_full_length_uplinks(monkeypatch, batch):
+    monkeypatch.setattr(sfn, "_BATCH_ELEMENTS", batch)
+    models = [closing_matrix(seed) for seed in range(12)]
+    models.append(build_matrix(
+        ChannelSpec(kind="rand_area", node_count=100, seed=100)))
+    for m in models:
+        want, closed = full_length_cycle_analysis(m)
+        assert closed >= 1
+        got = cycle_analysis(m)
+        assert got.slaves == want
+        assert got.total == float(sum(
+            a.expected_duration for a in want if a.reachable))
+        assert got.unreachable == tuple(
+            a.slave for a in want if not a.reachable)
+
+
+def test_uplink_floods_stop_once_the_master_closes():
+    m = build_matrix(ChannelSpec(kind="rand_area", node_count=100, seed=100))
+    plan = uplink_seeds(m)
+    master = sfn._master_cumulative(
+        m, [s for s, _, _ in plan], [seed for _, _, seed in plan])
+    full = sum(flood(m, s, seed).horizon + 1 for s, _, seed in plan)
+    assert sum(c.size for c in master) < full
