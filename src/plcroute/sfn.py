@@ -272,10 +272,18 @@ def first_success_distribution(attempt_success) -> tuple[np.ndarray, float]:
 
 def _distribution(cumulative: np.ndarray) -> LevelDistribution:
     pi, truncated = first_success_distribution(cumulative)
-    mass = pi.sum()
+    head = pi
+    if not pi[-1]:
+        # Sum over pi cut after its last nonzero entry: numpy and BLAS
+        # group the additions by length, so trailing zeros (a flood that
+        # ran on after its target's reception became certain) would move
+        # the mean's last bit.
+        nonzero = np.flatnonzero(pi)
+        head = pi[:nonzero[-1] + 1 if nonzero.size else 0]
+    mass = head.sum()
     if mass <= 0.0:
         return LevelDistribution(pi, None, 1.0, True)
-    mean = float(np.arange(pi.size) @ pi / mass)
+    mean = float(np.arange(head.size) @ head / mass)
     return LevelDistribution(pi, mean, truncated, False)
 
 

@@ -4,7 +4,12 @@ Cycles are simulated a block of _BLOCK at a time.  Each slave gets one
 counter-based Philox stream per block, keyed on (seed, slave, block), and
 the cycles of the block advance by whole-array draws from it (one try
 count per DLC1000 cycle, one flood per still-failing SFN cycle and try),
-so reports are bit-identical across repeats.  Slot accounting is
+so reports are bit-identical across repeats.  The SFN floods of all
+slaves run together: each leg of each try is one kernel call (_spread)
+over the still-failing cycles of every slave and block, in batches of
+bounded size, and each (slave, block) group still draws from its own
+stream exactly the uniforms, in the same order, that it would draw on
+its own, so no report depends on the batching.  Slot accounting is
 exact: a DLC1000 try reserves 2*(level+1) slots whether or not it
 succeeds, an SFN try reserves the two full flood windows, 2 + r_dl + r_ul
 slots, with both levels incremented by one per retry.
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -22,6 +28,9 @@ from .channel import MASTER, PerMatrix, _check_seed
 PROTOCOLS = ("dlc1000", "sfn")
 
 _BLOCK = 256  # cycles (or trials) per keyed random stream
+# Rows times nodes of one batch of simulated floods: bounds each (rows, n)
+# array of the kernel, and so the memory a batch needs.
+_BATCH_ELEMENTS = 1 << 15
 # log-miss of a PER-0 link.  The flood's matrix product multiplies the
 # zeros of the transmitter mask by every entry, and 0 * -inf is NaN; exp()
 # of anything below about -745 is exactly 0, so the link stays certain.
@@ -39,12 +48,13 @@ class SimConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.cycles < 1:
-            raise ValueError("cycles must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.max_level < 0:
-            raise ValueError("max_level must be >= 0")
+        for name, low in (("cycles", 1), ("max_retries", 0),
+                          ("max_level", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}")
         _check_seed(self.seed)
 
 
@@ -99,35 +109,120 @@ def _log_miss(per: PerMatrix) -> np.ndarray:
     return log_miss
 
 
+def _spread(log_miss: np.ndarray, origin, budget, mute, counts, fills,
+            level: np.ndarray | None = None) -> np.ndarray:
+    """Floods of several groups of rows at once; whether each row's muted
+    nodes received.
+
+    Group g holds counts[g] >= 1 consecutive rows, each an independent
+    flood from origin[g] with level budget budget[g] in which the nodes
+    mute[g] receive but never relay.  The origin transmits at level 0, and
+    a node that first receives at level r retransmits exactly once at
+    level r + 1 while the budget lasts.  A node receives when at least one
+    current transmitter gets through; the links are independent, so that
+    has probability 1 - prod(1 - ok) = -expm1(sum of log_miss over the
+    transmitters), and one uniform per receiver has the same law as one
+    uniform per link.  The origin never first-receives its own packet.
+
+    Each level, fills[g] fills the group's (counts[g], n) block of
+    uniforms from the group's own stream, so a group draws exactly what a
+    lone flood of its rows draws, and it stops where that flood stops:
+    after level budget[g], or after a level at which none of its rows has
+    a fresh relay.  A stopped group's rows stay in place, silent, until
+    they are half of all rows, and are then compacted away.  Returns a
+    (rows, len(mute[g])) bool array; given a (rows, n) array level, also
+    writes each node's first-reception level there.
+    """
+    n = log_miss.shape[0]
+    counts, budget = np.asarray(counts), np.asarray(budget)
+    group = np.repeat(np.arange(counts.size), counts)  # each row's group
+    ids = np.arange(group.size)  # each current row's row of the result
+    mute = np.asarray(mute)[group]
+    got = np.zeros(mute.shape, dtype=bool)
+    heard = got.copy()  # got of the current rows
+    src = np.asarray(origin)[group]
+    waiting = np.ones((ids.size, n), dtype=bool)  # may still first-receive
+    waiting[ids, src] = False
+    # level 0: the origin transmits alone, so each sum is its row's entry
+    hear = log_miss[src]
+    # 1.0 where a node transmits at the level; once summed into hear, the
+    # level's uniforms
+    tx = np.empty_like(hear)
+    ones = np.ones(n)  # tx @ ones counts each row's transmitters
+    relaid = True
+    for r in range(int(budget.max()) + 1):
+        if relaid:  # buffers for the current rows
+            starts = np.cumsum(counts) - counts
+            flat = np.empty(tx.size, dtype=bool)
+            fresh = flat.reshape(tx.shape)
+            every = list(zip(fills, (tx[a:a + c]
+                                     for a, c in zip(starts, counts))))
+            drawing = every  # (fill, view) of each running group
+            running = np.ones(counts.size, dtype=bool)
+            cells = np.arange(ids.size)[:, None] * n + mute  # flat, in fresh
+            if r:
+                hear = np.empty_like(tx)
+            relaid = False
+        if r:
+            np.matmul(tx, log_miss, out=hear)
+        for fill, view in drawing:
+            fill(out=view)
+        np.expm1(hear, out=hear)
+        np.negative(hear, out=hear)
+        np.less(tx, hear, out=fresh)
+        fresh &= waiting
+        if level is not None:
+            hit_row, hit_node = np.nonzero(fresh)
+            level[ids[hit_row], hit_node] = r
+        waiting ^= fresh
+        heard |= flat[cells]
+        flat[cells] = False
+        if not flat.any():
+            break
+        np.copyto(tx, fresh)
+        if counts.size == 1:  # it has fresh relays, so only its budget ends it
+            if r == budget[0]:
+                break
+            continue
+        going = np.add.reduceat(tx @ ones, starts) > 0.0
+        going &= budget > r
+        if (going != running).any():
+            if not going.any():
+                break
+            # a stopped group's rows stay, silent: with no transmitter
+            # their sums are 0, and as -expm1(0) is below every uniform
+            # they receive nothing and need no draws
+            for g in np.flatnonzero(running & ~going):
+                tx[starts[g]:starts[g] + counts[g]] = 0.0
+            running = going
+            if 2 * counts[running].sum() > ids.size:
+                drawing = [d for d, go in zip(every, running.tolist()) if go]
+                continue
+            keep = running[group]
+            got[ids[~keep]] = heard[~keep]
+            tx, waiting, ids, mute, heard = (
+                a[keep] for a in (tx, waiting, ids, mute, heard))
+            counts, budget = counts[running], budget[running]
+            fills = [f for f, go in zip(fills, running.tolist()) if go]
+            group = np.repeat(np.arange(counts.size), counts)
+            relaid = True
+    got[ids] = heard
+    return got
+
+
 def _flood(log_miss: np.ndarray, origin: int, max_level: int, rows: int,
            rng: np.random.Generator, no_relay) -> np.ndarray:
     """rows independent floods; first-reception level per row and node (-1 if none).
 
-    The origin transmits at level 0, and a node that first receives at
-    level r retransmits exactly once at level r + 1 while the level budget
-    lasts, except no_relay (the packet's destination, or a list of nodes),
-    which receives but never retransmits.  A node receives when at least
-    one current transmitter gets through; the links are independent, so
-    that has probability 1 - prod(1 - ok) = -expm1(sum of log_miss over
-    the transmitters), and one uniform per receiver has the same law as
-    one uniform per link.  The origin never first-receives its own packet.
+    The one-group case of _spread: the floods draw from rng, and no_relay
+    (the packet's destination, or a list of nodes) receives but never
+    retransmits.
     """
-    n = log_miss.shape[0]
-    level = np.full((rows, n), -1, dtype=np.int64)
-    waiting = np.ones((rows, n), dtype=bool)  # may still first-receive
-    waiting[:, origin] = False
-    tx = np.zeros((rows, n))  # 1.0 where a node transmits at this level
-    tx[:, origin] = 1.0
-    for r in range(max_level + 1):
-        hear = -np.expm1(tx @ log_miss)
-        fresh = rng.random((rows, n)) < hear
-        fresh &= waiting
-        level[fresh] = r
-        waiting ^= fresh
-        fresh[:, no_relay] = False
-        if not np.count_nonzero(fresh):
-            break
-        tx = fresh.astype(np.float64)
+    level = np.full((rows, log_miss.shape[0]), -1, dtype=np.int64)
+    if rows:
+        _spread(log_miss, [origin], [max_level],
+                np.array(no_relay, dtype=np.intp).reshape(1, -1), [rows],
+                [rng.random], level)
     return level
 
 
@@ -140,38 +235,69 @@ def flood_trial(per: PerMatrix, origin: int, max_level: int,
     Nodes in no_relay (the packet's destination) receive but never
     retransmit.
     """
-    if not (0 <= origin < per.node_count):
-        raise ValueError(f"origin {origin} out of range 0..{per.node_count - 1}")
+    n = per.node_count
+    if not (0 <= origin < n):
+        raise ValueError(f"origin {origin} out of range 0..{n - 1}")
     if max_level < 0:
         raise ValueError("max_level must be >= 0")
-    return _flood(_log_miss(per), origin, max_level, 1, rng,
-                  list(no_relay))[0]
+    no_relay = list(no_relay)
+    for node in no_relay:
+        if not (0 <= node < n):
+            raise ValueError(f"no_relay node {node} out of range 0..{n - 1}")
+    return _flood(_log_miss(per), origin, max_level, 1, rng, no_relay)[0]
 
 
-def _first_successes(per: PerMatrix, legs, tries: int, count: int,
-                     seed: int, key: int) -> np.ndarray:
+def _first_successes(per: PerMatrix, plans, tries: int, count: int,
+                     seed: int) -> np.ndarray:
     """First successful try of each of count cycles (or trials), -1 if none.
 
-    Try j runs the legs (origin, level, dest) in order, each a flood from
-    origin with allowed level level + j in which dest does not relay; a
-    leg runs only in the cycles whose earlier legs reached their
-    destination, and the try succeeds when the last one does.  A cycle
-    stops at its first success or after tries tries.  Each block of
-    cycles draws from the stream keyed on (seed, key, block).
+    plans holds one (key, legs) pair per row of the result.  Try j runs
+    the legs (origin, level, dest) in order, each a flood from origin
+    with allowed level level + j in which dest does not relay; a leg runs
+    only in the cycles whose earlier legs reached their destination, and
+    the try succeeds when the last one does.  A cycle stops at its first
+    success or after tries tries.  Each block of a plan's cycles draws
+    from the stream keyed on (seed, key, block), in the order a block
+    simulated on its own would.  The (plan, block) groups run in batches
+    of at most _BATCH_ELEMENTS rows times nodes (at least one group), and
+    each leg of each try floods the still-failing cycles of every group
+    of a batch in one _spread call.
     """
     log_miss = _log_miss(per)
-    first = np.full(count, -1, dtype=np.int64)
-    for block, rows in _blocks(count):
-        rng = _block_rng(seed, key, block)
-        pending = np.arange(block * _BLOCK, block * _BLOCK + rows)
+    legs = np.array([plan_legs for _, plan_legs in plans], dtype=np.intp)
+    first = np.full((len(plans), count), -1, dtype=np.int64)
+    batch_rows = max(1, _BATCH_ELEMENTS // per.node_count)
+    batches, size = [[]], 0  # (plan, block, rows) groups
+    for p in range(len(plans)):
+        for block, rows in _blocks(count):
+            if batches[-1] and size + rows > batch_rows:
+                batches.append([])
+                size = 0
+            batches[-1].append((p, block, rows))
+            size += rows
+    for batch in filter(None, batches):
+        plan = np.array([p for p, _, _ in batch])
+        fills = [_block_rng(seed, plans[p][0], block).random
+                 for p, block, _ in batch]
+        pending = np.concatenate([  # cells of first, grouped by group
+            np.arange(rows) + (p * count + block * _BLOCK)
+            for p, block, rows in batch])
+        group = np.repeat(np.arange(len(batch)), [g[2] for g in batch])
         for j in range(tries):
-            ok = np.ones(pending.size, dtype=bool)
-            for origin, level, dest in legs:
-                ok[ok] = _flood(log_miss, origin, level + j,
-                                np.count_nonzero(ok), rng, dest)[:, dest] >= 0
-            first[pending[ok]] = j
-            pending = pending[~ok]
-            if pending.size == 0:
+            ok = np.arange(pending.size)  # rows whose legs all arrived
+            for leg in range(legs.shape[1]):
+                counts = np.bincount(group[ok], minlength=len(batch))
+                live = np.flatnonzero(counts)
+                origin, level, dest = legs[plan[live], leg].T
+                ok = ok[_spread(log_miss, origin, level + j, dest[:, None],
+                                counts[live], [fills[g] for g in live])[:, 0]]
+                if not ok.size:
+                    break
+            first.flat[pending[ok]] = j
+            failed = np.ones(pending.size, dtype=bool)
+            failed[ok] = False
+            pending, group = pending[failed], group[failed]
+            if not pending.size:
                 break
     return first
 
@@ -269,16 +395,14 @@ def simulate_sfn(per: PerMatrix, cfg: SimConfig,
     """
     analysis = _plan(per, cfg, "sfn", analysis)
     cap = cfg.max_retries + 1  # most tries a cycle makes
-    counts = []
-    for a in analysis.slaves:
-        s = a.slave
-        first = _first_successes(
-            per, ((MASTER, a.r_dl, s), (s, a.r_ul, MASTER)), cap,
-            cfg.cycles, cfg.seed, s)
-        made = np.where(first >= 0, first + 1, cap)
-        counts.append((made.sum(), np.count_nonzero(first >= 0),
-                       (made * (1 + a.r_dl + a.r_ul + made)).sum()))
-    return _report(cfg, counts)
+    first = _first_successes(
+        per, [(a.slave, ((MASTER, a.r_dl, a.slave), (a.slave, a.r_ul, MASTER)))
+              for a in analysis.slaves], cap, cfg.cycles, cfg.seed)
+    made = np.where(first >= 0, first + 1, cap)
+    window = np.array([[1 + a.r_dl + a.r_ul] for a in analysis.slaves])
+    return _report(cfg, zip(made.sum(axis=1),
+                            np.count_nonzero(first >= 0, axis=1),
+                            (made * (window + made)).sum(axis=1)))
 
 
 def simulate(per: PerMatrix, cfg: SimConfig, analysis=None) -> SimReport:
@@ -300,6 +424,8 @@ def sample_first_success_levels(per: PerMatrix, target: int, trials: int,
     """
     if not (MASTER < target < per.node_count):
         raise ValueError(f"target {target} out of range 1..{per.node_count - 1}")
+    if not (isinstance(trials, Integral) and trials >= 0):
+        raise ValueError(f"trials must be an integer >= 0, not {trials!r}")
     _check_seed(seed)
-    return _first_successes(per, ((MASTER, 0, target),), per.node_count + 1,
-                            trials, seed, target)
+    return _first_successes(per, [(target, ((MASTER, 0, target),))],
+                            per.node_count + 1, trials, seed)[0]

@@ -139,6 +139,20 @@ def test_level_distribution_mean_and_mass():
     assert not dist.unreachable
 
 
+def test_mean_level_ignores_trailing_certain_levels():
+    # once the target's reception is certain, pi is 0 at every later
+    # level; the mean must not depend on how many of them a flood carries
+    # (summed over the whole array, this cumulative gives two means)
+    cumulative = np.array([
+        0.028319671145462966, 0.033585575305464355, 0.12428327649956394,
+        0.17565562060255901, 0.2997118905373848, 0.42268722119765845,
+        0.5414612202490917, 0.6706244146936303, 0.7296554464299441, 1.0])
+    means = {sfn._distribution(np.append(cumulative, np.ones(k))).mean_level
+             for k in range(30)}
+    assert len(means) == 1
+    assert means.pop() == pytest.approx(4.337982782569221, abs=1e-15)
+
+
 def test_level_distribution_unreachable():
     m = matrix([[0.0, 1.0], [1.0, 0.0]])
     profile = flood(m, 0, 1.0)

@@ -50,6 +50,12 @@ def test_config_validation():
         with pytest.raises(ValueError, match="seed"):
             SimConfig(protocol="sfn", cycles=1, seed=seed)
     assert SimConfig(protocol="sfn", cycles=1, seed=(1 << 64) - 1)
+    # counts are integers: 1.5 retries would not be a number of tries
+    for protocol, setting in (("sfn", "cycles"), ("dlc1000", "max_retries"),
+                              ("sfn", "max_retries"), ("dlc1000", "max_level")):
+        with pytest.raises(ValueError, match=f"{setting} must be an integer"):
+            SimConfig(protocol, **{"cycles": 3, setting: 2.5})
+    assert SimConfig("sfn", cycles=np.int64(3), max_retries=np.int64(1))
 
 
 def test_dlc_perfect_two_nodes():
@@ -249,6 +255,74 @@ def test_sfn_slots_exact_without_retries(m):
         assert stats.slots == (2 + r_dl + r_ul) * stats.attempts
 
 
+def _flood_replay(m: PerMatrix, cfg: SimConfig, analysis) -> dict:
+    """(attempts, successes, slots) per slave from lone floods: one _flood
+    call per slave, block, try and leg, each drawing from the block's
+    keyed stream in turn."""
+    log_miss = simulator._log_miss(m)
+    counts = {}
+    for a in analysis.slaves:
+        s = a.slave
+        attempts = successes = slots = 0
+        for block, rows in simulator._blocks(cfg.cycles):
+            rng = simulator._block_rng(cfg.seed, s, block)
+            failing = rows
+            for j in range(cfg.max_retries + 1):
+                attempts += failing
+                slots += failing * (2 + a.r_dl + a.r_ul + 2 * j)
+                down = simulator._flood(log_miss, 0, a.r_dl + j, failing,
+                                        rng, s)
+                heard = int(np.count_nonzero(down[:, s] >= 0))
+                up = simulator._flood(log_miss, s, a.r_ul + j, heard, rng, 0)
+                done = int(np.count_nonzero(up[:, 0] >= 0))
+                successes += done
+                failing -= done
+                if not failing:
+                    break
+        counts[s] = (attempts, successes, slots)
+    return counts
+
+
+_BATCH_MODELS = {
+    "ring_20": generate_ring(20),  # sparse: four live links per node
+    "rand_area_20": build_matrix(dict(DEFAULT_MODELS)["rand_area_20"]),
+}
+
+
+@pytest.mark.parametrize("cycles", [2, 300])  # 300 cycles: two blocks
+@pytest.mark.parametrize("max_retries", [0, 2, 10_000])
+@pytest.mark.parametrize("name", sorted(_BATCH_MODELS))
+def test_batched_floods_equal_per_slave_flood_replay(name, max_retries,
+                                                     cycles):
+    # every slave's floods share one kernel call per try and leg, and each
+    # block still draws exactly what its own floods would, in order
+    m = _BATCH_MODELS[name]
+    cfg = SimConfig("sfn", cycles=cycles, max_retries=max_retries, seed=13)
+    analysis = sfn.cycle_analysis(m)
+    want = _flood_replay(m, cfg, analysis)
+    report = simulate_sfn(m, cfg, analysis)
+    assert {s.slave: (s.attempts, s.successes, s.slots)
+            for s in report.per_slave} == want
+    assert all(s.give_ups == cycles - want[s.slave][1]
+               for s in report.per_slave)
+
+
+@pytest.mark.parametrize("elements", [1, 1 << 62],
+                         ids=["one-group-per-batch", "one-batch"])
+def test_batch_size_leaves_reports_and_samples_unchanged(monkeypatch,
+                                                         elements):
+    ring = _BATCH_MODELS["ring_20"]
+    runs = [(ring, SimConfig("sfn", cycles=300, max_retries=10_000, seed=5)),
+            (_BATCH_MODELS["rand_area_20"],
+             SimConfig("sfn", cycles=300, max_retries=2, seed=5))]
+    want = [asdict(simulate_sfn(m, cfg)) for m, cfg in runs]
+    sample = sample_first_success_levels(ring, 10, 600, seed=3)
+    monkeypatch.setattr(simulator, "_BATCH_ELEMENTS", elements)
+    assert [asdict(simulate_sfn(m, cfg)) for m, cfg in runs] == want
+    assert np.array_equal(
+        sample_first_success_levels(ring, 10, 600, seed=3), sample)
+
+
 def _two_relay_matrix(per_13: float, per_23: float) -> PerMatrix:
     # the master reaches relays 1 and 2 for sure, only they reach node 3
     return matrix([
@@ -336,10 +410,15 @@ def test_flood_trial_line_is_deterministic():
      "target 6 out of range 1..5"),
     (lambda m, rng: sample_first_success_levels(m, 1, 10, seed=-1),
      "seed must be an integer in 0..2**64-1"),
+    (lambda m, rng: sample_first_success_levels(m, 2, -1),
+     "trials must be an integer >= 0, not -1"),
+    (lambda m, rng: flood_trial(m, 0, 2, rng, no_relay=(9,)),
+     "no_relay node 9 out of range 0..5"),
 ], ids=["flood-origin-negative", "flood-origin-too-large",
         "flood-max-level-negative", "sample-target-master",
         "sample-target-negative", "sample-target-too-large",
-        "sample-seed-negative"])
+        "sample-seed-negative", "sample-trials-negative",
+        "flood-no-relay-too-large"])
 def test_flood_and_sampler_reject_out_of_range_nodes(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(generate_ring(6), np.random.default_rng(0))
