@@ -19,16 +19,26 @@ such factors out: on a sparse matrix it multiplies over each receiver's
 live in-links (ok > 0), read in ascending transmitter order from a
 slot-major table cached per matrix; when some receiver has more than
 n / 3 live in-links it multiplies over every node that transmits at the
-level, or, in a block left with one flood, over every node without
-gathering rows once more than half of them transmit, a silent node's
-factor being exactly 1.0.  numpy
-multiplies along the reduced axis in order, so each product, and with it
-every profile and analysis, is bit for bit the dense per-flood product
-over all n nodes.  `cycle_analysis` floods the downlink once and every
-slave's uplinks together, in row blocks of bounded size, keeping only
-what reaches the master; an uplink flood stops after the first level at
-which the master's cumulative reception reaches 1.0, since every later
-level adds exactly 0 to it.
+level, or, for a lone row, over every node without gathering rows once
+more than half of them transmit, a silent node's factor being exactly
+1.0.  numpy multiplies along the reduced axis in order, so each product,
+and with it every profile and analysis, is bit for bit the dense
+per-flood product over all n nodes.
+
+`cycle_analysis` floods the downlink once and every slave's uplinks
+together, keeping only the master's column.  An uplink flood stops after
+the first level at which the master's cumulative reception reaches 1.0,
+since every later level adds exactly 0 to it.  Where one level can close
+the master, that is where prod_{i != 0} per[i, 0] <= 2^-53 (rand_area_100
+and up, but not the rings or rand_area_20), each level first computes
+the master's column alone, from the same factors in the same order; the
+floods that closed, or reached level n, stop there, and only the others
+pay the full level.  Elsewhere the kernel runs full levels and applies
+the same stop test after each.  Bounds: the uplinks run in row blocks
+that hold either the level temporary or about eight (rows, n) state
+arrays within _BATCH_ELEMENTS, whichever admits more rows, and a full
+level runs over its rows in chunks whose (rows, slots) temporary stays
+within _BATCH_ELEMENTS.
 """
 from __future__ import annotations
 
@@ -44,7 +54,8 @@ from .channel import MASTER, PerMatrix, _live_links
 # mean first-success level is flagged as unreliable.
 TRUNCATION_TOLERANCE = 1e-9
 # Elements of the (rows, slots, receivers) temporary of one batched flood
-# level; bounds the rows per batch, and so the memory a batch needs.
+# level; bounds the rows per chunk of a level and per block of uplink
+# floods, and so the memory a batch needs.
 _BATCH_ELEMENTS = 1 << 16
 
 
@@ -130,6 +141,53 @@ def _in_links(per: PerMatrix) -> tuple[np.ndarray | None, np.ndarray]:
     return _live_links(ok)
 
 
+@lru_cache(maxsize=1)
+def _closes_in_one_level(per: PerMatrix, node: int) -> bool:
+    """Whether a single flood level can make node's reception certain.
+
+    A level misses node with probability prod_i (1 - tx_i * ok_i,node),
+    which is at least prod_{i != node} per[i, node], reached when every
+    transmitter sends with full mass.  Above 2^-53 that floor keeps one
+    level's reception from rounding to 1.0, and the node can close only
+    through the rounding of many levels' sums (the rings and rand_area_20
+    never close), so a target-first step would cost a column per level
+    and save nothing.  Computed once per matrix, like `_in_links`.
+    """
+    others = per.per[:, node].copy()
+    others[node] = 1.0
+    return bool(others.prod() <= 2.0 ** -53)
+
+
+def _receptions(src, ok, tx, cum_rcv, origins) -> np.ndarray:
+    """First-reception probabilities of one level, one row per flood.
+
+    Rows run in chunks whose (rows, slots) temporary stays within
+    _BATCH_ELEMENTS.
+    """
+    chunk = max(1, _BATCH_ELEMENTS // ok.size)
+    if len(tx) > chunk:
+        return np.concatenate([
+            _receptions(src, ok, tx[part], cum_rcv[part], origins[part])
+            for part in (slice(s, s + chunk)
+                         for s in range(0, len(tx), chunk))])
+    if src is None:
+        live = tx.any(axis=0)
+        if len(tx) == 1 and 2 * np.count_nonzero(live) > live.size:
+            # a lone flood: gathering its live rows of ok would copy as
+            # much as the product multiplies
+            miss = (tx[0, :, None] * ok)[None]
+        else:
+            miss = tx[:, live, None] * ok[live]
+    else:
+        miss = tx[:, src]
+        miss *= ok
+    np.subtract(1.0, miss, out=miss)
+    rcv = (1.0 - cum_rcv) * (1.0 - miss.prod(axis=1))
+    rcv[np.arange(len(origins)), origins] = 0.0
+    np.maximum(rcv, 0.0, out=rcv)
+    return rcv
+
+
 def _flood_levels(per: PerMatrix, origins, initial_tx, *, until=None):
     """Advance one flood per origin, all at once, level by level.
 
@@ -138,37 +196,52 @@ def _flood_levels(per: PerMatrix, origins, initial_tx, *, until=None):
     still running at level r and, one row each, their transmit and
     first-reception probabilities at that level.  A flood stops after
     level n, the node count, or after a level whose receptions leave no
-    node any transmit mass, as `flood` describes.  Given a node `until`,
-    a flood also stops after the first level at which that node's
-    cumulative reception reaches 1.0: every later reception of the node
-    is (1 - cumulative) * (...) clipped at 0, so exactly 0.
+    node any transmit mass, as `flood` describes.  A level's receptions
+    are computed in chunks of rows (`_receptions`).
+
+    Given a node `until`, the kernel yields (rows, rcv) with rcv that
+    node's column alone, and a flood also stops after the first level at
+    which the node's cumulative reception reaches 1.0: every later
+    reception of the node is (1 - cumulative) * (...) clipped at 0, so
+    exactly 0.  When one level can close the node (`_closes_in_one_level`),
+    each level first computes the node's column for every running row,
+    with the same factors in the same order as the full level; the rows
+    that closed, or reached level n, stop before the full level.
     """
     src, ok = _in_links(per)
+    n = per.node_count
     rows = np.arange(len(origins))
     origins = np.asarray(origins)
-    tx = np.zeros((rows.size, per.node_count))
+    tx = np.zeros((rows.size, n))
     tx[rows, origins] = initial_tx
     cum_rcv = np.zeros_like(tx)
     # transmit mass through level r-1 when building level r+1
-    spent_tx = np.zeros_like(tx)
-    for r in range(per.node_count + 1):
-        if src is None:
-            live = tx.any(axis=0)
-            if rows.size == 1 and 2 * np.count_nonzero(live) > per.node_count:
-                # a lone flood: gathering its live rows of ok would copy
-                # as much as the product multiplies
-                miss = (tx[0, :, None] * ok)[None]
-            else:
-                miss = tx[:, live, None] * ok[live]
-        else:
-            miss = tx[:, src]
-            miss *= ok
-        np.subtract(1.0, miss, out=miss)
-        rcv = (1.0 - cum_rcv) * (1.0 - miss.prod(axis=1))
-        rcv[np.arange(rows.size), origins] = 0.0
-        np.maximum(rcv, 0.0, out=rcv)
-        yield rows, tx, rcv
-        if r == per.node_count:
+    spent_tx = last_tx = np.zeros_like(tx)
+    target_first = until is not None and _closes_in_one_level(per, until)
+    if target_first:
+        links = np.arange(n) if src is None else src[:, until]
+        live = ok[:, until] > 0.0
+        links, link_ok = links[live], ok[live, until]
+    for r in range(n + 1):
+        if target_first:
+            miss = np.prod(1.0 - tx[:, links] * link_ok, axis=1)
+            col = (1.0 - cum_rcv[:, until]) * (1.0 - miss)
+            col[origins == until] = 0.0
+            np.maximum(col, 0.0, out=col)
+            yield rows, col
+            going = cum_rcv[:, until] + col < 1.0
+            if r == n or not going.any():
+                return
+            if not going.all():
+                rows, origins, tx, cum_rcv, spent_tx, last_tx = (
+                    a[going] for a in (rows, origins, tx, cum_rcv, spent_tx,
+                                       last_tx))
+        rcv = _receptions(src, ok, tx, cum_rcv, origins)
+        if until is None:
+            yield rows, tx, rcv
+        elif not target_first:
+            yield rows, rcv[:, until]
+        if r == n:
             return
         cum_rcv = cum_rcv + rcv
         if r >= 1:
@@ -231,21 +304,25 @@ def _master_cumulative(per: PerMatrix, origins,
     Equal to flood(per, o, m).cumulative[MASTER] for each origin o and
     seed m, cut after its first entry of 1.0 or more: a flood stops at the
     level where the master's reception becomes certain, because every
-    later entry repeats that one.  The floods run in row blocks whose
-    kernel temporary stays within _BATCH_ELEMENTS.
+    later entry repeats that one.  The floods run in row blocks sized so
+    that either the kernel's level temporary or its (rows, n) state, about
+    eight arrays, stays within _BATCH_ELEMENTS, whichever admits more
+    rows: the kernel chunks the level temporary itself, and on a dense
+    matrix many rows of a block stop after the master's column alone.
     """
     slots = _in_links(per)[1].size  # per row of the kernel's temporary
-    rows_per_block = max(1, _BATCH_ELEMENTS // slots)
+    rows_per_block = max(
+        1, _BATCH_ELEMENTS // min(slots, 8 * per.node_count))
     got = []
     for start in range(0, len(origins), rows_per_block):
         block = slice(start, start + rows_per_block)
         block_origins = origins[block]
         cols = []
         levels = np.zeros(len(block_origins), dtype=np.int64)
-        for r, (rows, _, level_rcv) in enumerate(_flood_levels(
+        for r, (rows, master_rcv) in enumerate(_flood_levels(
                 per, block_origins, initial_tx[block], until=MASTER)):
             col = np.zeros(len(block_origins))
-            col[rows] = level_rcv[:, MASTER]
+            col[rows] = master_rcv
             cols.append(col)
             levels[rows] = r + 1
         cumulative = np.cumsum(np.column_stack(cols), axis=1)
@@ -259,15 +336,15 @@ def first_success_distribution(attempt_success) -> tuple[np.ndarray, float]:
     attempt_success[r] is the success probability of the attempt made at
     level r; attempts are independent and the level increments by one per
     failure.  Returns the per-level probabilities and the residual mass of
-    never succeeding within the given levels.
+    never succeeding within the given levels.  The running product of
+    failures multiplies in level order, as a loop over the levels would.
     """
     q = np.asarray(attempt_success, dtype=float)
-    pi = np.empty_like(q)
-    still_failing = 1.0
-    for r, qr in enumerate(q):
-        pi[r] = qr * still_failing
-        still_failing *= 1.0 - qr
-    return pi, float(still_failing)
+    still_failing = np.empty(q.size + 1)
+    still_failing[0] = 1.0
+    np.subtract(1.0, q, out=still_failing[1:])
+    np.multiply.accumulate(still_failing, out=still_failing)
+    return q * still_failing[:-1], float(still_failing[-1])
 
 
 def _distribution(cumulative: np.ndarray) -> LevelDistribution:

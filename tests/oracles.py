@@ -127,6 +127,21 @@ def per_origin_flood(per: PerMatrix, origin: int, initial_tx: float = 1.0,
                         levels - 1)
 
 
+def first_success_loop(attempt_success):
+    """The level loop that `sfn.first_success_distribution` used to run.
+
+    pi[r] is attempt r's success times the probability that every earlier
+    attempt failed; the second value is the probability that all failed.
+    """
+    q = np.asarray(attempt_success, dtype=float)
+    pi = np.empty_like(q)
+    still_failing = 1.0
+    for r, qr in enumerate(q):
+        pi[r] = qr * still_failing
+        still_failing *= 1.0 - qr
+    return pi, float(still_failing)
+
+
 def per_link_flood(per: np.ndarray, origin: int, max_level: int,
                    rng: np.random.Generator, no_relay=()) -> list[int]:
     """One flood with an independent draw for every link of every level.

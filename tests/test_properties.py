@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from plcroute.channel import PerMatrix, load_matrix, save_matrix
 from plcroute.dlc import best_path, round_trip_success
-from plcroute.sfn import flood
+from plcroute.sfn import first_success_distribution, flood
 
-from oracles import brute_force_best_path, per_origin_flood
+from oracles import brute_force_best_path, first_success_loop, per_origin_flood
 
 
 @st.composite
@@ -84,6 +84,17 @@ def test_flood_equals_dense_per_origin_loop_bit_for_bit(m, data):
     assert np.array_equal(got.rcv, want.rcv)
     assert np.array_equal(got.cumulative, want.cumulative)
     assert got.horizon == want.horizon
+
+
+@given(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+                max_size=200))
+@settings(max_examples=300, deadline=None)
+def test_first_success_distribution_equals_level_loop_bit_for_bit(q):
+    pi, truncated = first_success_distribution(q)
+    want_pi, want_truncated = first_success_loop(q)
+    assert pi.tobytes() == want_pi.tobytes()
+    assert truncated == want_truncated
+    assert isinstance(truncated, float)
 
 
 @given(per_matrices(min_nodes=2, max_nodes=5))

@@ -410,3 +410,34 @@ def test_uplink_floods_stop_once_the_master_closes():
         m, [s for s, _, _ in plan], [seed for _, _, seed in plan])
     full = sum(flood(m, s, seed).horizon + 1 for s, _, seed in plan)
     assert sum(c.size for c in master) < full
+
+
+@pytest.mark.parametrize("spec,target_first", [
+    (ChannelSpec(kind="ring", node_count=100), False),
+    (ChannelSpec(kind="rand_area", node_count=20, seed=20), False),
+    (ChannelSpec(kind="rand_area", node_count=100, seed=100), True),
+])
+def test_target_first_step_runs_only_where_one_level_can_close(
+        monkeypatch, spec, target_first):
+    # Where one level can make the master certain, the kernel computes the
+    # master's column first, and the rows that close skip the full level;
+    # elsewhere every level a row runs is a full one.  A wrong gate gives
+    # the same analysis, only slower, so it is pinned here.
+    m = build_matrix(spec)
+    assert sfn._closes_in_one_level(m, 0) == target_first
+    plan = uplink_seeds(m)[:20]
+    monkeypatch.setattr(sfn, "_BATCH_ELEMENTS", 1 << 30)  # one chunk
+    full_rows = []
+    receptions = sfn._receptions
+
+    def counting(src, ok, tx, cum_rcv, origins):
+        full_rows.append(len(tx))
+        return receptions(src, ok, tx, cum_rcv, origins)
+
+    monkeypatch.setattr(sfn, "_receptions", counting)
+    run_rows = sum(len(rows) for rows, _ in sfn._flood_levels(
+        m, [s for s, _, _ in plan], [seed for _, _, seed in plan], until=0))
+    if target_first:
+        assert sum(full_rows) < run_rows
+    else:
+        assert sum(full_rows) == run_rows
