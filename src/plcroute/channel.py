@@ -71,29 +71,6 @@ class PerMatrix:
         return range(1, self.node_count)
 
 
-def _live_links(weights: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-    """Each column's live links of an (n, n) weight matrix, slot-major.
-
-    Returns (src, table) as read-only (D, n) arrays: column j of src lists
-    the rows i with weights[i, j] > 0 in ascending order, and table[k, j]
-    is weights[src[k, j], j]; the slots past a column's last live link
-    point at dead links, whose weight is 0.  Gathering a slot costs about
-    three times multiplying one (rand_area_300: 2.7 s gathered against
-    0.8 s broadcast), so when some column has more than n / 3 live links,
-    src is None and table is weights itself, made read-only.
-    """
-    live = weights > 0.0
-    depth = max(1, int(live.sum(axis=0).max()))
-    if 3 * depth > weights.shape[0]:
-        weights.setflags(write=False)
-        return None, weights
-    src = np.argsort(~live, axis=0, kind="stable")[:depth]
-    table = np.take_along_axis(weights, src, axis=0)
-    for a in (src, table):
-        a.setflags(write=False)
-    return src, table
-
-
 def logistic_per(distance, d50: float, width: float):
     """Distance-to-PER map: 0.5 at d50, rising with distance, within [0, 1].
 

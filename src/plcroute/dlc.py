@@ -5,27 +5,21 @@ repeaters and the response retraces the chain in reverse, so one try
 costs 2*(repeaters+1) slots and succeeds only if every directed link on
 the round trip succeeds.  For each allowed repeater count the master uses
 the chain with the highest round-trip success probability, found by one
-depth-first search that tries the best bound first at every count; across
-counts it keeps the one with the lowest expected duration under
-retry-until-success.
-
-The search's bound tables depend on the slave, not on the repeater
-count, so `best_path` keeps the last slave's tables and extends them to
-the count it is asked for: `slave_analysis`, which asks for every count
-of one slave in turn, builds each table once.  A table step reads each
-node's live pair links from a slot-major table cached per matrix when no
-node has more than n / 3 of them, and the dense matrix otherwise, the
-same layout rule that `sfn` uses for its floods; both give every table,
-chain and analysis bit for bit.
+depth-first search from the slave back to the master that tries the best
+bound first; across counts it keeps the one with the lowest expected
+duration under retry-until-success.  The search's bound tables hold the
+best walks out of the master, so every slave and count shares them: a
+whole `cycle_analysis` makes max_level - 1 dense table steps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
-from .channel import MASTER, PerMatrix, _live_links
+from .channel import MASTER, PerMatrix
 
 
 class InvalidPathError(ValueError):
@@ -69,7 +63,15 @@ class DlcCycleAnalysis:
         return not self.unreachable
 
 
+def _check_integer(name: str, value) -> None:
+    # a plain int first: the Integral check costs ten times more
+    if type(value) is not int and (
+            isinstance(value, bool) or not isinstance(value, Integral)):
+        raise InvalidPathError(f"{name} must be an integer, not {value!r}")
+
+
 def _check_slave(per: PerMatrix, slave: int) -> None:
+    _check_integer("slave index", slave)
     if not (1 <= slave < per.node_count):
         raise InvalidPathError(f"slave index {slave} out of range (master is 0)")
 
@@ -77,6 +79,7 @@ def _check_slave(per: PerMatrix, slave: int) -> None:
 def _check_path(per: PerMatrix, repeaters, slave: int) -> None:
     seen = set()
     for r in repeaters:
+        _check_integer("repeater index", r)
         if not (0 <= r < per.node_count):
             raise InvalidPathError(f"repeater index {r} out of range")
         if r == MASTER or r == slave:
@@ -120,97 +123,89 @@ def _pair_weights(per: PerMatrix) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _pair_links(per: PerMatrix) -> tuple[np.ndarray | None, np.ndarray]:
-    """_pair_weights as a slot-major table of each node's live pair links.
+def _heads(per: PerMatrix) -> list:
+    """Bound tables of the search, shared by every slave.
 
-    (src, links) as `channel._live_links` gives them; w is symmetric, so
-    column v lists the nodes u with a live round trip u <-> v.
+    head[j][v] is the best product of the walks from the master to v
+    through j other nodes, never the master; walks may repeat nodes and
+    pass the slave.  Holds head[0]; best_path appends the deeper tables
+    it needs.
     """
-    return _live_links(_pair_weights(per))
-
-
-@lru_cache(maxsize=1)
-def _tails(per: PerMatrix, slave: int) -> list:
-    """Bound tables [None, tail[1], ...] of the search towards one slave.
-
-    Holds tail[1] only; best_path appends the deeper tables as its level
-    needs them.  One slave is cached at a time, and slave_analysis asks
-    for its levels in ascending order, so it builds each table once.
-    """
-    t = _pair_weights(per)[:, slave].copy()
-    t[[MASTER, slave]] = 0.0  # the master and the slave are never repeaters
-    return [None, t]
+    h = _pair_weights(per)[MASTER].copy()
+    h[MASTER] = 0.0
+    return [h]
 
 
 def best_path(per: PerMatrix, slave: int, level: int) -> DlcPathResult:
     """Repeater chain with the highest round-trip success at a given level.
 
-    One depth-first search serves every level.  tail[k][v] is the best
-    product of k hops from v to the slave over walks that may repeat
-    repeaters, so it bounds every chain that continues from v.  A table
-    step takes, for every node, the max over its pair links of link
-    weight times the previous table, read from the live links alone when
-    no node has more than n / 3 of them and from the dense matrix
-    otherwise; max is exact and every product has the same two operands
-    either way (w is symmetric), so both give the same tables bit for
-    bit.  The tables depend on the slave, not the level, and are kept
-    for the next call on the same slave (_tails).  Each node of the
-    search visits its children best bound first, which makes the first
-    chain it completes the greedy one, and stops at the first child whose
-    bound falls below the best chain found so far.  Chains are ranked by
-    round_trip_success's own product, so ties are exact and go to the
-    lexicographically smallest repeater sequence.  If no chain of this
-    length can succeed, the smallest valid sequence is returned with
-    probability 0.
+    A depth-first search picks the repeater next to the slave first, then
+    the one before it, down to r_1.  It visits children best bound first,
+    head[j][v] (_heads) times the chain's product so far, and stops at the
+    first whose bound falls below the best chain found.  The last pick,
+    r_1, ranks every candidate at once by round_trip_success's own product
+    from the master, so ties are exact and go to the lexicographically
+    smallest repeater sequence.  If no chain of this length can succeed,
+    the smallest valid sequence is returned with probability 0.
     """
     _check_slave(per, slave)
     n = per.node_count
+    _check_integer("repeater level", level)
     if not (0 <= level <= n - 2):
         raise InvalidPathError(
             f"repeater level {level} out of range 0..{n - 2} for {n} nodes"
         )
     w = _pair_weights(per)
-    src, links = _pair_links(per)
-    tail = _tails(per, slave)
-    while len(tail) <= level:
-        t = tail[-1]
-        if src is None:
-            t = (links * t).max(axis=1)
-        else:
-            t = (links * t[src]).max(axis=0)
-        t[[MASTER, slave]] = 0.0
-        tail.append(t)
+    if level == 0:
+        return DlcPathResult((), float(w[MASTER, slave]))
+    head = _heads(per)
+    while len(head) < level:
+        h = (w * head[-1]).max(axis=1)  # w is symmetric
+        h[MASTER] = 0.0
+        head.append(h)
 
     best = 0.0
     best_seq = tuple(v for v in range(1, level + 2) if v != slave)[:level]
     margin = 1.0 + 1e-9  # bounds multiply in another order than chains
-    prefix: list[int] = []
+    chain = [slave] * (level + 2)  # chain[k] is r_k once picked
 
-    def visit(last: int, prob: float) -> None:
+    def visit(k: int, prob: float) -> None:
+        # pick r_k; prob is the product of the hops from r_k+1 to the slave
         nonlocal best, best_seq
-        depth = len(prefix)
-        if depth == level:
-            total = prob * w[last, slave]
-            if total > best or (total == best and tuple(prefix) < best_seq):
-                best, best_seq = total, tuple(prefix)
+        nxt = chain[k + 1]
+        bound = w[nxt] * head[k - 1]
+        bound[chain[k + 1:]] = 0.0  # the slave and r_k+1..r_level
+        if k == 1:
+            # bound[r] is w[0, r] * w[r, r_2], the product's first factor;
+            # the later hops multiply it in order and rounding is monotone,
+            # so its largest entry leads, and only a tie needs them all
+            r = int(bound.argmax())
+            total = bound.item(r)
+            factors = [w.item(a, b) for a, b in zip(chain[2:], chain[3:])]
+            for f in factors:
+                total *= f
+            if total < best or total == 0.0:
+                return
+            for f in factors:
+                bound *= f
+            seq = (int(bound.argmax()), *chain[2:-1])  # smallest r_1 of ties
+            if total > best or seq < best_seq:
+                best, best_seq = total, seq
             return
-        step = prob * w[last]
-        bound = step * tail[level - depth]
-        bound[prefix] = 0.0
         while True:
             # the highest bound left, the smallest node among equals, so
             # children come in stable descending order and none after this
             # one can win; while best is 0 this also skips dead children
             r = int(bound.argmax())
-            if bound[r] * margin <= best:
+            if bound.item(r) * prob * margin <= best:
                 break
             bound[r] = -1.0  # visited
-            prefix.append(r)
-            visit(r, step[r])
-            prefix.pop()
+            chain[k] = r
+            visit(k - 1, prob * w.item(nxt, r))
 
-    visit(MASTER, 1.0)
-    return DlcPathResult(best_seq, float(best))
+    visit(level, 1.0)
+    del visit  # visit refers to itself; free its arrays now, not at a gc pass
+    return DlcPathResult(best_seq, best)
 
 
 def slave_analysis(per: PerMatrix, slave: int,
@@ -221,9 +216,12 @@ def slave_analysis(per: PerMatrix, slave: int,
     average; levels that cannot succeed are kept in the table with no
     duration.  Ties between levels go to the smaller level, and the chain
     best_path found for it is kept as the poll route.  Levels above
-    node_count - 2 add no usable repeaters and are not evaluated.
+    node_count - 2 add no usable repeaters and are not evaluated.  The
+    search's bound tables are shared by every slave, so slaves and levels
+    may be analysed in any order.
     """
     _check_slave(per, slave)
+    _check_integer("max_level", max_level)
     if max_level < 0:
         raise InvalidPathError("max_level must be >= 0")
     options = []

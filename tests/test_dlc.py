@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,12 @@ from plcroute.dlc import (
     slave_analysis,
 )
 
-from oracles import brute_force_best_path, geometric_retry_mean, random_matrix
+from oracles import (
+    brute_force_best_path,
+    forward_best_path,
+    geometric_retry_mean,
+    random_matrix,
+)
 
 
 def matrix(rows) -> PerMatrix:
@@ -51,6 +58,25 @@ def test_round_trip_rejects_bad_paths():
         round_trip_success(m, [1], 1)  # repeater == destination
     with pytest.raises(InvalidPathError):
         round_trip_success(m, [0], 1)  # repeater == master
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda m: best_path(m, 3, 1.5), id="best_path-level"),
+    pytest.param(lambda m: slave_analysis(m, True, 1), id="slave_analysis-slave"),
+    pytest.param(lambda m: cycle_analysis(m, 2.0), id="cycle_analysis-max_level"),
+    pytest.param(lambda m: round_trip_success(m, (2.0,), 3),
+                 id="round_trip_success-repeater"),
+])
+def test_non_integer_index_is_invalid_path(call):
+    with pytest.raises(InvalidPathError, match="must be an integer"):
+        call(generate_ring(6))
+
+
+def test_numpy_integers_are_indices():
+    m = generate_ring(6)
+    assert best_path(m, np.int64(3), np.int64(2)) == best_path(m, 3, 2)
+    assert round_trip_success(m, (np.int32(2),), 3) == round_trip_success(
+        m, (2,), 3)
 
 
 def test_best_path_level_zero():
@@ -92,18 +118,12 @@ def test_best_path_lexicographic_tie_break():
     assert best_path(m, 5, 2).repeaters == (2, 4)  # not (8, 6)
 
 
-@pytest.mark.parametrize("nodes,table", [
-    pytest.param(10, False, id="10"),
-    pytest.param(12, True, id="12"),
-])
-def test_best_path_equals_oracle_exactly_on_rings(nodes, table):
+@pytest.mark.parametrize("nodes", [10, 12])
+def test_best_path_equals_oracle_exactly_on_rings(nodes):
     # ring chains tie exactly in both directions and across two-hop
     # shortcuts; the search and the oracle multiply the same product, so
-    # the tie-break is exact at every level.  Four live pair links per
-    # node exceed n / 3 on ring_10 but not on ring_12, so the bound
-    # tables are dense on one and read from live links on the other
+    # the tie-break is exact at every level
     m = generate_ring(nodes, 0.1, 0.6)
-    assert (dlc._pair_links(m)[0] is not None) == table
     for slave in m.slaves:
         for level in range(5):
             got = best_path(m, slave, level)
@@ -133,6 +153,37 @@ def test_best_path_equals_oracle_exactly_on_quantized_pers():
                 assert got.success_prob == want_prob, (seed, slave, level)
                 cases += 1
     assert cases == 2070
+
+
+def test_best_path_rounding_tie_goes_to_smaller_first_repeater():
+    # via repeater 1 the first two hops multiply to one ulp less than via
+    # repeater 2, and the last hop rounds both chains to the same product:
+    # an exact tie, which the smaller sequence wins
+    arr = np.ones((5, 5))
+    np.fill_diagonal(arr, 0.0)
+    for (a, b), p in {(0, 1): 0.88, (1, 3): 0.96, (0, 2): 0.84, (2, 3): 0.97,
+                      (3, 4): 0.16}.items():
+        arr[a, b], arr[b, a] = p, 0.0
+    m = PerMatrix(arr)
+    first = [(1 - arr[0, r]) * (1 - arr[r, 3]) for r in (1, 2)]
+    assert first[0] < first[1]
+    assert first[0] * (1 - arr[3, 4]) == first[1] * (1 - arr[3, 4])
+    result = best_path(m, 4, 2)
+    assert result.repeaters == (1, 3)
+    assert result.success_prob == round_trip_success(m, (2, 3), 4)
+    assert (result.repeaters, result.success_prob) == forward_best_path(m, 4, 2)
+
+
+def test_best_path_leaves_no_reference_cycle():
+    # the recursive search must not keep its arrays alive until a gc pass
+    m = build_matrix(ChannelSpec(kind="rand_area", node_count=30, seed=1))
+    gc.collect()
+    gc.disable()
+    try:
+        best_path(m, 5, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_best_path_all_zero_returns_smallest_sequence():
@@ -251,22 +302,20 @@ def test_cycle_total_is_sum_of_slave_durations():
         assert sum(d for i, d in enumerate(reachable) if i != skip) <= analysis.total
 
 
-@pytest.mark.parametrize("name,spec,table", [
-    ("ring_100", ChannelSpec(kind="ring", node_count=100), True),
-    ("rand_area_100", ChannelSpec(kind="rand_area", node_count=100, seed=100),
-     False),
+@pytest.mark.parametrize("name,spec", [
+    ("ring_100", ChannelSpec(kind="ring", node_count=100)),
+    ("rand_area_100", ChannelSpec(kind="rand_area", node_count=100, seed=100)),
 ])
-def test_slave_analysis_equals_best_path_per_level(name, spec, table):
+def test_slave_analysis_equals_best_path_per_level(name, spec):
     # slave_analysis searches every level against the bound tables that
-    # its lower levels left cached; with the cache emptied, best_path
+    # earlier calls left cached; with the cache emptied, best_path
     # builds only the tables its own level needs
     m = build_matrix(spec)
-    assert (dlc._pair_links(m)[0] is not None) == table
     for slave in m.slaves:
         analysis = slave_analysis(m, slave, 4)
         assert [o.level for o in analysis.per_level] == [0, 1, 2, 3, 4]
         for option in analysis.per_level:
-            dlc._tails.cache_clear()
+            dlc._heads.cache_clear()
             path = best_path(m, slave, option.level)
             assert option.success_prob == path.success_prob, (slave, option)
             if analysis.reachable and option.level == analysis.best_level:
@@ -277,7 +326,6 @@ def test_cycle_analysis_pins_ring_1000():
     # the wide-area ring: four repeaters of at most two ring hops each
     # reach the 10 slaves on either side of the master and no further
     m = generate_ring(1000, 0.1, 0.6)
-    assert dlc._pair_links(m)[0] is not None
     analysis = cycle_analysis(m, 4)
     assert analysis.total == 237747.74479573916
     assert analysis.unreachable == tuple(range(11, 990))
@@ -286,3 +334,44 @@ def test_cycle_analysis_pins_ring_1000():
     assert chains == {1: (0, ()), 10: (4, (2, 4, 6, 8)), 250: (0, ()),
                       500: (0, ()), 990: (4, (998, 996, 994, 992)),
                       999: (0, ())}
+
+
+@pytest.mark.parametrize("name,spec", [
+    ("ring_100", ChannelSpec(kind="ring", node_count=100)),
+    ("rand_area_100", ChannelSpec(kind="rand_area", node_count=100, seed=100)),
+    ("rand_area_200", ChannelSpec(kind="rand_area", node_count=200, seed=200)),
+])
+def test_best_path_equals_forward_search_exactly(name, spec):
+    # the search from the slave returns the chain and the product of the
+    # search from the master, bit for bit, ties included
+    m = build_matrix(spec)
+    for slave in m.slaves:
+        for level in range(5):
+            got = best_path(m, slave, level)
+            want_seq, want_prob = forward_best_path(m, slave, level)
+            assert got.repeaters == want_seq, (slave, level)
+            assert got.success_prob == want_prob, (slave, level)
+
+
+def test_cycle_analysis_independent_of_call_order():
+    # the bound tables are shared by every slave and extended on demand,
+    # so no order of slaves or levels changes an analysis
+    m = build_matrix(ChannelSpec(kind="rand_area", node_count=60, seed=3))
+    want = {}
+    for max_level in range(5):
+        dlc._heads.cache_clear()
+        want[max_level] = cycle_analysis(m, max_level).slaves
+    rng = np.random.default_rng(0)
+    for order in (lambda xs: list(xs), lambda xs: list(xs)[::-1],
+                  lambda xs: [int(x) for x in rng.permutation(list(xs))]):
+        dlc._heads.cache_clear()
+        for max_level in order(range(5)):
+            assert cycle_analysis(m, max_level).slaves == want[max_level]
+        dlc._heads.cache_clear()
+        for slave in order(m.slaves):
+            for level in order(range(5)):
+                assert best_path(m, slave, level).success_prob == (
+                    want[4][slave - 1].per_level[level].success_prob)
+        dlc._heads.cache_clear()
+        got = {slave: slave_analysis(m, slave, 4) for slave in order(m.slaves)}
+        assert tuple(got[slave] for slave in m.slaves) == want[4]

@@ -9,7 +9,12 @@ from plcroute.channel import PerMatrix, load_matrix, save_matrix
 from plcroute.dlc import best_path, round_trip_success
 from plcroute.sfn import first_success_distribution, flood
 
-from oracles import brute_force_best_path, first_success_loop, per_origin_flood
+from oracles import (
+    brute_force_best_path,
+    first_success_loop,
+    forward_best_path,
+    per_origin_flood,
+)
 
 
 @st.composite
@@ -44,6 +49,29 @@ def test_best_path_is_a_true_maximum(m, level):
     assert got.repeaters == want_seq
     assert got.success_prob == pytest.approx(want_prob, abs=1e-12)
     assert round_trip_success(m, got.repeaters, slave) == got.success_prob
+
+
+@st.composite
+def quantized_per_matrices(draw, min_nodes=3, max_nodes=12):
+    """PERs in multiples of 0.1, so dead (1.0) and perfect (0.0) links and
+    exact ties between chains are common."""
+    n = draw(st.integers(min_nodes, max_nodes))
+    tenths = draw(st.lists(st.integers(0, 10), min_size=n * n,
+                           max_size=n * n))
+    arr = np.array(tenths).reshape(n, n) / 10
+    np.fill_diagonal(arr, 0.0)
+    return PerMatrix(arr)
+
+
+@given(quantized_per_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_best_path_equals_forward_search_on_quantized_pers(m, data):
+    slave = data.draw(st.integers(1, m.node_count - 1))
+    level = data.draw(st.integers(0, min(4, m.node_count - 2)))
+    got = best_path(m, slave, level)
+    want_seq, want_prob = forward_best_path(m, slave, level)
+    assert got.repeaters == want_seq
+    assert got.success_prob == want_prob
 
 
 @given(per_matrices(min_nodes=3, max_nodes=6))
