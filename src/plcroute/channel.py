@@ -172,9 +172,9 @@ DEFAULT_MODELS: tuple[tuple[str, ChannelSpec], ...] = (
 
 def save_matrix(matrix: PerMatrix, path) -> None:
     """Write a matrix as comma-separated text, 17 significant digits a value."""
+    row_format = ",".join(["%.17g"] * matrix.node_count)
     lines = [f"# per matrix, {matrix.node_count} nodes"]
-    for row in matrix.per:
-        lines.append(",".join(f"{v:.17g}" for v in row))
+    lines.extend(row_format % tuple(row) for row in matrix.per.tolist())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -1,15 +1,19 @@
 """Seeded slot-accurate Monte-Carlo simulation of both polling protocols.
 
-Cycles are simulated a block of _BLOCK at a time.  Each slave gets one
-counter-based Philox stream per block, keyed on (seed, slave, block), and
-the cycles of the block advance by whole-array draws from it (one try
-count per DLC1000 cycle, one flood per still-failing SFN cycle and try),
-so reports are bit-identical across repeats.  The SFN floods of all
-slaves run together: each leg of each try is one kernel call (_spread)
-over the still-failing cycles of every slave and block, in batches of
-bounded size, and each (slave, block) group still draws from its own
-stream exactly the uniforms, in the same order, that it would draw on
-its own, so no report depends on the batching.  Slot accounting is
+Every random stream is a PCG64 generator seeded by
+SeedSequence(seed, spawn_key=(protocol, key...)), protocol being the
+index of the protocol in PROTOCOLS.  The seed fills a fixed-width entropy
+pool before the spawn key, so no two seeds, protocols or keys share a
+stream.  A DLC1000 slave draws the geometric try counts of all its cycles
+in order from one stream keyed on (protocol, slave).  SFN cycles are
+simulated a block of _BLOCK at a time, each (slave, block) group drawing
+from its own stream keyed on (protocol, slave, block), one flood per
+still-failing cycle and try.  The SFN floods of all slaves run together:
+each leg of each try is one kernel call (_spread) over the still-failing
+cycles of every slave and block, in batches of bounded size, and each
+group still draws from its own stream exactly the uniforms, in the same
+order, that it would draw on its own.  So reports are bit-identical across
+repeats, and no report depends on the batching.  Slot accounting is
 exact: a DLC1000 try reserves 2*(level+1) slots whether or not it
 succeeds, an SFN try reserves the two full flood windows, 2 + r_dl + r_ul
 slots, with both levels incremented by one per retry.
@@ -27,9 +31,10 @@ from .channel import MASTER, PerMatrix, _check_seed
 
 PROTOCOLS = ("dlc1000", "sfn")
 
-_BLOCK = 256  # cycles (or trials) per keyed random stream
+_BLOCK = 256  # SFN cycles (or sampler trials) per keyed random stream
 # Rows times nodes of one batch of simulated floods: bounds each (rows, n)
-# array of the kernel, and so the memory a batch needs.
+# array of the kernel, and so the memory a batch needs.  Also the most
+# DLC1000 cycles whose try counts are drawn at once.
 _BATCH_ELEMENTS = 1 << 15
 # log-miss of a PER-0 link.  The flood's matrix product multiplies the
 # zeros of the transmitter mask by every entry, and 0 * -inf is NaN; exp()
@@ -83,13 +88,31 @@ class SimReport:
         return asdict(self)
 
 
+def _stream(seed: int, protocol: str, *key: int) -> np.random.Generator:
+    """The PCG64 stream of seed, protocol and key.
+
+    The seed, at most 64 bits, is padded to SeedSequence's four-word pool
+    before the spawn key (protocol index, *key) is appended, so distinct
+    (seed, protocol, key) triples never share their entropy.  PCG64 is
+    named rather than taken from default_rng, so that a change of numpy's
+    default generator cannot re-key the streams.
+    """
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        seed, spawn_key=(PROTOCOLS.index(protocol), *key))))
+
+
 def _block_rng(seed: int, key: int, block: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([seed, key, block])))
+    """The stream of one block of SFN cycles of slave key.
+
+    Keyed on ("sfn", key, block).  sample_first_success_levels, which
+    floods SFN's downlink, draws its trials of target key from the same
+    streams.
+    """
+    return _stream(seed, "sfn", key, block)
 
 
 def _blocks(count: int):
-    """(block index, rows) pairs that cover count cycles or trials."""
+    """(block index, rows) pairs that cover count SFN cycles or trials."""
     for block, start in enumerate(range(0, count, _BLOCK)):
         yield block, min(_BLOCK, count - start)
 
@@ -257,11 +280,11 @@ def _first_successes(per: PerMatrix, plans, tries: int, count: int,
     only in the cycles whose earlier legs reached their destination, and
     the try succeeds when the last one does.  A cycle stops at its first
     success or after tries tries.  Each block of a plan's cycles draws
-    from the stream keyed on (seed, key, block), in the order a block
-    simulated on its own would.  The (plan, block) groups run in batches
-    of at most _BATCH_ELEMENTS rows times nodes (at least one group), and
-    each leg of each try floods the still-failing cycles of every group
-    of a batch in one _spread call.
+    from _block_rng(seed, key, block), in the order a block simulated on
+    its own would.  The (plan, block) groups run in batches of at most
+    _BATCH_ELEMENTS rows times nodes (at least one group), and each leg
+    of each try floods the still-failing cycles of every group of a batch
+    in one _spread call.
     """
     log_miss = _log_miss(per)
     legs = np.array([plan_legs for _, plan_legs in plans], dtype=np.intp)
@@ -361,7 +384,10 @@ def simulate_dlc(per: PerMatrix, cfg: SimConfig,
     dlc.round_trip_success, so each cycle draws its try count at once: a
     geometric variable G gives min(G, max_retries + 1) tries and a success
     when G <= max_retries + 1.  Unreachable slaves are still polled (at
-    level 0) and consume slots.
+    level 0) and consume slots.  A slave draws its cycles' G in order from
+    its own stream, keyed on ("dlc1000", slave), at most _BATCH_ELEMENTS
+    at a time; geometric reads the stream in order, so the report does
+    not depend on that chunk size.
     """
     analysis = _plan(per, cfg, "dlc1000", analysis)
     cap = cfg.max_retries + 1  # most tries a cycle makes
@@ -372,8 +398,10 @@ def simulate_dlc(per: PerMatrix, cfg: SimConfig,
         if try_ok == 0.0:  # numpy's geometric rejects p = 0
             tries = cfg.cycles * cap
         else:
-            for block, rows in _blocks(cfg.cycles):
-                g = _block_rng(cfg.seed, a.slave, block).geometric(try_ok, rows)
+            rng = _stream(cfg.seed, "dlc1000", a.slave)
+            for start in range(0, cfg.cycles, _BATCH_ELEMENTS):
+                g = rng.geometric(try_ok,
+                                  min(_BATCH_ELEMENTS, cfg.cycles - start))
                 tries += int(np.minimum(g, cap).sum())
                 successes += int((g <= cap).sum())
         counts.append((tries, successes, 2 * (a.best_level + 1) * tries))

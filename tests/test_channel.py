@@ -151,6 +151,20 @@ def test_save_load_round_trip_is_identity(tmp_path):
     assert np.array_equal(back.per, m.per)  # bit-exact
 
 
+def test_saved_bytes_equal_one_format_per_value(tmp_path):
+    # the reference writer formats each value on its own
+    rng = np.random.default_rng(8)
+    arr = rng.random((6, 6))
+    arr[0, 1:] = [0.0, 1.0, 5e-324, 0.1, 1.0 - 2 ** -53]
+    np.fill_diagonal(arr, 0.0)
+    for per in (arr, generate_ring(4).per):
+        path = tmp_path / "m.per"
+        save_matrix(PerMatrix(per), path)
+        want = [f"# per matrix, {per.shape[0]} nodes"]
+        want += [",".join(f"{v:.17g}" for v in row) for row in per]
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
+
 def test_build_matrix_dispatch():
     ring = build_matrix(ChannelSpec(kind="ring", node_count=5))
     assert ring.node_count == 5

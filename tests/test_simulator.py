@@ -185,6 +185,49 @@ def test_dlc_slot_accounting_reconstructable():
     assert report.total_slots == sum(s.slots for s in report.per_slave)
 
 
+def test_dlc_counts_replay_each_slaves_one_stream():
+    # one geometric try count per cycle, drawn in turn from the slave's
+    # one ("dlc1000", slave) stream
+    m = generate_ring(8, 0.2, 0.7)
+    cfg = SimConfig("dlc1000", cycles=300, max_retries=3, max_level=2, seed=9)
+    analysis = dlc.cycle_analysis(m, cfg.max_level)
+    report = simulate_dlc(m, cfg, analysis)
+    cap = cfg.max_retries + 1
+    for a, stats in zip(analysis.slaves, report.per_slave):
+        rng = simulator._stream(cfg.seed, "dlc1000", a.slave)
+        try_ok = dlc.round_trip_success(m, a.repeaters, a.slave)
+        attempts = successes = 0
+        for _ in range(cfg.cycles):
+            g = int(rng.geometric(try_ok))
+            attempts += min(g, cap)
+            successes += g <= cap
+        assert (stats.slave, stats.attempts, stats.successes, stats.slots) \
+            == (a.slave, attempts, successes, 2 * (a.best_level + 1) * attempts)
+
+
+def test_stream_keys_never_collide():
+    def draws(rng):
+        return rng.random(8)
+
+    # the seed fills a fixed-width pool: 5 + 3 * 2**32 is not seed 5 with
+    # its high word moved into the key
+    assert not np.array_equal(
+        draws(simulator._block_rng(5 + 3 * 2 ** 32, 7, 0)),
+        draws(simulator._block_rng(5, 3, 7)))
+    for seed in (0, 11, (1 << 64) - 1):
+        # the DLC and SFN streams of one slave differ
+        assert not np.array_equal(
+            draws(simulator._stream(seed, "dlc1000", 3)),
+            draws(simulator._block_rng(seed, 3, 0)))
+        # so do a key and the same key with a trailing zero block
+        for protocol in simulator.PROTOCOLS:
+            assert not np.array_equal(
+                draws(simulator._stream(seed, protocol, 3)),
+                draws(simulator._stream(seed, protocol, 3, 0)))
+    assert np.array_equal(draws(simulator._block_rng(11, 3, 1)),
+                          draws(simulator._stream(11, "sfn", 3, 1)))
+
+
 def test_dlc_capped_retries_follow_truncated_geometric():
     # tries per cycle are min(G, max_retries + 1) for a geometric G, and
     # a cycle gives up when G exceeds the cap
@@ -321,6 +364,18 @@ def test_batch_size_leaves_reports_and_samples_unchanged(monkeypatch,
     assert [asdict(simulate_sfn(m, cfg)) for m, cfg in runs] == want
     assert np.array_equal(
         sample_first_success_levels(ring, 10, 600, seed=3), sample)
+
+
+@pytest.mark.parametrize("elements", [1, 7, 1 << 62],
+                         ids=["one-cycle", "seven-cycles", "one-chunk"])
+@pytest.mark.parametrize("max_retries", [0, 10_000])
+def test_dlc_chunk_size_leaves_reports_unchanged(monkeypatch, max_retries,
+                                                 elements):
+    m = _BATCH_MODELS["rand_area_20"]
+    cfg = SimConfig("dlc1000", cycles=300, max_retries=max_retries, seed=5)
+    want = asdict(simulate_dlc(m, cfg))
+    monkeypatch.setattr(simulator, "_BATCH_ELEMENTS", elements)
+    assert asdict(simulate_dlc(m, cfg)) == want
 
 
 def _two_relay_matrix(per_13: float, per_23: float) -> PerMatrix:
