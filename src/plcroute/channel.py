@@ -37,6 +37,15 @@ def _check_seed(seed, error=ValueError) -> None:
         raise error("seed must be an integer in 0..2**64-1")
 
 
+def _check_integer(name: str, value, error=ValueError) -> None:
+    """Raise error unless value is an integer other than a bool; a node
+    index or a count is checked so before it indexes an array."""
+    # a plain int first: the Integral check costs ten times more
+    if type(value) is not int and (
+            isinstance(value, bool) or not isinstance(value, Integral)):
+        raise error(f"{name} must be an integer, not {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class PerMatrix:
     """Immutable square matrix of per-link packet error rates."""

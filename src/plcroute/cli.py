@@ -1,10 +1,15 @@
 """Command-line front end: generate channels, analyze, simulate, compare.
 
 Matrix files are the comma-separated text that channel.save_matrix
-writes, and every duration is a count of slots.  Subcommands write a
-machine-readable JSON document with full-precision numbers via -o; the
-text tables round for readability.  The library (SimConfig, the channel
-generators, dlc.slave_analysis) checks the options' ranges, not the parser.
+writes, and every duration is a count of slots.  The library computes
+every result (simulator.analyze, simulator.compare,
+metrics.routing_overhead) and this module renders its dataclasses: the
+JSON document, written via -o or printed by --format json, is
+dataclasses.asdict of each result with full-precision numbers, and the
+text and CSV tables read the same fields and round for readability.  The
+one hand-built map is an analysis's (_analysis_doc), which renames total
+to reachable_total.  The library (SimConfig, the channel generators,
+dlc.slave_analysis) checks the options' ranges, not the parser.
 Exit codes: 0 success, 1 validation or argument error, 2 internal error.
 """
 from __future__ import annotations
@@ -19,9 +24,9 @@ from functools import partial
 from itertools import groupby
 from pathlib import Path
 
-from . import __version__, channel, dlc, metrics, sfn
-from .channel import ChannelSpec, ChannelSpecError, PerMatrix
-from .simulator import PROTOCOLS, SimConfig, simulate
+from . import __version__, channel, metrics
+from .channel import ChannelSpec, ChannelSpecError
+from .simulator import PROTOCOLS, SimConfig, analyze, compare
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,6 +73,10 @@ def _num(value) -> str:
     return f"{value:.4f}"
 
 
+def _percent(fraction: float | None, digits: int) -> str:
+    return "n/a" if fraction is None else f"{fraction * 100:+.{digits}f}%"
+
+
 def _write_json(path: str | None, doc: dict) -> None:
     if path:
         Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
@@ -101,21 +110,6 @@ def _config(args, protocol: str) -> SimConfig:
 def _settings(cfg: SimConfig) -> dict:
     """The settings a document records: cfg's fields but the protocol."""
     return {k: v for k, v in asdict(cfg).items() if k != "protocol"}
-
-
-def _relative_difference(analytic: float, simulated: float) -> float | None:
-    """Signed (analytic - simulated) / simulated; matches the table convention
-    that a simulation running longer than the analysis prints negative."""
-    if simulated == 0:
-        return None
-    return (analytic - simulated) / simulated
-
-
-def _analysis(matrix: PerMatrix, protocol: str, max_level: int):
-    """The cycle analysis of one protocol; it is also the simulator's plan."""
-    if protocol == "dlc1000":
-        return dlc.cycle_analysis(matrix, max_level)
-    return sfn.cycle_analysis(matrix)
 
 
 def _analysis_doc(analysis) -> dict:
@@ -207,8 +201,7 @@ def _total_text(total: float, unreachable) -> str:
 
 def _cmd_analyze(args) -> int:
     matrix = channel.load_matrix(args.matrix)
-    d = _analysis(matrix, "dlc1000", args.max_level)
-    s = _analysis(matrix, "sfn", args.max_level)
+    d, s = (analyze(matrix, p, args.max_level) for p in PROTOCOLS)
     doc = _manifest(command="analyze", matrix=args.matrix,
                     node_count=matrix.node_count, max_level=args.max_level,
                     dlc1000=_analysis_doc(d), sfn=_analysis_doc(s))
@@ -237,43 +230,30 @@ def _add_simulate(sub) -> None:
                  "output")
 
 
-def _simulate_doc(matrix: PerMatrix, cfg: SimConfig, analysis) -> dict:
-    """Simulate polling with the analysis's plan; the report's doc."""
-    report = simulate(matrix, cfg, analysis)
-    return {
-        "simulation": asdict(report),
-        "analytic_total": analysis.total,
-        "analytic_unreachable": list(analysis.unreachable),
-        "relative_difference": _relative_difference(
-            analysis.total, report.mean_cycle_duration),
-    }
-
-
 def _cmd_simulate(args) -> int:
     cfg = _config(args, args.protocol)
     matrix = channel.load_matrix(args.matrix)
-    analysis = _analysis(matrix, cfg.protocol, cfg.max_level)
-    doc = _manifest(command="simulate", matrix=args.matrix, **_settings(cfg))
-    doc.update(_simulate_doc(matrix, cfg, analysis))
-    sim = doc["simulation"]
+    result = compare(matrix, cfg, analyze(matrix, cfg.protocol, cfg.max_level))
+    doc = _manifest(command="simulate", matrix=args.matrix, **_settings(cfg),
+                    **asdict(result))
+    report = result.simulation
     headers = ["slave", "attempts", "successes", "mean_round_trip_slots",
                "give_ups"]
-    rows = [[s[h] for h in headers] for s in sim["per_slave"]]
+    rows = [[getattr(s, h) for h in headers] for s in report.per_slave]
     cells = [[str(slave), str(tries), str(ok),
               "-" if mean is None else f"{mean:.3f}", str(gave_up)]
              for slave, tries, ok, mean, gave_up in rows]
-    rel = doc["relative_difference"]
-    rel_text = "n/a" if rel is None else f"{rel * 100:+.2f}%"
     text = "\n".join([
-        f"protocol {sim['protocol']}, {sim['cycles']} cycles, "
-        f"seed {sim['seed_echo']}",
+        f"protocol {report.protocol}, {report.cycles} cycles, "
+        f"seed {report.seed_echo}",
         _table(["slave", "attempts", "successes", "mean_slots", "give_ups"],
                cells),
-        f"mean cycle duration {sim['mean_cycle_duration']:.4f} "
-        f"({sim['reached_count']} slaves reached), "
-        f"{sim['total_slots']} slots total",
-        f"analytic total {analysis.total:.4f}, "
-        f"relative difference (analytic-sim)/sim: {rel_text}",
+        f"mean cycle duration {report.mean_cycle_duration:.4f} "
+        f"({report.reached_count} slaves reached), "
+        f"{report.total_slots} slots total",
+        f"analytic total {result.analytic_total:.4f}, "
+        f"relative difference (analytic-sim)/sim: "
+        f"{_percent(result.relative_difference, 2)}",
     ])
     _emit(args, doc, text, headers, rows)
     return 0
@@ -294,19 +274,6 @@ def _add_compare(sub) -> None:
                  "output", format={"choices": ("text", "json")})
 
 
-def _compare_one(name: str, matrix: PerMatrix, configs: dict) -> dict:
-    entry = {"model": name, "node_count": matrix.node_count}
-    analyses = {p: _analysis(matrix, p, cfg.max_level)
-                for p, cfg in configs.items()}
-    # both analyses come before both simulations in the document
-    for protocol, analysis in analyses.items():
-        entry[protocol] = _analysis_doc(analysis)
-    for protocol, analysis in analyses.items():
-        entry[f"{protocol}_sim"] = _simulate_doc(matrix, configs[protocol],
-                                                 analysis)
-    return entry
-
-
 def _cmd_compare(args) -> int:
     configs = {p: _config(args, p) for p in PROTOCOLS}
     if args.defaults and args.matrices:
@@ -320,55 +287,52 @@ def _cmd_compare(args) -> int:
     else:
         raise ChannelSpecError("no matrices given (pass files or --defaults)")
 
-    overhead = {p: metrics.routing_overhead(p) for p in PROTOCOLS}
-    doc = _manifest(command="compare", **_settings(configs["sfn"]),
-                    packet_bytes=overhead["sfn"].packet_bits // 8, models=[])
-    failures = 0
-    for name, load in models:
-        try:
-            doc["models"].append(_compare_one(name, load(), configs))
-        except (OSError, ValueError) as exc:
-            failures += 1
-            doc["models"].append({"model": name, "error": str(exc)})
-
-    doc["overhead"] = {p: asdict(o) for p, o in overhead.items()}
-    _emit(args, doc, _compare_text(doc))
-    return 1 if failures else 0
-
-
-def _compare_text(doc: dict) -> str:
-    """One row per model: each protocol's analytic total, simulated mean
-    and their rel_diff, then the routing-overhead table."""
+    # one row per model: each protocol's analytic total, simulated mean
+    # and their rel_diff
     headers = ["model", *(f"{prefix}_{column}" for prefix in ("dlc", "sfn")
                           for column in ("analytic", "simulated", "rel_diff"))]
-    durations = []
-    for entry in doc["models"]:
-        if "error" in entry:
-            durations.append([entry["model"], "failed", entry["error"],
+    entries, durations, failures = [], [], 0
+    for name, load in models:
+        try:
+            matrix = load()
+            analyses = {p: analyze(matrix, p, cfg.max_level)
+                        for p, cfg in configs.items()}
+            results = {p: compare(matrix, configs[p], a)
+                       for p, a in analyses.items()}
+        except (OSError, ValueError) as exc:
+            failures += 1
+            entries.append({"model": name, "error": str(exc)})
+            durations.append([name, "failed", str(exc),
                               *[""] * (len(headers) - 3)])
             continue
-        row = [entry["model"]]
-        for protocol in PROTOCOLS:
-            ana, sim = entry[protocol], entry[f"{protocol}_sim"]
-            report, rel = sim["simulation"], sim["relative_difference"]
-            row += [_total_text(ana["reachable_total"], ana["unreachable"]),
-                    f"{report['mean_cycle_duration']:.2f} "
-                    f"({report['reached_count']} slaves)",
-                    "n/a" if rel is None else f"{rel * 100:+.1f}%"]
-        durations.append(row)
-    overhead = [[proto, str(o["routing_bits_per_packet"]),
-                 f"{o['overhead_ratio'] * 100:.1f}%",
-                 str(o["signaling_bits_per_poll_response"])]
-                for proto, o in doc["overhead"].items()]
+        entries.append({
+            "model": name, "node_count": matrix.node_count,
+            **{p: _analysis_doc(a) for p, a in analyses.items()},
+            **{f"{p}_sim": asdict(r) for p, r in results.items()}})
+        durations.append([name, *(cell for r in results.values() for cell in (
+            _total_text(r.analytic_total, r.analytic_unreachable),
+            f"{r.simulation.mean_cycle_duration:.2f} "
+            f"({r.simulation.reached_count} slaves)",
+            _percent(r.relative_difference, 1)))])
+
+    overhead = [metrics.routing_overhead(p) for p in PROTOCOLS]
+    packet_bytes = overhead[0].packet_bits // 8
+    doc = _manifest(command="compare", **_settings(configs["sfn"]),
+                    packet_bytes=packet_bytes, models=entries,
+                    overhead={o.protocol: asdict(o) for o in overhead})
     sections = [
         ("expected cycle duration: analytic vs simulation", headers,
          durations),
-        (f"routing overhead ({doc['packet_bytes']}-byte packets)",
+        (f"routing overhead ({packet_bytes}-byte packets)",
          ["protocol", "routing_bits", "of_packet",
-          "signaling_bits_per_response"], overhead),
+          "signaling_bits_per_response"],
+         [[o.protocol, str(o.routing_bits_per_packet),
+           f"{o.overhead_ratio * 100:.1f}%",
+           str(o.signaling_bits_per_poll_response)] for o in overhead]),
     ]
-    return "\n\n".join(f"== {title} ==\n{_table(h, rows)}"
-                        for title, h, rows in sections)
+    _emit(args, doc, "\n\n".join(f"== {title} ==\n{_table(h, rows)}"
+                                 for title, h, rows in sections))
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------

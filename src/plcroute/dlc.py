@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
 
 import numpy as np
 
-from .channel import MASTER, PerMatrix
+from .channel import MASTER, PerMatrix, _check_integer
 
 
 class InvalidPathError(ValueError):
@@ -63,15 +62,8 @@ class DlcCycleAnalysis:
         return not self.unreachable
 
 
-def _check_integer(name: str, value) -> None:
-    # a plain int first: the Integral check costs ten times more
-    if type(value) is not int and (
-            isinstance(value, bool) or not isinstance(value, Integral)):
-        raise InvalidPathError(f"{name} must be an integer, not {value!r}")
-
-
 def _check_slave(per: PerMatrix, slave: int) -> None:
-    _check_integer("slave index", slave)
+    _check_integer("slave index", slave, InvalidPathError)
     if not (1 <= slave < per.node_count):
         raise InvalidPathError(f"slave index {slave} out of range (master is 0)")
 
@@ -79,7 +71,7 @@ def _check_slave(per: PerMatrix, slave: int) -> None:
 def _check_path(per: PerMatrix, repeaters, slave: int) -> None:
     seen = set()
     for r in repeaters:
-        _check_integer("repeater index", r)
+        _check_integer("repeater index", r, InvalidPathError)
         if not (0 <= r < per.node_count):
             raise InvalidPathError(f"repeater index {r} out of range")
         if r == MASTER or r == slave:
@@ -150,7 +142,7 @@ def best_path(per: PerMatrix, slave: int, level: int) -> DlcPathResult:
     """
     _check_slave(per, slave)
     n = per.node_count
-    _check_integer("repeater level", level)
+    _check_integer("repeater level", level, InvalidPathError)
     if not (0 <= level <= n - 2):
         raise InvalidPathError(
             f"repeater level {level} out of range 0..{n - 2} for {n} nodes"
@@ -221,7 +213,7 @@ def slave_analysis(per: PerMatrix, slave: int,
     may be analysed in any order.
     """
     _check_slave(per, slave)
-    _check_integer("max_level", max_level)
+    _check_integer("max_level", max_level, InvalidPathError)
     if max_level < 0:
         raise InvalidPathError("max_level must be >= 0")
     options = []

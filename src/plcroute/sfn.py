@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import MASTER, PerMatrix
+from .channel import MASTER, PerMatrix, _check_integer
 
 # Residual probability mass beyond the computed horizon above which a
 # mean first-success level is flagged as unreliable.
@@ -123,46 +123,33 @@ class SfnCycleAnalysis:
         return not self.unreachable
 
 
-def _live_links(weights: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-    """Each column's live links of an (n, n) weight matrix, slot-major.
-
-    Returns (src, table) as read-only (D, n) arrays: column j of src lists
-    the rows i with weights[i, j] > 0 in ascending order, and table[k, j]
-    is weights[src[k, j], j]; the slots past a column's last live link
-    point at dead links, whose weight is 0.  In the flood kernel,
-    gathering a slot costs about three times multiplying one
-    (rand_area_300: 2.7 s gathered against 0.8 s broadcast), so when some
-    column has more than n / 3 live links, src is None and table is
-    weights itself, made read-only.  `_in_links` is the one caller.
-    """
-    live = weights > 0.0
-    depth = max(1, int(live.sum(axis=0).max()))
-    if 3 * depth > weights.shape[0]:
-        weights.setflags(write=False)
-        return None, weights
-    src = np.argsort(~live, axis=0, kind="stable")[:depth]
-    table = np.take_along_axis(weights, src, axis=0)
-    for a in (src, table):
-        a.setflags(write=False)
-    return src, table
-
-
 @lru_cache(maxsize=1)
 def _in_links(per: PerMatrix) -> tuple[np.ndarray | None, np.ndarray]:
     """Each receiver's live in-links as a slot-major (D, n) table.
 
-    Returns (src, ok): column j of src lists the transmitters i != j with
-    ok[i, j] = 1 - per[i, j] > 0 in ascending order, and ok holds those
-    links' success probabilities; the slots past a receiver's last live
-    link point at dead links, whose ok is 0.  When a receiver has more
-    than n / 3 live in-links, src is None and ok is the full (n, n)
-    success matrix with a zero diagonal, a node not being its own
-    transmitter (`_live_links`).  Read-only and computed once per matrix:
-    PerMatrix is immutable and hashes by identity.
+    Returns (src, ok) as read-only arrays: column j of src lists the
+    transmitters i != j with ok[i, j] = 1 - per[i, j] > 0 in ascending
+    order, and ok[k, j] is the success probability of link src[k, j] -> j;
+    the slots past a receiver's last live link point at dead links, whose
+    ok is 0.  In the flood kernel, gathering a slot costs about three
+    times multiplying one (rand_area_300: 2.7 s gathered against 0.8 s
+    broadcast), so when some receiver has more than n / 3 live in-links,
+    src is None and ok is the full (n, n) success matrix with a zero
+    diagonal, a node not being its own transmitter.  Computed once per
+    matrix: PerMatrix is immutable and hashes by identity.
     """
     ok = 1.0 - per.per
     np.fill_diagonal(ok, 0.0)
-    return _live_links(ok)
+    live = ok > 0.0
+    depth = max(1, int(live.sum(axis=0).max()))
+    if 3 * depth > ok.shape[0]:
+        ok.setflags(write=False)
+        return None, ok
+    src = np.argsort(~live, axis=0, kind="stable")[:depth]
+    table = np.take_along_axis(ok, src, axis=0)
+    for a in (src, table):
+        a.setflags(write=False)
+    return src, table
 
 
 @lru_cache(maxsize=1)
@@ -304,6 +291,7 @@ def flood(per: PerMatrix, origin: int,
     order; the skipped factors are exactly 1.0, so the result equals the
     dense product over every node bit for bit.
     """
+    _check_integer("origin", origin)
     if not (0 <= origin < per.node_count):
         raise ValueError(f"origin {origin} out of range")
     if not (0.0 < initial_tx <= 1.0):
@@ -396,6 +384,7 @@ def level_distribution(profile: FloodProfile, target: int) -> LevelDistribution:
     distribution; residual mass beyond the horizon is reported and flagged
     when it is large enough to bias the mean.
     """
+    _check_integer("target", target)
     if target == profile.origin:
         raise ValueError("target must differ from the flood origin")
     if not (0 <= target < profile.cumulative.shape[0]):
@@ -473,6 +462,7 @@ def slave_analysis(per: PerMatrix, slave: int) -> SfnSlaveAnalysis:
     reported pair minimizes expected duration over the evaluated grid
     (ties toward the smaller pair).
     """
+    _check_integer("slave index", slave)
     if not (1 <= slave < per.node_count):
         raise ValueError(f"slave index {slave} out of range (master is 0)")
     downlink = flood(per, MASTER)

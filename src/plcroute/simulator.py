@@ -16,7 +16,9 @@ order, that it would draw on its own.  So reports are bit-identical across
 repeats, and no report depends on the batching.  Slot accounting is
 exact: a DLC1000 try reserves 2*(level+1) slots whether or not it
 succeeds, an SFN try reserves the two full flood windows, 2 + r_dl + r_ul
-slots, with both levels incremented by one per retry.
+slots, with both levels incremented by one per retry.  `analyze` is the
+one dispatch from a protocol to its cycle analysis, and `compare` sets a
+simulation against the analysis whose plan it polled with.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from numbers import Integral
 import numpy as np
 
 from . import dlc, sfn
-from .channel import MASTER, PerMatrix, _check_seed
+from .channel import MASTER, PerMatrix, _check_integer, _check_seed
 
 PROTOCOLS = ("dlc1000", "sfn")
 
@@ -56,8 +58,7 @@ class SimConfig:
         for name, low in (("cycles", 1), ("max_retries", 0),
                           ("max_level", 0)):
             value = getattr(self, name)
-            if not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+            _check_integer(name, value)
             if value < low:
                 raise ValueError(f"{name} must be >= {low}")
         _check_seed(self.seed)
@@ -259,12 +260,15 @@ def flood_trial(per: PerMatrix, origin: int, max_level: int,
     retransmit.
     """
     n = per.node_count
+    _check_integer("origin", origin)
     if not (0 <= origin < n):
         raise ValueError(f"origin {origin} out of range 0..{n - 1}")
+    _check_integer("max_level", max_level)
     if max_level < 0:
         raise ValueError("max_level must be >= 0")
     no_relay = list(no_relay)
     for node in no_relay:
+        _check_integer("no_relay node", node)
         if not (0 <= node < n):
             raise ValueError(f"no_relay node {node} out of range 0..{n - 1}")
     return _flood(_log_miss(per), origin, max_level, 1, rng, no_relay)[0]
@@ -325,20 +329,29 @@ def _first_successes(per: PerMatrix, plans, tries: int, count: int,
     return first
 
 
+def analyze(per: PerMatrix, protocol: str, max_level: int = 4):
+    """The cycle analysis of protocol, which is also its simulation's plan;
+    max_level caps the DLC1000 repeaters, and SFN takes no cap."""
+    if protocol == "dlc1000":
+        return dlc.cycle_analysis(per, max_level)
+    if protocol == "sfn":
+        return sfn.cycle_analysis(per)
+    raise ValueError(f"unknown protocol {protocol!r}")
+
+
 def _plan(per: PerMatrix, cfg: SimConfig, protocol: str, analysis):
     """The cycle analysis that a simulation of protocol polls with.
 
-    Computed with cfg.max_level (dlc1000) or sfn.cycle_analysis when none
-    is given.  An analysis of the other protocol, or of a matrix with other
-    slaves, is a ValueError.
+    analyze(per, protocol, cfg.max_level) when none is given.  An analysis
+    of the other protocol, or of a matrix with other slaves, is a
+    ValueError.
     """
     if cfg.protocol != protocol:
         raise ValueError(f"config protocol must be {protocol!r}")
-    dlc_plan = protocol == "dlc1000"
     if analysis is None:
-        analysis = (dlc.cycle_analysis(per, cfg.max_level) if dlc_plan
-                    else sfn.cycle_analysis(per))
-    kind = dlc.DlcCycleAnalysis if dlc_plan else sfn.SfnCycleAnalysis
+        analysis = analyze(per, protocol, cfg.max_level)
+    kind = (dlc.DlcCycleAnalysis if protocol == "dlc1000"
+            else sfn.SfnCycleAnalysis)
     if not isinstance(analysis, kind):
         raise ValueError(f"a {protocol} simulation cannot poll with a "
                          f"{type(analysis).__name__}")
@@ -440,6 +453,28 @@ def simulate(per: PerMatrix, cfg: SimConfig, analysis=None) -> SimReport:
     return simulate_sfn(per, cfg, analysis)
 
 
+@dataclass(frozen=True)
+class Comparison:
+    """A simulation set against the analysis whose plan it polled with.
+
+    relative_difference is (analytic - simulated) / simulated, negative
+    when the simulation runs longer, and None when its mean is 0.
+    """
+
+    simulation: SimReport
+    analytic_total: float  # over the analysis's reachable slaves
+    analytic_unreachable: tuple[int, ...]
+    relative_difference: float | None
+
+
+def compare(per: PerMatrix, cfg: SimConfig, analysis) -> Comparison:
+    """Simulate cfg.protocol with analysis's plan; set it against analysis."""
+    report = simulate(per, cfg, analysis)
+    sim = report.mean_cycle_duration
+    rel = None if sim == 0 else (analysis.total - sim) / sim
+    return Comparison(report, analysis.total, analysis.unreachable, rel)
+
+
 def sample_first_success_levels(per: PerMatrix, target: int, trials: int,
                                 seed: int = 0) -> np.ndarray:
     """Empirical first-success levels of the escalating downlink chain.
@@ -450,6 +485,7 @@ def sample_first_success_levels(per: PerMatrix, target: int, trials: int,
     distribution.  Returns one level per trial, -1 if the target is not
     reached by level node_count, the analysis's flood cap.
     """
+    _check_integer("target", target)
     if not (MASTER < target < per.node_count):
         raise ValueError(f"target {target} out of range 1..{per.node_count - 1}")
     if not (isinstance(trials, Integral) and trials >= 0):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -26,6 +27,14 @@ def run(capsys, *argv):
 def perfect2(tmp_path):
     path = tmp_path / "perfect2.per"
     save_matrix(PerMatrix(np.zeros((2, 2))), path)
+    return str(path)
+
+
+@pytest.fixture
+def dead2(tmp_path):
+    # every link is lost, so no poll ever succeeds
+    path = tmp_path / "dead2.per"
+    path.write_text("0,1\n1,0\n")
     return str(path)
 
 
@@ -127,6 +136,25 @@ def test_simulate_reports_relative_difference(ring10, capsys, tmp_path):
         (analytic - simulated) / simulated, rel=1e-12)
 
 
+def test_relative_difference_is_na_when_no_slave_is_reached(dead2, capsys,
+                                                           tmp_path):
+    # a simulated mean of 0 has no relative difference
+    for protocol in ("dlc1000", "sfn"):
+        out = tmp_path / f"{protocol}.json"
+        code, text, _ = run(capsys, "simulate", "--protocol", protocol,
+                            "--cycles", "5", "-o", str(out), dead2)
+        assert code == 0
+        assert text.splitlines()[-1] == (
+            "analytic total 0.0000, relative difference (analytic-sim)/sim: "
+            "n/a")
+        assert '"relative_difference": null' in out.read_text()
+    code, text, _ = run(capsys, "compare", "--cycles", "5", dead2)
+    assert code == 0
+    cells = re.split(r"\s{2,}", text.splitlines()[3].strip())
+    assert cells == [dead2, *["inf (1 unreachable: 1; reachable sum 0.0000)",
+                              "0.00 (0 slaves)", "n/a"] * 2]
+
+
 def test_simulate_same_command_same_output(ring10, capsys, tmp_path):
     outs = []
     for name in ("a.json", "b.json"):
@@ -146,6 +174,10 @@ SFN_SLAVE_KEYS = {"slave", "r_dl", "r_ul", "poll_success", "expected_duration",
                   "candidates"}
 SFN_CANDIDATE_KEYS = {"r_dl", "r_ul", "poll_success", "expected_duration"}
 ANALYSIS_KEYS = {"per_slave", "reachable_total", "unreachable", "complete"}
+MANIFEST_KEYS = {"tool", "version", "command", "cycles", "max_retries",
+                 "max_level", "seed"}
+COMPARISON_KEYS = {"simulation", "analytic_total", "analytic_unreachable",
+                   "relative_difference"}
 
 
 def test_json_keys_are_stable(ring10, capsys, tmp_path):
@@ -164,13 +196,32 @@ def test_json_keys_are_stable(ring10, capsys, tmp_path):
     out = tmp_path / "sim.json"
     assert run(capsys, "simulate", "--protocol", "dlc1000", "--cycles", "5",
                "-o", str(out), ring10)[0] == 0
-    sim = json.loads(out.read_text())["simulation"]
+    doc = json.loads(out.read_text())
+    assert set(doc) == MANIFEST_KEYS | COMPARISON_KEYS | {"matrix"}
+    sim = doc["simulation"]
     assert set(sim) == {"protocol", "cycles", "per_slave",
                         "mean_cycle_duration", "reached_count", "total_slots",
                         "seed_echo"}
     for entry in sim["per_slave"]:
         assert set(entry) == {"slave", "attempts", "successes",
                               "mean_round_trip_slots", "give_ups", "slots"}
+
+    out = tmp_path / "cmp.json"
+    assert run(capsys, "compare", "--cycles", "5", "-o", str(out),
+               ring10)[0] == 0
+    doc = json.loads(out.read_text())
+    assert set(doc) == MANIFEST_KEYS | {"packet_bytes", "models", "overhead"}
+    (entry,) = doc["models"]
+    assert set(entry) == {"model", "node_count", "dlc1000", "sfn",
+                          "dlc1000_sim", "sfn_sim"}
+    assert set(entry["dlc1000"]) == set(entry["sfn"]) == ANALYSIS_KEYS
+    assert set(entry["dlc1000_sim"]) == set(entry["sfn_sim"]) == \
+        COMPARISON_KEYS
+    assert set(doc["overhead"]) == {"dlc1000", "sfn"}
+    assert all(set(o) == {"protocol", "routing_bits_per_packet",
+                          "packet_bits", "overhead_ratio",
+                          "signaling_bits_per_poll_response"}
+               for o in doc["overhead"].values())
 
 
 def _count_calls(monkeypatch, module, name: str) -> list:

@@ -115,6 +115,15 @@ def test_flood_rejects_bad_arguments():
         flood(m, 0, 0.0)
     with pytest.raises(ValueError):
         flood(m, 0, 1.2)
+    # a non-integer node index is named, not passed on to numpy
+    with pytest.raises(ValueError, match="origin must be an integer, not 1.5"):
+        flood(m, 1.5)
+    for bad in (1.5, True):
+        with pytest.raises(ValueError,
+                           match=f"slave index must be an integer, not {bad}"):
+            slave_analysis(m, bad)
+    with pytest.raises(ValueError, match="target must be an integer, not 2.0"):
+        level_distribution(flood(m, 0), 2.0)
 
 
 def test_first_success_distribution_hand_values():

@@ -55,6 +55,8 @@ def test_config_validation():
                               ("sfn", "max_retries"), ("dlc1000", "max_level")):
         with pytest.raises(ValueError, match=f"{setting} must be an integer"):
             SimConfig(protocol, **{"cycles": 3, setting: 2.5})
+    with pytest.raises(ValueError, match="cycles must be an integer, not True"):
+        SimConfig("sfn", cycles=True)
     assert SimConfig("sfn", cycles=np.int64(3), max_retries=np.int64(1))
 
 
@@ -148,6 +150,35 @@ def test_analysis_of_the_other_protocol_is_rejected(protocol):
         else dlc.cycle_analysis(m)
     with pytest.raises(ValueError, match=type(other).__name__):
         simulate(m, SimConfig(protocol, cycles=5), other)
+
+
+def test_analyze_is_each_protocols_cycle_analysis():
+    m = generate_ring(7, 0.2, 0.7)
+    assert simulator.analyze(m, "dlc1000", 3) == dlc.cycle_analysis(m, 3)
+    assert simulator.analyze(m, "sfn") == sfn.cycle_analysis(m)
+    with pytest.raises(ValueError, match="unknown protocol 'bogus'"):
+        simulator.analyze(m, "bogus")
+
+
+@pytest.mark.parametrize("protocol", ["dlc1000", "sfn"])
+def test_compare_sets_the_simulation_against_its_analysis(protocol):
+    m = generate_ring(7, 0.2, 0.7)
+    cfg = SimConfig(protocol, cycles=60, max_level=3, seed=5)
+    analysis = simulator.analyze(m, protocol, cfg.max_level)
+    result = simulator.compare(m, cfg, analysis)
+    simulated = simulate(m, cfg, analysis).mean_cycle_duration
+    assert result.simulation == simulate(m, cfg)
+    assert result.analytic_total == analysis.total
+    assert result.analytic_unreachable == analysis.unreachable
+    assert result.relative_difference == \
+        (analysis.total - simulated) / simulated
+    # every link lost: no poll succeeds, and a 0 mean has no relative
+    # difference
+    dead = matrix([[0.0, 1.0], [1.0, 0.0]])
+    result = simulator.compare(dead, replace(cfg, cycles=5),
+                               simulator.analyze(dead, protocol))
+    assert result.simulation.mean_cycle_duration == 0.0
+    assert result.relative_difference is None
 
 
 def test_dlc_polls_the_chain_of_the_analysis():
@@ -469,11 +500,24 @@ def test_flood_trial_line_is_deterministic():
      "trials must be an integer >= 0, not -1"),
     (lambda m, rng: flood_trial(m, 0, 2, rng, no_relay=(9,)),
      "no_relay node 9 out of range 0..5"),
+    # a non-integer index is named, not passed on to numpy
+    (lambda m, rng: flood_trial(m, 1.5, 5, rng),
+     "origin must be an integer, not 1.5"),
+    (lambda m, rng: flood_trial(m, True, 5, rng),
+     "origin must be an integer, not True"),
+    (lambda m, rng: flood_trial(m, 0, 2.5, rng),
+     "max_level must be an integer, not 2.5"),
+    (lambda m, rng: flood_trial(m, 0, 2, rng, no_relay=(1.5,)),
+     "no_relay node must be an integer, not 1.5"),
+    (lambda m, rng: sample_first_success_levels(m, 2.5, 10),
+     "target must be an integer, not 2.5"),
 ], ids=["flood-origin-negative", "flood-origin-too-large",
         "flood-max-level-negative", "sample-target-master",
         "sample-target-negative", "sample-target-too-large",
         "sample-seed-negative", "sample-trials-negative",
-        "flood-no-relay-too-large"])
+        "flood-no-relay-too-large", "flood-origin-float", "flood-origin-bool",
+        "flood-max-level-float", "flood-no-relay-float",
+        "sample-target-float"])
 def test_flood_and_sampler_reject_out_of_range_nodes(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(generate_ring(6), np.random.default_rng(0))
