@@ -30,20 +30,29 @@ class MatrixValidationError(ValueError):
     """Raised when a PER matrix violates its structural invariants."""
 
 
-def _check_seed(seed, error=ValueError) -> None:
-    """Raise error unless seed is an integer in 0..2**64-1, the one range
-    that both numpy's generators and the simulator's keyed streams take."""
-    if not (isinstance(seed, Integral) and 0 <= seed < 1 << 64):
-        raise error("seed must be an integer in 0..2**64-1")
-
-
-def _check_integer(name: str, value, error=ValueError) -> None:
-    """Raise error unless value is an integer other than a bool; a node
-    index or a count is checked so before it indexes an array."""
+def _check_integer(name: str, value, error=ValueError,
+                   low: int | None = None, high: int | None = None) -> None:
+    """Raise error unless value is an integer other than a bool, and at
+    least low and at most high where they are given (high only with low).
+    Every node index, count and seed is checked so before it indexes an
+    array or keys a stream."""
     # a plain int first: the Integral check costs ten times more
     if type(value) is not int and (
             isinstance(value, bool) or not isinstance(value, Integral)):
         raise error(f"{name} must be an integer, not {value!r}")
+    if high is not None:
+        if not low <= value <= high:
+            raise error(f"{name} {value} out of range {low}..{high}")
+    elif low is not None and value < low:
+        raise error(f"{name} must be >= {low}")
+
+
+def _check_seed(seed, error=ValueError) -> None:
+    """Raise error unless seed is an integer in 0..2**64-1, the one range
+    that both numpy's generators and the simulator's keyed streams take."""
+    _check_integer("seed", seed, error)
+    if not 0 <= seed < 1 << 64:
+        raise error("seed must be an integer in 0..2**64-1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +108,7 @@ def generate_ring(node_count: int,
     Node i talks to node j with error rate per_adjacent at ring distance 1,
     per_two_hop at distance 2, and 1.0 beyond.  Symmetric by construction.
     """
+    _check_integer("node_count", node_count, ChannelSpecError)
     if node_count < 3:
         raise ChannelSpecError("ring model needs at least 3 nodes")
     if not (0.0 <= per_adjacent <= per_two_hop <= 1.0):
@@ -124,10 +134,13 @@ def generate_rand_area(node_count: int,
 
     The same seed always yields the same matrix.
     """
+    _check_integer("node_count", node_count, ChannelSpecError)
     if node_count < 2:
         raise ChannelSpecError("rand_area model needs at least 2 nodes")
-    if d50 <= 0 or width <= 0:
-        raise ChannelSpecError("rand_area model needs d50 > 0 and width > 0")
+    for name, value in (("d50", d50), ("width", width)):
+        if not 0.0 < value < np.inf:  # NaN fails too
+            raise ChannelSpecError(
+                f"rand_area model needs a finite {name} > 0, not {value!r}")
     _check_seed(seed, ChannelSpecError)
     rng = np.random.default_rng(seed)
     positions = np.vstack([[0.5, 0.5], rng.random((node_count - 1, 2))])

@@ -8,8 +8,11 @@ JSON document, written via -o or printed by --format json, is
 dataclasses.asdict of each result with full-precision numbers, and the
 text and CSV tables read the same fields and round for readability.  The
 one hand-built map is an analysis's (_analysis_doc), which renames total
-to reachable_total.  The library (SimConfig, the channel generators,
-dlc.slave_analysis) checks the options' ranges, not the parser.
+to reachable_total.  The library checks the options, not the parser.
+Every count, node index and seed passes one rule, channel._check_integer:
+an integer, not a bool ("cycles must be an integer, not 2.5"), within its
+bounds ("cycles must be >= 1", or "origin 9 out of range 0..5" with an
+upper bound); a seed's range reads "seed must be an integer in 0..2**64-1".
 Exit codes: 0 success, 1 validation or argument error, 2 internal error.
 """
 from __future__ import annotations
@@ -225,7 +228,7 @@ def _add_simulate(sub) -> None:
                        help="Monte-Carlo polling simulation with analytic comparison")
     p.set_defaults(run=_cmd_simulate)
     p.add_argument("matrix")
-    p.add_argument("--protocol", choices=("dlc1000", "sfn"), required=True)
+    p.add_argument("--protocol", choices=PROTOCOLS, required=True)
     _add_options(p, "cycles", "max_retries", "max_level", "seed", "format",
                  "output")
 

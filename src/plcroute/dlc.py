@@ -63,17 +63,15 @@ class DlcCycleAnalysis:
 
 
 def _check_slave(per: PerMatrix, slave: int) -> None:
-    _check_integer("slave index", slave, InvalidPathError)
-    if not (1 <= slave < per.node_count):
-        raise InvalidPathError(f"slave index {slave} out of range (master is 0)")
+    _check_integer("slave index", slave, InvalidPathError,
+                   low=MASTER + 1, high=per.node_count - 1)
 
 
 def _check_path(per: PerMatrix, repeaters, slave: int) -> None:
     seen = set()
     for r in repeaters:
-        _check_integer("repeater index", r, InvalidPathError)
-        if not (0 <= r < per.node_count):
-            raise InvalidPathError(f"repeater index {r} out of range")
+        _check_integer("repeater index", r, InvalidPathError,
+                       low=0, high=per.node_count - 1)
         if r == MASTER or r == slave:
             raise InvalidPathError(
                 f"repeater {r} may not be the master or the destination"
@@ -142,11 +140,7 @@ def best_path(per: PerMatrix, slave: int, level: int) -> DlcPathResult:
     """
     _check_slave(per, slave)
     n = per.node_count
-    _check_integer("repeater level", level, InvalidPathError)
-    if not (0 <= level <= n - 2):
-        raise InvalidPathError(
-            f"repeater level {level} out of range 0..{n - 2} for {n} nodes"
-        )
+    _check_integer("repeater level", level, InvalidPathError, low=0, high=n - 2)
     w = _pair_weights(per)
     if level == 0:
         return DlcPathResult((), float(w[MASTER, slave]))
@@ -213,9 +207,7 @@ def slave_analysis(per: PerMatrix, slave: int,
     may be analysed in any order.
     """
     _check_slave(per, slave)
-    _check_integer("max_level", max_level, InvalidPathError)
-    if max_level < 0:
-        raise InvalidPathError("max_level must be >= 0")
+    _check_integer("max_level", max_level, InvalidPathError, low=0)
     options = []
     best: DlcLevelOption | None = None
     repeaters: tuple[int, ...] = ()

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .channel import _check_integer
+
 DLC_ROUTING_BITS = 24  # two repeater addresses, 12 bits each
 SFN_ROUTING_BITS = 8  # 4-bit downlink level + 4-bit uplink level
 PREFERRED_REPEATERS_REPORTED = 5
@@ -32,8 +34,7 @@ def routing_overhead(protocol: str, packet_bytes: int = 64) -> OverheadReport:
     payload bits of one poll response."""
     if protocol not in ("dlc1000", "sfn"):
         raise ValueError(f"unknown protocol {protocol!r}")
-    if packet_bytes <= 0:
-        raise ValueError("packet_bytes must be positive")
+    _check_integer("packet_bytes", packet_bytes, low=1)
     packet_bits = 8 * packet_bytes
     if protocol == "dlc1000":
         routing_bits = DLC_ROUTING_BITS

@@ -291,9 +291,7 @@ def flood(per: PerMatrix, origin: int,
     order; the skipped factors are exactly 1.0, so the result equals the
     dense product over every node bit for bit.
     """
-    _check_integer("origin", origin)
-    if not (0 <= origin < per.node_count):
-        raise ValueError(f"origin {origin} out of range")
+    _check_integer("origin", origin, low=0, high=per.node_count - 1)
     if not (0.0 < initial_tx <= 1.0):
         raise ValueError("initial_tx must be in (0, 1]")
     tx_cols, rcv_cols = [], []
@@ -384,11 +382,10 @@ def level_distribution(profile: FloodProfile, target: int) -> LevelDistribution:
     distribution; residual mass beyond the horizon is reported and flagged
     when it is large enough to bias the mean.
     """
-    _check_integer("target", target)
+    _check_integer("target", target,
+                   low=0, high=profile.cumulative.shape[0] - 1)
     if target == profile.origin:
         raise ValueError("target must differ from the flood origin")
-    if not (0 <= target < profile.cumulative.shape[0]):
-        raise ValueError(f"target {target} out of range")
     return _distribution(profile.cumulative[target])
 
 
@@ -462,9 +459,8 @@ def slave_analysis(per: PerMatrix, slave: int) -> SfnSlaveAnalysis:
     reported pair minimizes expected duration over the evaluated grid
     (ties toward the smaller pair).
     """
-    _check_integer("slave index", slave)
-    if not (1 <= slave < per.node_count):
-        raise ValueError(f"slave index {slave} out of range (master is 0)")
+    _check_integer("slave index", slave,
+                   low=MASTER + 1, high=per.node_count - 1)
     downlink = flood(per, MASTER)
     return _slave_analyses(per, (slave,), downlink)[0]
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from numbers import Integral
 
 import numpy as np
 
@@ -57,10 +56,7 @@ class SimConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         for name, low in (("cycles", 1), ("max_retries", 0),
                           ("max_level", 0)):
-            value = getattr(self, name)
-            _check_integer(name, value)
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}")
+            _check_integer(name, getattr(self, name), low=low)
         _check_seed(self.seed)
 
 
@@ -260,17 +256,11 @@ def flood_trial(per: PerMatrix, origin: int, max_level: int,
     retransmit.
     """
     n = per.node_count
-    _check_integer("origin", origin)
-    if not (0 <= origin < n):
-        raise ValueError(f"origin {origin} out of range 0..{n - 1}")
-    _check_integer("max_level", max_level)
-    if max_level < 0:
-        raise ValueError("max_level must be >= 0")
+    _check_integer("origin", origin, low=0, high=n - 1)
+    _check_integer("max_level", max_level, low=0)
     no_relay = list(no_relay)
     for node in no_relay:
-        _check_integer("no_relay node", node)
-        if not (0 <= node < n):
-            raise ValueError(f"no_relay node {node} out of range 0..{n - 1}")
+        _check_integer("no_relay node", node, low=0, high=n - 1)
     return _flood(_log_miss(per), origin, max_level, 1, rng, no_relay)[0]
 
 
@@ -485,11 +475,8 @@ def sample_first_success_levels(per: PerMatrix, target: int, trials: int,
     distribution.  Returns one level per trial, -1 if the target is not
     reached by level node_count, the analysis's flood cap.
     """
-    _check_integer("target", target)
-    if not (MASTER < target < per.node_count):
-        raise ValueError(f"target {target} out of range 1..{per.node_count - 1}")
-    if not (isinstance(trials, Integral) and trials >= 0):
-        raise ValueError(f"trials must be an integer >= 0, not {trials!r}")
+    _check_integer("target", target, low=MASTER + 1, high=per.node_count - 1)
+    _check_integer("trials", trials, low=0)
     _check_seed(seed)
     return _first_successes(per, [(target, ((MASTER, 0, target),))],
                             per.node_count + 1, trials, seed)[0]

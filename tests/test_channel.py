@@ -39,7 +39,7 @@ def test_ring_adjacent_only():
     assert m.per[0, 1] == 0.0
 
 
-@pytest.mark.parametrize("nodes", [0, 1, 2])
+@pytest.mark.parametrize("nodes", [0, 1, 2, 5.5])
 def test_ring_too_small(nodes):
     with pytest.raises(ChannelSpecError):
         generate_ring(nodes)
@@ -95,6 +95,12 @@ def test_rand_area_validation():
         generate_rand_area(5, d50=0.0)
     with pytest.raises(ChannelSpecError):
         generate_rand_area(5, width=-1.0)
+    # each bad setting is named, not passed on to numpy
+    for setting, value in (("node_count", 5.5), ("seed", True),
+                           ("d50", math.nan), ("d50", math.inf),
+                           ("width", math.nan), ("width", math.inf)):
+        with pytest.raises(ChannelSpecError, match=setting):
+            generate_rand_area(**{"node_count": 5, setting: value})
 
 
 def test_per_matrix_rejects_bad_values():

@@ -40,6 +40,9 @@ def test_overhead_validation():
         routing_overhead("dlc1000", 0)
     with pytest.raises(ValueError):
         routing_overhead("token-ring", 64)
+    for packet_bytes in (1.5, True):
+        with pytest.raises(ValueError, match="packet_bytes"):
+            routing_overhead("dlc1000", packet_bytes)
 
 
 def test_per_response_signaling_in_overhead_report():

@@ -46,7 +46,7 @@ def test_config_validation():
         SimConfig(protocol="sfn", cycles=1, max_retries=-1)
     with pytest.raises(ValueError):
         SimConfig(protocol="dlc1000", cycles=1, max_level=-1)
-    for seed in (-1, 1 << 64, 1.0):
+    for seed in (-1, 1 << 64, 1.0, True):
         with pytest.raises(ValueError, match="seed"):
             SimConfig(protocol="sfn", cycles=1, seed=seed)
     assert SimConfig(protocol="sfn", cycles=1, seed=(1 << 64) - 1)
@@ -497,7 +497,7 @@ def test_flood_trial_line_is_deterministic():
     (lambda m, rng: sample_first_success_levels(m, 1, 10, seed=-1),
      "seed must be an integer in 0..2**64-1"),
     (lambda m, rng: sample_first_success_levels(m, 2, -1),
-     "trials must be an integer >= 0, not -1"),
+     "trials must be >= 0"),
     (lambda m, rng: flood_trial(m, 0, 2, rng, no_relay=(9,)),
      "no_relay node 9 out of range 0..5"),
     # a non-integer index is named, not passed on to numpy
@@ -511,13 +511,15 @@ def test_flood_trial_line_is_deterministic():
      "no_relay node must be an integer, not 1.5"),
     (lambda m, rng: sample_first_success_levels(m, 2.5, 10),
      "target must be an integer, not 2.5"),
+    (lambda m, rng: sample_first_success_levels(m, 1, True),
+     "trials must be an integer, not True"),
 ], ids=["flood-origin-negative", "flood-origin-too-large",
         "flood-max-level-negative", "sample-target-master",
         "sample-target-negative", "sample-target-too-large",
         "sample-seed-negative", "sample-trials-negative",
         "flood-no-relay-too-large", "flood-origin-float", "flood-origin-bool",
         "flood-max-level-float", "flood-no-relay-float",
-        "sample-target-float"])
+        "sample-target-float", "sample-trials-bool"])
 def test_flood_and_sampler_reject_out_of_range_nodes(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(generate_ring(6), np.random.default_rng(0))
