@@ -4,11 +4,12 @@ Matrix files are the comma-separated text that channel.save_matrix
 writes, and every duration is a count of slots.  The library computes
 every result (simulator.analyze, simulator.compare,
 metrics.routing_overhead) and this module renders its dataclasses: the
-JSON document, written via -o or printed by --format json, is
-dataclasses.asdict of each result with full-precision numbers, and the
-text and CSV tables read the same fields and round for readability.  The
-one hand-built map is an analysis's (_analysis_doc), which renames total
-to reachable_total.  The library checks the options, not the parser.
+JSON document, written via -o or printed by --format json, carries each
+result's fields in declaration order with full-precision numbers, on one
+line (`python -m json.tool FILE` pretty-prints it), and the text and CSV
+tables read the same fields and round for readability.  The one
+hand-built map is an analysis's (_analysis_doc), which renames total to
+reachable_total.  The library checks the options, not the parser.
 Every count, node index and seed passes one rule, channel._check_integer:
 an integer, not a bool ("cycles must be an integer, not 2.5"), within its
 bounds ("cycles must be >= 1", or "origin 9 out of range 0..5" with an
@@ -22,7 +23,7 @@ import csv
 import json
 import signal
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from functools import partial
 from itertools import groupby
 from pathlib import Path
@@ -80,9 +81,13 @@ def _percent(fraction: float | None, digits: int) -> str:
     return "n/a" if fraction is None else f"{fraction * 100:+.{digits}f}%"
 
 
-def _write_json(path: str | None, doc: dict) -> None:
-    if path:
-        Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+def _json(doc: dict) -> str:
+    """doc as one line of JSON, by json's C encoder.
+
+    doc holds the result dataclasses themselves, not copies; vars() hands
+    the encoder each one's fields, in declaration order.
+    """
+    return json.dumps(doc, default=vars) + "\n"
 
 
 def _manifest(**entries) -> dict:
@@ -92,9 +97,11 @@ def _manifest(**entries) -> dict:
 def _emit(args, doc: dict, text: str, headers=None, rows=None) -> None:
     """Write doc to -o, then print the result in --format, so a command
     whose -o cannot be written prints no result."""
-    _write_json(args.output, doc)
+    serialized = _json(doc) if args.output or args.format == "json" else None
+    if args.output:
+        Path(args.output).write_text(serialized, encoding="utf-8")
     if args.format == "json":
-        print(json.dumps(doc, indent=1))
+        sys.stdout.write(serialized)
     elif args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(headers)
@@ -112,14 +119,14 @@ def _config(args, protocol: str) -> SimConfig:
 
 def _settings(cfg: SimConfig) -> dict:
     """The settings a document records: cfg's fields but the protocol."""
-    return {k: v for k, v in asdict(cfg).items() if k != "protocol"}
+    return {k: v for k, v in vars(cfg).items() if k != "protocol"}
 
 
 def _analysis_doc(analysis) -> dict:
     return {
-        "per_slave": [asdict(a) for a in analysis.slaves],
+        "per_slave": analysis.slaves,
         "reachable_total": analysis.total,
-        "unreachable": list(analysis.unreachable),
+        "unreachable": analysis.unreachable,
         "complete": analysis.complete,
     }
 
@@ -165,11 +172,11 @@ def _cmd_generate(args) -> int:
                            d50=args.d50, width=args.width, seed=args.seed)
     matrix = channel.build_matrix(spec)
     channel.save_matrix(matrix, args.output)
-    _write_json(args.output + ".manifest.json", _manifest(
+    Path(args.output + ".manifest.json").write_text(_json(_manifest(
         command="generate",
         channel=spec.to_dict(),
         output=args.output,
-    ))
+    )), encoding="utf-8")
     print(f"wrote {matrix.node_count}x{matrix.node_count} matrix to {args.output}")
     return 0
 
@@ -238,7 +245,7 @@ def _cmd_simulate(args) -> int:
     matrix = channel.load_matrix(args.matrix)
     result = compare(matrix, cfg, analyze(matrix, cfg.protocol, cfg.max_level))
     doc = _manifest(command="simulate", matrix=args.matrix, **_settings(cfg),
-                    **asdict(result))
+                    **vars(result))
     report = result.simulation
     headers = ["slave", "attempts", "successes", "mean_round_trip_slots",
                "give_ups"]
@@ -311,7 +318,7 @@ def _cmd_compare(args) -> int:
         entries.append({
             "model": name, "node_count": matrix.node_count,
             **{p: _analysis_doc(a) for p, a in analyses.items()},
-            **{f"{p}_sim": asdict(r) for p, r in results.items()}})
+            **{f"{p}_sim": r for p, r in results.items()}})
         durations.append([name, *(cell for r in results.values() for cell in (
             _total_text(r.analytic_total, r.analytic_unreachable),
             f"{r.simulation.mean_cycle_duration:.2f} "
@@ -322,7 +329,7 @@ def _cmd_compare(args) -> int:
     packet_bytes = overhead[0].packet_bits // 8
     doc = _manifest(command="compare", **_settings(configs["sfn"]),
                     packet_bytes=packet_bytes, models=entries,
-                    overhead={o.protocol: asdict(o) for o in overhead})
+                    overhead={o.protocol: o for o in overhead})
     sections = [
         ("expected cycle duration: analytic vs simulation", headers,
          durations),

@@ -6,6 +6,7 @@ import re
 import signal
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,11 @@ import pytest
 
 import plcroute
 from plcroute import dlc, sfn
-from plcroute.channel import PerMatrix, load_matrix, save_matrix
+from plcroute.channel import (ChannelSpec, PerMatrix, load_matrix,
+                              save_matrix)
 from plcroute.cli import _total_text, main
+from plcroute.metrics import routing_overhead
+from plcroute.simulator import PROTOCOLS, SimConfig, analyze, compare
 
 
 def run(capsys, *argv):
@@ -222,6 +226,104 @@ def test_json_keys_are_stable(ring10, capsys, tmp_path):
                           "packet_bits", "overhead_ratio",
                           "signaling_bits_per_poll_response"}
                for o in doc["overhead"].values())
+
+
+# Each document must carry exactly dataclasses.asdict of the library's own
+# results, key order included; its layout (whitespace) is not pinned.
+
+def _ordered(value):
+    """value with each dict as its list of (key, value) pairs and each tuple
+    as a list, so that == also compares key order."""
+    if isinstance(value, dict):
+        return [(k, _ordered(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_ordered(v) for v in value]
+    return value
+
+
+def _json_document(capsys, tmp_path, code: int, *argv) -> dict:
+    """argv's document under --format json -o, after checking its exit code
+    and that stdout carries the file's bytes."""
+    out = tmp_path / "doc.json"
+    got, stdout, _ = run(capsys, *argv, "--format", "json", "-o", str(out))
+    written = out.read_bytes()
+    assert (got, stdout.encode("utf-8")) == (code, written)
+    return json.loads(written)
+
+
+def _manifest(command: str, **entries) -> dict:
+    return {"tool": "plcroute", "version": plcroute.__version__,
+            "command": command, **entries}
+
+
+def _settings(cfg: SimConfig) -> dict:
+    return {k: v for k, v in asdict(cfg).items() if k != "protocol"}
+
+
+def _analysis(analysis) -> dict:
+    return {"per_slave": [asdict(a) for a in analysis.slaves],
+            "reachable_total": analysis.total,
+            "unreachable": list(analysis.unreachable),
+            "complete": analysis.complete}
+
+
+def test_analyze_document_is_asdict_of_both_analyses(ring10, capsys,
+                                                     tmp_path):
+    doc = _json_document(capsys, tmp_path, 0, "analyze", "--max-level", "3",
+                         ring10)
+    matrix = load_matrix(ring10)
+    expected = _manifest("analyze", matrix=ring10, node_count=10, max_level=3,
+                         **{p: _analysis(analyze(matrix, p, 3))
+                            for p in PROTOCOLS})
+    assert _ordered(doc) == _ordered(expected)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_simulate_document_is_asdict_of_the_comparison(ring10, capsys,
+                                                       tmp_path, protocol):
+    doc = _json_document(capsys, tmp_path, 0, "simulate", "--protocol",
+                         protocol, "--cycles", "20", "--seed", "4", ring10)
+    matrix = load_matrix(ring10)
+    cfg = SimConfig(protocol, cycles=20, seed=4)
+    result = compare(matrix, cfg, analyze(matrix, protocol, cfg.max_level))
+    expected = _manifest("simulate", matrix=ring10, **_settings(cfg),
+                         **asdict(result))
+    assert _ordered(doc) == _ordered(expected)
+
+
+def test_compare_document_is_asdict_of_every_result(ring10, capsys,
+                                                    tmp_path):
+    missing = str(tmp_path / "missing.per")
+    doc = _json_document(capsys, tmp_path, 1, "compare", "--cycles", "5",
+                         "--max-retries", "3", ring10, missing)
+    with pytest.raises(OSError) as exc:
+        load_matrix(missing)
+    matrix = load_matrix(ring10)
+    configs = {p: SimConfig(p, cycles=5, max_retries=3) for p in PROTOCOLS}
+    analyses = {p: analyze(matrix, p) for p in PROTOCOLS}
+    expected = _manifest(
+        "compare", **_settings(configs["sfn"]), packet_bytes=64,
+        models=[{"model": ring10, "node_count": 10,
+                 **{p: _analysis(a) for p, a in analyses.items()},
+                 **{f"{p}_sim": asdict(compare(matrix, configs[p], a))
+                    for p, a in analyses.items()}},
+                {"model": missing, "error": str(exc.value)}],
+        overhead={p: asdict(routing_overhead(p)) for p in PROTOCOLS})
+    assert _ordered(doc) == _ordered(expected)
+
+
+@pytest.mark.parametrize("argv,spec", [
+    (["ring", "--nodes", "6", "--per-adj", "0.2"],
+     ChannelSpec(kind="ring", node_count=6, per_adjacent=0.2)),
+    (["rand-area", "--nodes", "6", "--seed", "3"],
+     ChannelSpec(kind="rand_area", node_count=6, seed=3)),
+], ids=["ring", "rand-area"])
+def test_generate_manifest_is_the_channel_spec(tmp_path, capsys, argv, spec):
+    out = str(tmp_path / "m.per")
+    assert run(capsys, "generate", *argv, "-o", out)[0] == 0
+    doc = json.loads(Path(out + ".manifest.json").read_text(encoding="utf-8"))
+    expected = _manifest("generate", channel=spec.to_dict(), output=out)
+    assert _ordered(doc) == _ordered(expected)
 
 
 def _count_calls(monkeypatch, module, name: str) -> list:
@@ -501,7 +603,8 @@ def test_compare_prints_one_failed_row_per_failed_model(perfect2, capsys,
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
 def test_closed_stdout_pipe_ends_process_by_sigpipe_silently():
     # the JSON document is far larger than a pipe buffer (64 KiB), so the
-    # writer is still writing when the reader goes away
+    # writer is still writing when the reader goes away after one byte (the
+    # document is one line, so a readline would wait for all of it)
     src = str(Path(plcroute.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -509,7 +612,7 @@ def test_closed_stdout_pipe_ends_process_by_sigpipe_silently():
         [sys.executable, "-m", "plcroute.cli", "compare", "--defaults",
          "--cycles", "1", "--format", "json"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline() == b"{\n"
+    assert proc.stdout.read(1) == b"{"
     proc.stdout.close()
     err = proc.stderr.read()
     proc.wait(timeout=120)
