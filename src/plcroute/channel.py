@@ -132,7 +132,8 @@ def generate_rand_area(node_count: int,
     """Random-area topology: master at the centre of the unit square, slaves
     placed uniformly at random, link PER rising logistically with distance.
 
-    The same seed always yields the same matrix.
+    The same seed always yields the same matrix: PCG64 is named, so a
+    change of numpy's default generator cannot move the nodes.
     """
     _check_integer("node_count", node_count, ChannelSpecError)
     if node_count < 2:
@@ -142,7 +143,7 @@ def generate_rand_area(node_count: int,
             raise ChannelSpecError(
                 f"rand_area model needs a finite {name} > 0, not {value!r}")
     _check_seed(seed, ChannelSpecError)
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
     positions = np.vstack([[0.5, 0.5], rng.random((node_count - 1, 2))])
     dist = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=-1)
     per = logistic_per(dist, d50, width)

@@ -19,11 +19,11 @@ such factors out: on a sparse matrix it multiplies over each receiver's
 live in-links (ok > 0), read in ascending transmitter order from a
 slot-major table cached per matrix; when some receiver has more than
 n / 3 live in-links it multiplies over every node that transmits at the
-level, or, for a lone row, over every node without gathering rows once
-more than half of them transmit, a silent node's factor being exactly
-1.0.  numpy multiplies along the reduced axis in order, so each product,
-and with it every profile and analysis, is bit for bit the dense
-per-flood product over all n nodes.
+level, or, for a one-row chunk (every chunk, on a dense matrix of 182
+nodes or more), over every node once more than half of them transmit, a
+silent node's factor being exactly 1.0.  numpy multiplies along the
+reduced axis in order, so each product, and with it every profile and
+analysis, is bit for bit the dense per-flood product over all n nodes.
 
 `cycle_analysis` floods the downlink once and every slave's uplinks
 together, keeping only the master's column.  An uplink flood stops after
@@ -184,8 +184,8 @@ def _receptions(src, ok, tx, cum_rcv, origins) -> np.ndarray:
     if src is None:
         live = tx.any(axis=0)
         if len(tx) == 1 and 2 * np.count_nonzero(live) > live.size:
-            # a lone flood: gathering its live rows of ok would copy as
-            # much as the product multiplies
+            # one row (every chunk once n * n > _BATCH_ELEMENTS / 2):
+            # gathering live rows of ok would copy what the product multiplies
             miss = (tx[0, :, None] * ok)[None]
         else:
             miss = tx[:, live, None] * ok[live]

@@ -1,24 +1,27 @@
 """Seeded slot-accurate Monte-Carlo simulation of both polling protocols.
 
 Every random stream is a PCG64 generator seeded by
-SeedSequence(seed, spawn_key=(protocol, key...)), protocol being the
-index of the protocol in PROTOCOLS.  The seed fills a fixed-width entropy
-pool before the spawn key, so no two seeds, protocols or keys share a
-stream.  A DLC1000 slave draws the geometric try counts of all its cycles
-in order from one stream keyed on (protocol, slave).  SFN cycles are
+SeedSequence(seed, spawn_key=(purpose, key...)), purpose being the index
+in _PURPOSES of what the stream is for: a protocol of PROTOCOLS, or
+"sampler".  The seed fills a fixed-width entropy pool before the spawn
+key, so no two seeds, purposes or keys share a stream, and each purpose
+owns its streams.  A DLC1000 slave draws the geometric try counts of all
+its cycles in order from one stream keyed on (0, slave).  SFN cycles are
 simulated a block of _BLOCK at a time, each (slave, block) group drawing
-from its own stream keyed on (protocol, slave, block), one flood per
-still-failing cycle and try.  The SFN floods of all slaves run together:
-each leg of each try is one kernel call (_spread) over the still-failing
-cycles of every slave and block, in batches of bounded size, and each
-group still draws from its own stream exactly the uniforms, in the same
-order, that it would draw on its own.  So reports are bit-identical across
-repeats, and no report depends on the batching.  Slot accounting is
-exact: a DLC1000 try reserves 2*(level+1) slots whether or not it
-succeeds, an SFN try reserves the two full flood windows, 2 + r_dl + r_ul
-slots, with both levels incremented by one per retry.  `analyze` is the
-one dispatch from a protocol to its cycle analysis, and `compare` sets a
-simulation against the analysis whose plan it polled with.
+from its own stream keyed on (1, slave, block), one flood per
+still-failing cycle and try; sample_first_success_levels draws its trials
+of target the same way from (2, target, block).  The SFN floods of all
+slaves run together: each leg of each try is one kernel call (_spread)
+over the still-failing cycles of every slave and block, in batches of
+bounded size, and each group still draws from its own stream exactly the
+uniforms, in the same order, that it would draw on its own.  So reports
+are bit-identical across repeats, and no report depends on the batching.
+Slot accounting is exact: a DLC1000 try reserves 2*(level+1) slots
+whether or not it succeeds, an SFN try reserves the two full flood
+windows, 2 + r_dl + r_ul slots, with both levels incremented by one per
+retry.  `analyze` is the one dispatch from a protocol to its cycle
+analysis, and `compare` sets a simulation against the analysis whose plan
+it polled with.
 """
 from __future__ import annotations
 
@@ -31,6 +34,8 @@ from . import dlc, sfn
 from .channel import MASTER, PerMatrix, _check_integer, _check_seed
 
 PROTOCOLS = ("dlc1000", "sfn")
+# What a random stream is for; its index leads the stream's spawn key
+_PURPOSES = (*PROTOCOLS, "sampler")
 
 _BLOCK = 256  # SFN cycles (or sampler trials) per keyed random stream
 # Rows times nodes of one batch of simulated floods: bounds each (rows, n)
@@ -85,27 +90,17 @@ class SimReport:
         return asdict(self)
 
 
-def _stream(seed: int, protocol: str, *key: int) -> np.random.Generator:
-    """The PCG64 stream of seed, protocol and key.
+def _stream(seed: int, purpose: str, *key: int) -> np.random.Generator:
+    """The PCG64 stream of seed, purpose and key.
 
     The seed, at most 64 bits, is padded to SeedSequence's four-word pool
-    before the spawn key (protocol index, *key) is appended, so distinct
-    (seed, protocol, key) triples never share their entropy.  PCG64 is
+    before the spawn key (purpose index, *key) is appended, so distinct
+    (seed, purpose, key) triples never share their entropy.  PCG64 is
     named rather than taken from default_rng, so that a change of numpy's
     default generator cannot re-key the streams.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        seed, spawn_key=(PROTOCOLS.index(protocol), *key))))
-
-
-def _block_rng(seed: int, key: int, block: int) -> np.random.Generator:
-    """The stream of one block of SFN cycles of slave key.
-
-    Keyed on ("sfn", key, block).  sample_first_success_levels, which
-    floods SFN's downlink, draws its trials of target key from the same
-    streams.
-    """
-    return _stream(seed, "sfn", key, block)
+        seed, spawn_key=(_PURPOSES.index(purpose), *key))))
 
 
 def _blocks(count: int):
@@ -268,17 +263,17 @@ def _first_successes(per: PerMatrix, plans, tries: int, count: int,
                      seed: int) -> np.ndarray:
     """First successful try of each of count cycles (or trials), -1 if none.
 
-    plans holds one (key, legs) pair per row of the result.  Try j runs
-    the legs (origin, level, dest) in order, each a flood from origin
-    with allowed level level + j in which dest does not relay; a leg runs
-    only in the cycles whose earlier legs reached their destination, and
-    the try succeeds when the last one does.  A cycle stops at its first
-    success or after tries tries.  Each block of a plan's cycles draws
-    from _block_rng(seed, key, block), in the order a block simulated on
-    its own would.  The (plan, block) groups run in batches of at most
-    _BATCH_ELEMENTS rows times nodes (at least one group), and each leg
-    of each try floods the still-failing cycles of every group of a batch
-    in one _spread call.
+    plans holds one ((purpose, key), legs) pair per row of the result.
+    Try j runs the legs (origin, level, dest) in order, each a flood from
+    origin with allowed level level + j in which dest does not relay; a
+    leg runs only in the cycles whose earlier legs reached their
+    destination, and the try succeeds when the last one does.  A cycle
+    stops at its first success or after tries tries.  Each block of a
+    plan's cycles draws from _stream(seed, purpose, key, block), in the
+    order a block simulated on its own would.  The (plan, block) groups
+    run in batches of at most _BATCH_ELEMENTS rows times nodes (at least
+    one group), and each leg of each try floods the still-failing cycles
+    of every group of a batch in one _spread call.
     """
     log_miss = _log_miss(per)
     legs = np.array([plan_legs for _, plan_legs in plans], dtype=np.intp)
@@ -294,7 +289,7 @@ def _first_successes(per: PerMatrix, plans, tries: int, count: int,
             size += rows
     for batch in filter(None, batches):
         plan = np.array([p for p, _, _ in batch])
-        fills = [_block_rng(seed, plans[p][0], block).random
+        fills = [_stream(seed, *plans[p][0], block).random
                  for p, block, _ in batch]
         pending = np.concatenate([  # cells of first, grouped by group
             np.arange(rows) + (p * count + block * _BLOCK)
@@ -427,7 +422,8 @@ def simulate_sfn(per: PerMatrix, cfg: SimConfig,
     analysis = _plan(per, cfg, "sfn", analysis)
     cap = cfg.max_retries + 1  # most tries a cycle makes
     first = _first_successes(
-        per, [(a.slave, ((MASTER, a.r_dl, a.slave), (a.slave, a.r_ul, MASTER)))
+        per, [(("sfn", a.slave),
+               ((MASTER, a.r_dl, a.slave), (a.slave, a.r_ul, MASTER)))
               for a in analysis.slaves], cap, cfg.cycles, cfg.seed)
     made = np.where(first >= 0, first + 1, cap)
     window = np.array([[1 + a.r_dl + a.r_ul] for a in analysis.slaves])
@@ -478,5 +474,6 @@ def sample_first_success_levels(per: PerMatrix, target: int, trials: int,
     _check_integer("target", target, low=MASTER + 1, high=per.node_count - 1)
     _check_integer("trials", trials, low=0)
     _check_seed(seed)
-    return _first_successes(per, [(target, ((MASTER, 0, target),))],
-                            per.node_count + 1, trials, seed)[0]
+    return _first_successes(
+        per, [(("sampler", target), ((MASTER, 0, target),))],
+        per.node_count + 1, trials, seed)[0]

@@ -119,7 +119,7 @@ def _attempt_success_estimate(per, target, trials, seed, horizon):
     log_miss = simulator._log_miss(per)
     reached = np.zeros(horizon + 1)
     for block, rows in simulator._blocks(trials):
-        rng = simulator._block_rng(seed, target, block)
+        rng = simulator._stream(seed, "sfn", target, block)
         levels = simulator._flood(log_miss, 0, horizon, rows, rng,
                                   target)[:, target]
         reached += np.bincount(levels[levels >= 0], minlength=horizon + 1)

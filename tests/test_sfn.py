@@ -450,3 +450,50 @@ def test_target_first_step_runs_only_where_one_level_can_close(
         assert sum(full_rows) < run_rows
     else:
         assert sum(full_rows) == run_rows
+
+
+class _CountedOk(np.ndarray):
+    """A dense ok matrix that counts the row gathers made from it."""
+
+    gathers = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray) and key.dtype == bool:
+            _CountedOk.gathers += 1
+        return np.asarray(self)[key]
+
+
+@pytest.mark.parametrize("nodes,one_row", [(100, False), (200, True)])
+def test_all_node_product_serves_every_one_row_chunk(monkeypatch, nodes,
+                                                     one_row):
+    # A chunk of one row with more than half the nodes transmitting
+    # multiplies over every node; every other chunk gathers the rows of ok
+    # that transmit.  On a dense matrix of 182 nodes or more the (rows,
+    # slots) bound admits one row a chunk, so the all-node product serves
+    # every chunk that clears the half.  A wrong gate gives the same
+    # analysis, only slower, so it is pinned here.
+    m = build_matrix(ChannelSpec(kind="rand_area", node_count=nodes,
+                                 seed=nodes))
+    src, ok = sfn._in_links(m)
+    assert src is None  # dense: the receptions multiply over (n, n)
+    monkeypatch.setattr(sfn, "_in_links",
+                        lambda per: (None, ok.view(_CountedOk)))
+    monkeypatch.setattr(_CountedOk, "gathers", 0)
+    chunks = {"one-row": 0, "all-node": 0, "other": 0}
+    receptions = sfn._receptions
+
+    def counting(src, ok, tx, cum_rcv, origins):
+        if len(tx) <= max(1, sfn._BATCH_ELEMENTS // ok.size):  # one chunk
+            if len(tx) > 1:
+                chunks["other"] += 1
+            elif 2 * np.count_nonzero(tx.any(axis=0)) > tx.shape[1]:
+                chunks["all-node"] += 1
+            else:
+                chunks["one-row"] += 1
+        return receptions(src, ok, tx, cum_rcv, origins)
+
+    monkeypatch.setattr(sfn, "_receptions", counting)
+    sfn.cycle_analysis(m)
+    assert chunks["all-node"] > 0
+    assert (chunks["other"] == 0) == one_row
+    assert _CountedOk.gathers == chunks["one-row"] + chunks["other"]

@@ -243,20 +243,32 @@ def test_stream_keys_never_collide():
     # the seed fills a fixed-width pool: 5 + 3 * 2**32 is not seed 5 with
     # its high word moved into the key
     assert not np.array_equal(
-        draws(simulator._block_rng(5 + 3 * 2 ** 32, 7, 0)),
-        draws(simulator._block_rng(5, 3, 7)))
+        draws(simulator._stream(5 + 3 * 2 ** 32, "sfn", 7, 0)),
+        draws(simulator._stream(5, "sfn", 3, 7)))
     for seed in (0, 11, (1 << 64) - 1):
         # the DLC and SFN streams of one slave differ
         assert not np.array_equal(
             draws(simulator._stream(seed, "dlc1000", 3)),
-            draws(simulator._block_rng(seed, 3, 0)))
-        # so do a key and the same key with a trailing zero block
-        for protocol in simulator.PROTOCOLS:
+            draws(simulator._stream(seed, "sfn", 3, 0)))
+        # the sampler's trials of a target are not that slave's SFN cycles
+        for block in (0, 1):
             assert not np.array_equal(
-                draws(simulator._stream(seed, protocol, 3)),
-                draws(simulator._stream(seed, protocol, 3, 0)))
-    assert np.array_equal(draws(simulator._block_rng(11, 3, 1)),
-                          draws(simulator._stream(11, "sfn", 3, 1)))
+                draws(simulator._stream(seed, "sampler", 3, block)),
+                draws(simulator._stream(seed, "sfn", 3, block)))
+        # so do a key and the same key with a trailing zero block
+        for purpose in simulator._PURPOSES:
+            assert not np.array_equal(
+                draws(simulator._stream(seed, purpose, 3)),
+                draws(simulator._stream(seed, purpose, 3, 0)))
+    # the spawn key is the purpose's index, then the key: DLC (0, slave),
+    # SFN (1, slave, block), the sampler (2, target, block)
+    for purpose, spawn_key in (("dlc1000", (0, 3)), ("sfn", (1, 3, 1)),
+                               ("sampler", (2, 3, 1))):
+        want = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(11, spawn_key=spawn_key)))
+        assert np.array_equal(
+            draws(simulator._stream(11, purpose, *spawn_key[1:])),
+            draws(want))
 
 
 def test_dlc_capped_retries_follow_truncated_geometric():
@@ -279,39 +291,6 @@ def test_dlc_capped_retries_follow_truncated_geometric():
         second = sum((2 * k + 1) * miss ** k for k in range(tries))
         se = np.sqrt((second - mean ** 2) / cfg.cycles)
         assert abs(stats.attempts / cfg.cycles - mean) <= 4 * se + 1e-12
-
-
-def test_sfn_slot_accounting_reconstructable():
-    # replay the keyed streams block by block and re-derive the slot,
-    # try and success counts from the plan and the per-try outcomes;
-    # 300 cycles span two blocks
-    m = generate_ring(6, 0.2, 0.7)
-    cfg = SimConfig("sfn", cycles=300, max_retries=2, seed=21)
-    report = simulate_sfn(m, cfg)
-    log_miss = simulator._log_miss(m)
-    want = {}
-    for a in sfn.cycle_analysis(m).slaves:
-        s = a.slave
-        slots = attempts = successes = 0
-        for block, start in enumerate(range(0, cfg.cycles, simulator._BLOCK)):
-            rng = simulator._block_rng(cfg.seed, s, block)
-            failing = min(simulator._BLOCK, cfg.cycles - start)
-            for attempt in range(cfg.max_retries + 1):
-                rd, ru = a.r_dl + attempt, a.r_ul + attempt
-                slots += failing * (2 + rd + ru)
-                attempts += failing
-                down = simulator._flood(log_miss, 0, rd, failing, rng, s)
-                heard = int(np.count_nonzero(down[:, s] >= 0))
-                up = simulator._flood(log_miss, s, ru, heard, rng, 0)
-                done = int(np.count_nonzero(up[:, 0] >= 0))
-                successes += done
-                failing -= done
-                if failing == 0:
-                    break
-        want[s] = (slots, attempts, successes)
-    for stats in report.per_slave:
-        assert (stats.slots, stats.attempts, stats.successes) \
-            == want[stats.slave]
 
 
 @pytest.mark.parametrize("m", [
@@ -339,7 +318,7 @@ def _flood_replay(m: PerMatrix, cfg: SimConfig, analysis) -> dict:
         s = a.slave
         attempts = successes = slots = 0
         for block, rows in simulator._blocks(cfg.cycles):
-            rng = simulator._block_rng(cfg.seed, s, block)
+            rng = simulator._stream(cfg.seed, "sfn", s, block)
             failing = rows
             for j in range(cfg.max_retries + 1):
                 attempts += failing
@@ -360,18 +339,25 @@ def _flood_replay(m: PerMatrix, cfg: SimConfig, analysis) -> dict:
 _BATCH_MODELS = {
     "ring_20": generate_ring(20),  # sparse: four live links per node
     "rand_area_20": build_matrix(dict(DEFAULT_MODELS)["rand_area_20"]),
+    "ring_6": generate_ring(6, 0.2, 0.7),
 }
+# (model, max_retries, cycles, seed); 300 cycles span two blocks
+_REPLAY_CASES = [*((name, max_retries, cycles, 13)
+                   for name in ("rand_area_20", "ring_20")
+                   for max_retries in (0, 2, 10_000) for cycles in (2, 300)),
+                 ("ring_6", 2, 300, 21)]
 
 
-@pytest.mark.parametrize("cycles", [2, 300])  # 300 cycles: two blocks
-@pytest.mark.parametrize("max_retries", [0, 2, 10_000])
-@pytest.mark.parametrize("name", sorted(_BATCH_MODELS))
+@pytest.mark.parametrize("name,max_retries,cycles,seed", _REPLAY_CASES,
+                         ids=["-".join(map(str, c[:3])) for c in _REPLAY_CASES])
 def test_batched_floods_equal_per_slave_flood_replay(name, max_retries,
-                                                     cycles):
+                                                     cycles, seed):
     # every slave's floods share one kernel call per try and leg, and each
-    # block still draws exactly what its own floods would, in order
+    # block still draws exactly what its own floods would, in order; so
+    # the slot, try and success counts follow from the plan and the
+    # per-try outcomes
     m = _BATCH_MODELS[name]
-    cfg = SimConfig("sfn", cycles=cycles, max_retries=max_retries, seed=13)
+    cfg = SimConfig("sfn", cycles=cycles, max_retries=max_retries, seed=seed)
     analysis = sfn.cycle_analysis(m)
     want = _flood_replay(m, cfg, analysis)
     report = simulate_sfn(m, cfg, analysis)
@@ -379,6 +365,28 @@ def test_batched_floods_equal_per_slave_flood_replay(name, max_retries,
             for s in report.per_slave} == want
     assert all(s.give_ups == cycles - want[s.slave][1]
                for s in report.per_slave)
+
+
+def test_sampler_draws_from_streams_of_its_own():
+    # the sampler's trials of target replay block by block from
+    # ("sampler", target, block), and not from SFN's streams of slave
+    # target, which a simulation at the same seed draws
+    m, target, trials, seed = _BATCH_MODELS["ring_6"], 3, 300, 21
+    levels = sample_first_success_levels(m, target, trials, seed)
+    log_miss = simulator._log_miss(m)
+    for purpose, same in (("sfn", False), ("sampler", True)):
+        want = np.full(trials, -1)
+        for block, rows in simulator._blocks(trials):
+            rng = simulator._stream(seed, purpose, target, block)
+            pending = np.arange(rows) + block * simulator._BLOCK
+            for level in range(m.node_count + 1):
+                got = simulator._flood(log_miss, 0, level, pending.size, rng,
+                                       target)[:, target] >= 0
+                want[pending[got]] = level
+                pending = pending[~got]
+                if not pending.size:
+                    break
+        assert np.array_equal(want, levels) == same, purpose
 
 
 @pytest.mark.parametrize("elements", [1, 1 << 62],
