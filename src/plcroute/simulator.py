@@ -13,9 +13,11 @@ still-failing cycle and try; sample_first_success_levels draws its trials
 of target the same way from (2, target, block).  The SFN floods of all
 slaves run together: each leg of each try is one kernel call (_spread)
 over the still-failing cycles of every slave and block, in batches of
-bounded size, and each group still draws from its own stream exactly the
-uniforms, in the same order, that it would draw on its own.  So reports
-are bit-identical across repeats, and no report depends on the batching.
+bounded size.  A flood draws its uniforms once, before level 0, one per
+row and node, so each group still draws from its own stream exactly the
+uniforms, in the same order, that it would draw on its own, however long
+its floods run.  So reports are bit-identical across repeats, and no
+report depends on the batching.
 Slot accounting is exact: a DLC1000 try reserves 2*(level+1) slots
 whether or not it succeeds, an SFN try reserves the two full flood
 windows, 2 + r_dl + r_ul slots, with both levels incremented by one per
@@ -25,6 +27,7 @@ it polled with.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -43,8 +46,9 @@ _BLOCK = 256  # SFN cycles (or sampler trials) per keyed random stream
 # DLC1000 cycles whose try counts are drawn at once.
 _BATCH_ELEMENTS = 1 << 15
 # log-miss of a PER-0 link.  The flood's matrix product multiplies the
-# zeros of the transmitter mask by every entry, and 0 * -inf is NaN; exp()
-# of anything below about -745 is exactly 0, so the link stays certain.
+# zeros of the transmitter mask by every entry, and 0 * -inf is NaN.  A
+# node receives when its miss sum falls below log1p(-u) >= log 2**-53,
+# about -36.7, so a sum with -1000 in it always gets through.
 _LOG_CERTAIN = -1000.0
 
 
@@ -133,105 +137,73 @@ def _spread(log_miss: np.ndarray, origin, budget, mute, counts, fills,
     flood from origin[g] with level budget budget[g] in which the nodes
     mute[g] receive but never relay.  The origin transmits at level 0, and
     a node that first receives at level r retransmits exactly once at
-    level r + 1 while the budget lasts.  A node receives when at least one
-    current transmitter gets through; the links are independent, so that
-    has probability 1 - prod(1 - ok) = -expm1(sum of log_miss over the
-    transmitters), and one uniform per receiver has the same law as one
-    uniform per link.  The origin never first-receives its own packet.
+    level r + 1 while the budget lasts.  The origin never first-receives
+    its own packet.
 
-    Each level, fills[g] fills the group's (counts[g], n) block of
-    uniforms from the group's own stream, so a group draws exactly what a
-    lone flood of its rows draws, and it stops where that flood stops:
-    after level budget[g], or after a level at which none of its rows has
-    a fresh relay.  A stopped group's rows stay in place, silent, until
-    they are half of all rows, and are then compacted away.  Returns a
-    (rows, len(mute[g])) bool array; given a (rows, n) array level, also
-    writes each node's first-reception level there.
+    A flood draws its uniforms once, before level 0: fills[g] fills the
+    group's (counts[g], n) block from the group's own stream, so a group
+    draws exactly what a lone flood of its rows draws, however long its
+    rows run.  Each node of a row keeps bar = log1p(-u) against miss, the
+    sum of log_miss over every transmitter of the flood so far, and first
+    receives at the first level where miss < bar.  The links are
+    independent, so given the flood so far that reception has probability
+    1 - prod(1 - ok) over the level's transmitters, as with one fresh
+    uniform per link (the live-edge view of the independent cascade).  A
+    row stops after its budget, or after a level with no fresh relay:
+    with no transmitter its miss no longer moves, so it receives nothing
+    more.  Stopped rows stay, silent, until at most half of the rows still
+    run, and are then dropped.  Returns a (rows, len(mute[g])) bool array;
+    given a (rows, n) array level, also writes each node's first-reception
+    level there.
     """
-    n = log_miss.shape[0]
-    counts, budget = np.asarray(counts), np.asarray(budget)
+    counts = np.asarray(counts)
     group = np.repeat(np.arange(counts.size), counts)  # each row's group
+    bar = np.empty((group.size, log_miss.shape[0]))
+    for fill, end, count in zip(fills, np.cumsum(counts).tolist(),
+                                counts.tolist()):
+        fill(out=bar[end - count:end])
+    np.log1p(np.negative(bar, out=bar), out=bar)
     ids = np.arange(group.size)  # each current row's row of the result
-    mute = np.asarray(mute)[group]
-    got = np.zeros(mute.shape, dtype=bool)
-    heard = got.copy()  # got of the current rows
+    budget, mute = np.asarray(budget)[group], np.asarray(mute)[group]
     src = np.asarray(origin)[group]
-    waiting = np.ones((ids.size, n), dtype=bool)  # may still first-receive
-    waiting[ids, src] = False
-    # level 0: the origin transmits alone, so each sum is its row's entry
-    hear = log_miss[src]
-    # 1.0 where a node transmits at the level; once summed into hear, the
-    # level's uniforms
-    tx = np.empty_like(hear)
-    ones = np.ones(n)  # tx @ ones counts each row's transmitters
-    relaid = True
-    for r in range(int(budget.max()) + 1):
-        if relaid:  # buffers for the current rows
-            starts = np.cumsum(counts) - counts
-            flat = np.empty(tx.size, dtype=bool)
-            fresh = flat.reshape(tx.shape)
-            every = list(zip(fills, (tx[a:a + c]
-                                     for a, c in zip(starts, counts))))
-            drawing = every  # (fill, view) of each running group
-            running = np.ones(counts.size, dtype=bool)
-            cells = np.arange(ids.size)[:, None] * n + mute  # flat, in fresh
-            if r:
-                hear = np.empty_like(tx)
-            relaid = False
-        if r:
-            np.matmul(tx, log_miss, out=hear)
-        for fill, view in drawing:
-            fill(out=view)
-        np.expm1(hear, out=hear)
-        np.negative(hear, out=hear)
-        np.less(tx, hear, out=fresh)
+    bar[ids, src] = -np.inf  # no miss sum falls below it
+    miss = log_miss[src]  # level 0: the origin transmits alone
+    waiting = np.ones(bar.shape, dtype=bool)  # may still first-receive
+    got = np.zeros(mute.shape, dtype=bool)
+    tx = np.empty_like(bar)  # 1.0 where a node transmits at the next level
+    for r in itertools.count():
+        fresh = miss < bar
         fresh &= waiting
         if level is not None:
             hit_row, hit_node = np.nonzero(fresh)
             level[ids[hit_row], hit_node] = r
         waiting ^= fresh
-        heard |= flat[cells]
-        flat[cells] = False
-        if not flat.any():
-            break
-        np.copyto(tx, fresh)
-        if counts.size == 1:  # it has fresh relays, so only its budget ends it
-            if r == budget[0]:
-                break
-            continue
-        going = np.add.reduceat(tx @ ones, starts) > 0.0
+        rows = np.arange(ids.size)[:, None]
+        fresh[rows, mute] = False  # the fresh relays
+        going = fresh.any(axis=1)
         going &= budget > r
-        if (going != running).any():
-            if not going.any():
-                break
-            # a stopped group's rows stay, silent: with no transmitter
-            # their sums are 0, and as -expm1(0) is below every uniform
-            # they receive nothing and need no draws
-            for g in np.flatnonzero(running & ~going):
-                tx[starts[g]:starts[g] + counts[g]] = 0.0
-            running = going
-            if 2 * counts[running].sum() > ids.size:
-                drawing = [d for d, go in zip(every, running.tolist()) if go]
-                continue
-            keep = running[group]
-            got[ids[~keep]] = heard[~keep]
-            tx, waiting, ids, mute, heard = (
-                a[keep] for a in (tx, waiting, ids, mute, heard))
-            counts, budget = counts[running], budget[running]
-            fills = [f for f, go in zip(fills, running.tolist()) if go]
-            group = np.repeat(np.arange(counts.size), counts)
-            relaid = True
-    got[ids] = heard
-    return got
+        run = np.count_nonzero(going)
+        np.copyto(tx, fresh)
+        if 2 * run <= going.size:
+            # dropping the stopped rows at every stop instead cost 10% on
+            # perfbench sim-small's SFN runs (2 vCPUs; BENCH_sim_draws.json)
+            got[ids] = ~waiting[rows, mute]  # final for the dropped rows
+            if not run:
+                return got
+            bar, miss, waiting, tx, ids, mute, budget = (
+                a[going] for a in (bar, miss, waiting, tx, ids, mute, budget))
+        elif run < going.size:
+            tx[~going] = 0.0
+        miss += tx @ log_miss
 
 
 def _flood(log_miss: np.ndarray, origin: int, max_level: int, rows: int,
            rng: np.random.Generator, no_relay) -> np.ndarray:
     """rows independent floods; first-reception level per row and node (-1 if none).
 
-    The one-group case of _spread: the floods draw from rng, and no_relay
-    (the packet's destination, or a list of nodes) receives but never
-    retransmits.
+    The one-group case of _spread: the floods draw rows * n uniforms from
+    rng, and no_relay (the packet's destination, or a list of nodes)
+    receives but never retransmits.
     """
     level = np.full((rows, log_miss.shape[0]), -1, dtype=np.int64)
     if rows:

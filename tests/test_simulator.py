@@ -405,6 +405,29 @@ def test_batch_size_leaves_reports_and_samples_unchanged(monkeypatch,
         sample_first_success_levels(ring, 10, 600, seed=3), sample)
 
 
+_FLOOD_DRAW_CASES = [("ring_20", 0), ("ring_20", 3), ("ring_20", 40),
+                     ("dead_5", 3)]
+
+
+@pytest.mark.parametrize("name,budget", _FLOOD_DRAW_CASES,
+                         ids=[f"{name}-{budget}"
+                              for name, budget in _FLOOD_DRAW_CASES])
+def test_flood_draws_one_uniform_per_row_and_node(name, budget):
+    # a flood draws all its uniforms before level 0, so how far it runs
+    # moves no later draw; every link of dead_5 fails, so its floods die at
+    # level 0
+    m = (PerMatrix(1.0 - np.eye(5)) if name == "dead_5"
+         else _BATCH_MODELS[name])
+    rows, n, dest = 37, m.node_count, 3
+    rng, twin = np.random.default_rng(6), np.random.default_rng(6)
+    levels = simulator._flood(simulator._log_miss(m), 0, budget, rows, rng,
+                              dest)
+    twin.random((rows, n))
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert levels.max() <= budget
+    assert (name == "dead_5") == (levels.max() == -1)
+
+
 @pytest.mark.parametrize("elements", [1, 7, 1 << 62],
                          ids=["one-cycle", "seven-cycles", "one-chunk"])
 @pytest.mark.parametrize("max_retries", [0, 10_000])
