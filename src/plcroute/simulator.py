@@ -13,11 +13,13 @@ still-failing cycle and try; sample_first_success_levels draws its trials
 of target the same way from (2, target, block).  The SFN floods of all
 slaves run together: each leg of each try is one kernel call (_spread)
 over the still-failing cycles of every slave and block, in batches of
-bounded size.  A flood draws its uniforms once, before level 0, one per
-row and node, so each group still draws from its own stream exactly the
+bounded size.  The driver (_first_successes) draws each flood's uniforms
+from its group's stream before level 0, one per row and node, and _spread
+draws nothing, so each group draws from its own stream exactly the
 uniforms, in the same order, that it would draw on its own, however long
 its floods run.  So reports are bit-identical across repeats, and no
-report depends on the batching.
+report depends on the batching.  An SFN slave with no live route to and
+from the master is given up in every cycle without a flood or a draw.
 Slot accounting is exact: a DLC1000 try reserves 2*(level+1) slots
 whether or not it succeeds, an SFN try reserves the two full flood
 windows, 2 + r_dl + r_ul slots, with both levels incremented by one per
@@ -128,48 +130,36 @@ def _log_miss(per: PerMatrix) -> np.ndarray:
     return log_miss
 
 
-def _spread(log_miss: np.ndarray, origin, budget, mute, counts, fills,
+def _spread(log_miss: np.ndarray, src, budget, dest, uniforms: np.ndarray,
             level: np.ndarray | None = None) -> np.ndarray:
-    """Floods of several groups of rows at once; whether each row's muted
-    nodes received.
+    """Independent floods, one per row; whether each row's dest received.
 
-    Group g holds counts[g] >= 1 consecutive rows, each an independent
-    flood from origin[g] with level budget budget[g] in which the nodes
-    mute[g] receive but never relay.  The origin transmits at level 0, and
-    a node that first receives at level r retransmits exactly once at
-    level r + 1 while the budget lasts.  The origin never first-receives
-    its own packet.
+    Row i floods from src[i] with level budget budget[i], and dest[i]
+    receives but never relays; a flood without a destination passes its
+    origin, which never first-receives, so nothing is muted.  The origin
+    transmits at level 0, and a node that first receives at level r
+    retransmits exactly once at level r + 1 while the budget lasts.
 
-    A flood draws its uniforms once, before level 0: fills[g] fills the
-    group's (counts[g], n) block from the group's own stream, so a group
-    draws exactly what a lone flood of its rows draws, however long its
-    rows run.  Each node of a row keeps bar = log1p(-u) against miss, the
-    sum of log_miss over every transmitter of the flood so far, and first
-    receives at the first level where miss < bar.  The links are
-    independent, so given the flood so far that reception has probability
+    uniforms is the (rows, n) block of uniforms that the caller drew for
+    the floods before level 0; the kernel turns it into bar = log1p(-u) in
+    place and draws nothing.  Each node of a row first receives at the
+    first level where miss, the sum of log_miss over every transmitter of
+    the flood so far, falls below its bar.  The links are independent, so
+    given the flood so far that reception has probability
     1 - prod(1 - ok) over the level's transmitters, as with one fresh
     uniform per link (the live-edge view of the independent cascade).  A
     row stops after its budget, or after a level with no fresh relay:
     with no transmitter its miss no longer moves, so it receives nothing
     more.  Stopped rows stay, silent, until at most half of the rows still
-    run, and are then dropped.  Returns a (rows, len(mute[g])) bool array;
-    given a (rows, n) array level, also writes each node's first-reception
-    level there.
+    run, and are then dropped.  Given a (rows, n) array level, also writes
+    each node's first-reception level there.
     """
-    counts = np.asarray(counts)
-    group = np.repeat(np.arange(counts.size), counts)  # each row's group
-    bar = np.empty((group.size, log_miss.shape[0]))
-    for fill, end, count in zip(fills, np.cumsum(counts).tolist(),
-                                counts.tolist()):
-        fill(out=bar[end - count:end])
-    np.log1p(np.negative(bar, out=bar), out=bar)
-    ids = np.arange(group.size)  # each current row's row of the result
-    budget, mute = np.asarray(budget)[group], np.asarray(mute)[group]
-    src = np.asarray(origin)[group]
+    bar = np.log1p(np.negative(uniforms, out=uniforms), out=uniforms)
+    ids = np.arange(bar.shape[0])  # each current row's row of the result
     bar[ids, src] = -np.inf  # no miss sum falls below it
     miss = log_miss[src]  # level 0: the origin transmits alone
     waiting = np.ones(bar.shape, dtype=bool)  # may still first-receive
-    got = np.zeros(mute.shape, dtype=bool)
+    got = np.zeros(ids.size, dtype=bool)
     tx = np.empty_like(bar)  # 1.0 where a node transmits at the next level
     for r in itertools.count():
         fresh = miss < bar
@@ -178,8 +168,8 @@ def _spread(log_miss: np.ndarray, origin, budget, mute, counts, fills,
             hit_row, hit_node = np.nonzero(fresh)
             level[ids[hit_row], hit_node] = r
         waiting ^= fresh
-        rows = np.arange(ids.size)[:, None]
-        fresh[rows, mute] = False  # the fresh relays
+        rows = np.arange(ids.size)
+        fresh[rows, dest] = False  # the fresh relays
         going = fresh.any(axis=1)
         going &= budget > r
         run = np.count_nonzero(going)
@@ -187,48 +177,47 @@ def _spread(log_miss: np.ndarray, origin, budget, mute, counts, fills,
         if 2 * run <= going.size:
             # dropping the stopped rows at every stop instead cost 10% on
             # perfbench sim-small's SFN runs (2 vCPUs; BENCH_sim_draws.json)
-            got[ids] = ~waiting[rows, mute]  # final for the dropped rows
+            got[ids] = ~waiting[rows, dest]  # final for the dropped rows
             if not run:
                 return got
-            bar, miss, waiting, tx, ids, mute, budget = (
-                a[going] for a in (bar, miss, waiting, tx, ids, mute, budget))
+            bar, miss, waiting, tx, ids, dest, budget = (
+                a[going] for a in (bar, miss, waiting, tx, ids, dest, budget))
         elif run < going.size:
             tx[~going] = 0.0
         miss += tx @ log_miss
 
 
 def _flood(log_miss: np.ndarray, origin: int, max_level: int, rows: int,
-           rng: np.random.Generator, no_relay) -> np.ndarray:
+           rng: np.random.Generator, dest: int) -> np.ndarray:
     """rows independent floods; first-reception level per row and node (-1 if none).
 
-    The one-group case of _spread: the floods draw rows * n uniforms from
-    rng, and no_relay (the packet's destination, or a list of nodes)
-    receives but never retransmits.
+    The floods draw their rows * n uniforms from rng before level 0 and
+    hand them to _spread; dest (the packet's destination, or the origin
+    for no destination) receives but never retransmits.
     """
-    level = np.full((rows, log_miss.shape[0]), -1, dtype=np.int64)
-    if rows:
-        _spread(log_miss, [origin], [max_level],
-                np.array(no_relay, dtype=np.intp).reshape(1, -1), [rows],
-                [rng.random], level)
+    n = log_miss.shape[0]
+    level = np.full((rows, n), -1, dtype=np.int64)
+    _spread(log_miss, np.full(rows, origin), np.full(rows, max_level),
+            np.full(rows, dest), rng.random((rows, n)), level)
     return level
 
 
 def flood_trial(per: PerMatrix, origin: int, max_level: int,
-                rng: np.random.Generator, no_relay=()) -> np.ndarray:
+                rng: np.random.Generator, dest=None) -> np.ndarray:
     """One simulated flood; returns each node's first-reception level (-1 if none).
 
     The origin transmits in slot 0; a node that first receives at level r
     retransmits exactly once at level r + 1 while the level budget lasts.
-    Nodes in no_relay (the packet's destination) receive but never
-    retransmit.
+    dest, the packet's destination if given, receives but never
+    retransmits.
     """
     n = per.node_count
     _check_integer("origin", origin, low=0, high=n - 1)
     _check_integer("max_level", max_level, low=0)
-    no_relay = list(no_relay)
-    for node in no_relay:
-        _check_integer("no_relay node", node, low=0, high=n - 1)
-    return _flood(_log_miss(per), origin, max_level, 1, rng, no_relay)[0]
+    if dest is None:
+        dest = origin
+    _check_integer("dest", dest, low=0, high=n - 1)
+    return _flood(_log_miss(per), origin, max_level, 1, rng, dest)[0]
 
 
 def _first_successes(per: PerMatrix, plans, tries: int, count: int,
@@ -240,12 +229,14 @@ def _first_successes(per: PerMatrix, plans, tries: int, count: int,
     origin with allowed level level + j in which dest does not relay; a
     leg runs only in the cycles whose earlier legs reached their
     destination, and the try succeeds when the last one does.  A cycle
-    stops at its first success or after tries tries.  Each block of a
+    stops at its first success or after tries tries.  This is the one
+    place that maps (plan, block) groups to streams: each block of a
     plan's cycles draws from _stream(seed, purpose, key, block), in the
-    order a block simulated on its own would.  The (plan, block) groups
-    run in batches of at most _BATCH_ELEMENTS rows times nodes (at least
-    one group), and each leg of each try floods the still-failing cycles
-    of every group of a batch in one _spread call.
+    order a block simulated on its own would.  The groups run in batches
+    of at most _BATCH_ELEMENTS rows times nodes (at least one group).  For
+    each leg of each try, the still-failing cycles of every group of a
+    batch draw their floods' uniforms before level 0, group by group in
+    group order, and _spread floods them all in one call.
     """
     log_miss = _log_miss(per)
     legs = np.array([plan_legs for _, plan_legs in plans], dtype=np.intp)
@@ -261,8 +252,7 @@ def _first_successes(per: PerMatrix, plans, tries: int, count: int,
             size += rows
     for batch in filter(None, batches):
         plan = np.array([p for p, _, _ in batch])
-        fills = [_stream(seed, *plans[p][0], block).random
-                 for p, block, _ in batch]
+        streams = [_stream(seed, *plans[p][0], block) for p, block, _ in batch]
         pending = np.concatenate([  # cells of first, grouped by group
             np.arange(rows) + (p * count + block * _BLOCK)
             for p, block, rows in batch])
@@ -272,9 +262,12 @@ def _first_successes(per: PerMatrix, plans, tries: int, count: int,
             for leg in range(legs.shape[1]):
                 counts = np.bincount(group[ok], minlength=len(batch))
                 live = np.flatnonzero(counts)
-                origin, level, dest = legs[plan[live], leg].T
-                ok = ok[_spread(log_miss, origin, level + j, dest[:, None],
-                                counts[live], [fills[g] for g in live])[:, 0]]
+                stops = np.cumsum(counts[live]).tolist()
+                uniforms = np.empty((ok.size, per.node_count))
+                for g, start, stop in zip(live.tolist(), [0, *stops], stops):
+                    streams[g].random(out=uniforms[start:stop])
+                origin, level, dest = legs[plan[group[ok]], leg].T
+                ok = ok[_spread(log_miss, origin, level + j, dest, uniforms)]
                 if not ok.size:
                     break
             first.flat[pending[ok]] = j
@@ -378,6 +371,16 @@ def simulate_dlc(per: PerMatrix, cfg: SimConfig,
     return _report(cfg, counts)
 
 
+def _reached(links: np.ndarray) -> np.ndarray:
+    """Whether a chain of links (links[i, j]: i to j) leads from the master
+    to each node, the master included."""
+    seen = frontier = np.arange(links.shape[0]) == MASTER
+    while frontier.any():
+        frontier = links[frontier].any(axis=0) & ~seen
+        seen = seen | frontier
+    return seen
+
+
 def simulate_sfn(per: PerMatrix, cfg: SimConfig,
                  analysis: sfn.SfnCycleAnalysis | None = None) -> SimReport:
     """Monte-Carlo polling under flooding routing.
@@ -389,14 +392,21 @@ def simulate_sfn(per: PerMatrix, cfg: SimConfig,
     cycle that makes t tries spends t * (1 + r_dl + r_ul + t).  The uplink
     flood runs only when the downlink reached the slave.  Slaves the
     analysis finds unreachable are polled with levels (0, 0) and consume
-    slots the same way.
+    slots the same way.  A slave with no live route, a chain of PER < 1
+    links from the master to it and one back, can never be polled: it is
+    given up in every cycle without a flood or a draw, and still spends
+    the slots of cap tries per cycle.
     """
     analysis = _plan(per, cfg, "sfn", analysis)
     cap = cfg.max_retries + 1  # most tries a cycle makes
-    first = _first_successes(
+    links = _log_miss(per) < 0  # links[i, j]: i can deliver to j
+    live = _reached(links) & _reached(links.T)  # a live route both ways
+    first = np.full((len(analysis.slaves), cfg.cycles), -1, dtype=np.int64)
+    first[live[per.slaves]] = _first_successes(
         per, [(("sfn", a.slave),
                ((MASTER, a.r_dl, a.slave), (a.slave, a.r_ul, MASTER)))
-              for a in analysis.slaves], cap, cfg.cycles, cfg.seed)
+              for a in analysis.slaves if live[a.slave]],
+        cap, cfg.cycles, cfg.seed)
     made = np.where(first >= 0, first + 1, cap)
     window = np.array([[1 + a.r_dl + a.r_ul] for a in analysis.slaves])
     return _report(cfg, zip(made.sum(axis=1),

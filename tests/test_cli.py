@@ -126,6 +126,19 @@ def test_analyze_invalid_matrix_fails(tmp_path, capsys):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("0\n", "channel model needs at least 2 nodes"),
+    ("# per matrix\n#\n", "no matrix rows found in "),
+], ids=["one-node", "comments-only"])
+def test_analyze_unusable_matrix_file_fails(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.per"
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert message in err
+    assert out == ""
+
+
 def test_simulate_reports_relative_difference(ring10, capsys, tmp_path):
     out = tmp_path / "sim.json"
     code, text, _ = run(capsys, "simulate", "--protocol", "sfn",

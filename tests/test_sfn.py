@@ -252,6 +252,20 @@ def test_cycle_unreachable_listed():
         sum(a.expected_duration for a in reachable), rel=1e-12)
 
 
+def test_cycle_slave_without_uplink_has_no_candidates():
+    # the master reaches slave 1, but slave 1 reaches no node
+    m = matrix([
+        [0.0, 0.1, 0.2],
+        [1.0, 0.0, 1.0],
+        [0.3, 0.4, 0.0],
+    ])
+    analysis = cycle_analysis(m)
+    assert analysis.unreachable == (1,)
+    one, two = analysis.slaves
+    assert not one.reachable and one.candidates == ()
+    assert two.reachable
+
+
 def test_zero_loss_line_reception_level_equals_hop_distance():
     for length in range(2, 7):
         n = length + 1

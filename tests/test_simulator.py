@@ -8,7 +8,7 @@ import pytest
 
 from plcroute import dlc, sfn, simulator
 from plcroute.channel import (DEFAULT_MODELS, PerMatrix, build_matrix,
-                              generate_ring)
+                              generate_rand_area, generate_ring)
 from plcroute.simulator import (
     SimConfig,
     flood_trial,
@@ -308,6 +308,31 @@ def test_sfn_slots_exact_without_retries(m):
         assert stats.slots == (2 + r_dl + r_ul) * stats.attempts
 
 
+def test_sfn_slave_without_live_route_is_given_up_without_floods(
+        monkeypatch):
+    # slave 1 hears the master but reaches no node, so no poll of it can
+    # succeed; its cycles cost no kernel call, whatever the retry cap
+    m = matrix([[0.0, 0.1, 0.2], [1.0, 0.0, 1.0], [0.3, 0.4, 0.0]])
+    spread, calls = simulator._spread, []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return spread(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "_spread", counted)
+    made = []
+    for max_retries in (10, 10_000):
+        calls.clear()
+        report = simulate_sfn(m, SimConfig("sfn", cycles=3,
+                                           max_retries=max_retries, seed=2))
+        cap = max_retries + 1
+        one = report.per_slave[0]
+        assert (one.attempts, one.successes, one.slots) == \
+            (3 * cap, 0, 3 * cap * (cap + 1))
+        made.append(len(calls))
+    assert made[1] == made[0]
+
+
 def _flood_replay(m: PerMatrix, cfg: SimConfig, analysis) -> dict:
     """(attempts, successes, slots) per slave from lone floods: one _flood
     call per slave, block, try and leg, each drawing from the block's
@@ -495,6 +520,57 @@ def test_flood_trial_levels_respect_budget_and_suppression():
         assert levels[0] == -1  # origin never first-receives its own packet
 
 
+def _hop_levels(per: PerMatrix, origin: int, dest: int,
+                budget: int) -> np.ndarray:
+    """First-reception levels of a flood in which every PER < 1 link
+    delivers: hop distance - 1, with dest not relaying, -1 past budget."""
+    links = per.per < 1
+    np.fill_diagonal(links, False)
+    level = np.full(per.node_count, -1)
+    waiting = np.arange(per.node_count) != origin
+    transmitters = [origin]
+    for r in range(budget + 1):
+        fresh = np.flatnonzero(links[transmitters].any(axis=0) & waiting)
+        level[fresh] = r
+        waiting[fresh] = False
+        transmitters = [v for v in fresh if v != dest]
+        if not transmitters:
+            break
+    return level
+
+
+@pytest.mark.parametrize("budget", [0, 3, None], ids=["0", "3", "n"])
+@pytest.mark.parametrize("per", [
+    generate_ring(20),
+    generate_rand_area(20, width=0.0001),  # saturated: PERs near 0 or 1
+], ids=["ring_20", "rand_area_20_saturated"])
+def test_spread_with_zero_uniforms_floods_every_live_link(per, budget):
+    # u = 0 gives bar = 0, so one transmitter over a PER < 1 link suffices
+    n = per.node_count
+    budget = n if budget is None else budget
+    pairs = [(o, d) for o in (0, 5, n - 1) for d in (o, 1, 2, n // 2)]
+    src, dest = np.array(pairs).T
+    level = np.full((len(pairs), n), -1)
+    got = simulator._spread(simulator._log_miss(per), src,
+                            np.full(len(pairs), budget), dest,
+                            np.zeros((len(pairs), n)), level)
+    for i, (o, d) in enumerate(pairs):
+        want = _hop_levels(per, o, d, budget)
+        assert np.array_equal(level[i], want), (o, d)
+        assert got[i] == (d != o and want[d] >= 0), (o, d)
+
+
+def test_spread_with_largest_uniforms_delivers_only_per_0_links():
+    # random() returns at most 1 - 2**-53, so bar >= log 2**-53 (about
+    # -36.7): _LOG_CERTAIN gets through, a PER-0.6 two-hop link never does
+    per, n = generate_ring(10, 0.0, 0.6), 10
+    level = np.full((n, n), -1)
+    simulator._spread(simulator._log_miss(per), np.arange(n), np.full(n, n),
+                      np.arange(n), np.full((n, n), 1 - 2.0**-53), level)
+    apart = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    assert np.array_equal(level, np.minimum(apart, n - apart) - 1)
+
+
 def test_log_miss_is_cached_read_only_and_keeps_floods_unchanged():
     m = generate_ring(10, 0.1, 0.6)
     first = simulator._log_miss(m)
@@ -511,7 +587,7 @@ def test_log_miss_is_cached_read_only_and_keeps_floods_unchanged():
 def test_flood_trial_line_is_deterministic():
     m = line_matrix()
     rng = np.random.default_rng(0)
-    levels = flood_trial(m, 0, 2, rng, no_relay=(2,))
+    levels = flood_trial(m, 0, 2, rng, dest=2)
     assert levels[1] == 0 and levels[2] == 1
 
 
@@ -529,8 +605,8 @@ def test_flood_trial_line_is_deterministic():
      "seed must be an integer in 0..2**64-1"),
     (lambda m, rng: sample_first_success_levels(m, 2, -1),
      "trials must be >= 0"),
-    (lambda m, rng: flood_trial(m, 0, 2, rng, no_relay=(9,)),
-     "no_relay node 9 out of range 0..5"),
+    (lambda m, rng: flood_trial(m, 0, 2, rng, dest=9),
+     "dest 9 out of range 0..5"),
     # a non-integer index is named, not passed on to numpy
     (lambda m, rng: flood_trial(m, 1.5, 5, rng),
      "origin must be an integer, not 1.5"),
@@ -538,8 +614,8 @@ def test_flood_trial_line_is_deterministic():
      "origin must be an integer, not True"),
     (lambda m, rng: flood_trial(m, 0, 2.5, rng),
      "max_level must be an integer, not 2.5"),
-    (lambda m, rng: flood_trial(m, 0, 2, rng, no_relay=(1.5,)),
-     "no_relay node must be an integer, not 1.5"),
+    (lambda m, rng: flood_trial(m, 0, 2, rng, dest=1.5),
+     "dest must be an integer, not 1.5"),
     (lambda m, rng: sample_first_success_levels(m, 2.5, 10),
      "target must be an integer, not 2.5"),
     (lambda m, rng: sample_first_success_levels(m, 1, True),
