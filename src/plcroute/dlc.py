@@ -10,6 +10,9 @@ bound first; across counts it keeps the one with the lowest expected
 duration under retry-until-success.  The search's bound tables hold the
 best walks out of the master, so every slave and count shares them: a
 whole `cycle_analysis` makes max_level - 1 dense table steps.
+`cycle_analysis` takes each search's first descent for all slaves of a
+count at once, in a few (slaves, n) array steps, and resumes the
+depth-first search only where that descent is not final.
 """
 from __future__ import annotations
 
@@ -19,6 +22,14 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import MASTER, PerMatrix, _check_integer
+
+# Elements of one (slaves, n) bound array in cycle_analysis's batched
+# descent; bounds the slaves per block, and so the memory a block needs.
+_BATCH_ELEMENTS = 1 << 16
+# The search prunes a child whose bound, times the chain's product so far
+# and this margin, is at most the best product: bounds multiply in another
+# order than chains.
+_MARGIN = 1.0 + 1e-9
 
 
 class InvalidPathError(ValueError):
@@ -126,6 +137,22 @@ def _heads(per: PerMatrix) -> list:
     return [h]
 
 
+def _bounds(per: PerMatrix, level: int) -> list:
+    """_heads(per), extended to at least `level` tables."""
+    w = _pair_weights(per)
+    head = _heads(per)
+    while len(head) < level:
+        h = (w * head[-1]).max(axis=1)  # w is symmetric
+        h[MASTER] = 0.0
+        head.append(h)
+    return head
+
+
+def _smallest_chain(slave: int, level: int) -> tuple[int, ...]:
+    """The lexicographically smallest valid sequence of `level` repeaters."""
+    return tuple(v for v in range(1, level + 2) if v != slave)[:level]
+
+
 def best_path(per: PerMatrix, slave: int, level: int) -> DlcPathResult:
     """Repeater chain with the highest round-trip success at a given level.
 
@@ -144,15 +171,10 @@ def best_path(per: PerMatrix, slave: int, level: int) -> DlcPathResult:
     w = _pair_weights(per)
     if level == 0:
         return DlcPathResult((), float(w[MASTER, slave]))
-    head = _heads(per)
-    while len(head) < level:
-        h = (w * head[-1]).max(axis=1)  # w is symmetric
-        h[MASTER] = 0.0
-        head.append(h)
+    head = _bounds(per, level)
 
     best = 0.0
-    best_seq = tuple(v for v in range(1, level + 2) if v != slave)[:level]
-    margin = 1.0 + 1e-9  # bounds multiply in another order than chains
+    best_seq = _smallest_chain(slave, level)
     chain = [slave] * (level + 2)  # chain[k] is r_k once picked
 
     def visit(k: int, prob: float) -> None:
@@ -183,7 +205,7 @@ def best_path(per: PerMatrix, slave: int, level: int) -> DlcPathResult:
             # children come in stable descending order and none after this
             # one can win; while best is 0 this also skips dead children
             r = int(bound.argmax())
-            if bound.item(r) * prob * margin <= best:
+            if bound.item(r) * prob * _MARGIN <= best:
                 break
             bound[r] = -1.0  # visited
             chain[k] = r
@@ -208,31 +230,116 @@ def slave_analysis(per: PerMatrix, slave: int,
     """
     _check_slave(per, slave)
     _check_integer("max_level", max_level, InvalidPathError, low=0)
+    paths = (best_path(per, slave, level)
+             for level in range(min(max_level, per.node_count - 2) + 1))
+    return _choose_level(slave, ((p.repeaters, p.success_prob) for p in paths))
+
+
+def _choose_level(slave: int, paths) -> DlcSlaveAnalysis:
+    """A slave's analysis from its best chain at levels 0, 1, ... in order.
+
+    `paths` yields (repeaters, success_prob) pairs.  Ties between levels go
+    to the smaller level.
+    """
     options = []
     best: DlcLevelOption | None = None
     repeaters: tuple[int, ...] = ()
-    for level in range(min(max_level, per.node_count - 2) + 1):
-        path = best_path(per, slave, level)
-        prob = path.success_prob
+    for level, (chain, prob) in enumerate(paths):
         duration = 2.0 * (level + 1) / prob if prob > 0.0 else None
         option = DlcLevelOption(level, prob, duration)
         options.append(option)
         if duration is not None and (
                 best is None or duration < best.expected_duration):
-            best, repeaters = option, path.repeaters
+            best, repeaters = option, chain
     if best is None:
         return DlcSlaveAnalysis(slave, 0, (), None, tuple(options))
     return DlcSlaveAnalysis(slave, best.level, repeaters,
                             best.expected_duration, tuple(options))
 
 
+def _descend(w: np.ndarray, head: list, slaves: np.ndarray, level: int):
+    """best_path's first descent, for every slave of `slaves` at once.
+
+    Each depth k picks best_path's first child, the argmax of
+    w[r_k+1] * head[k-1] with the slave and r_k+1..r_level zeroed, and the
+    leaf ranks r_1 as best_path's k == 1 branch does.  Returns each row's
+    chain (r_1..r_level), its product, and whether the descent is final:
+    its product is positive and, at every depth, the second-best child
+    fails best_path's own pruning test against it, so best_path would
+    return this chain.
+    """
+    rows = np.arange(len(slaves))
+    taken = [slaves]  # the slave, then r_level, r_level-1, ...
+    prob = np.ones(len(slaves))  # product from r_k+1 to the slave
+    live = np.ones(len(slaves), dtype=bool)
+    rival = np.zeros(len(slaves))  # the highest second-best test value
+    for k in range(level, 1, -1):
+        bound = w[taken[-1]] * head[k - 1]
+        for t in taken:
+            bound[rows, t] = 0.0
+        r = bound.argmax(axis=1)
+        # best_path visits no child of an all-zero bound, whose argmax is
+        # a zeroed node, the master among them
+        live &= bound[rows, r] * prob * _MARGIN > 0.0
+        bound[rows, r] = -1.0
+        rival = np.maximum(rival, bound.max(axis=1) * prob * _MARGIN)
+        prob = prob * w[taken[-1], r]
+        taken.append(r)
+    bound = w[taken[-1]] * head[0]
+    for t in taken:
+        bound[rows, t] = 0.0
+    hops = taken[::-1]  # r_2, ..., r_level, the slave
+    for a, b in zip(hops, hops[1:]):
+        bound *= w[a, b][:, None]
+    first = bound.argmax(axis=1)
+    total = np.where(live, bound[rows, first], 0.0)
+    final = (total > 0.0) & (rival <= total)
+    return np.column_stack([first, *hops[:-1]]), total, final
+
+
+def _level_paths(per: PerMatrix, level: int) -> list:
+    """(repeaters, success_prob) of best_path(per, s, level), s = 1..n-1.
+
+    A slave whose top bound head[level][s] is 0 is dead: best_path returns
+    the smallest sequence at probability 0.  The others descend together
+    (_descend) in blocks of at most _BATCH_ELEMENTS bound entries, and
+    best_path searches only those whose descent is not final.
+    """
+    w = _pair_weights(per)
+    if level == 0:
+        return [((), p) for p in w[MASTER, 1:].tolist()]
+    head = _bounds(per, level + 1)
+    live = np.flatnonzero(head[level])  # head[level][MASTER] is 0
+    paths = {}
+    block = max(1, _BATCH_ELEMENTS // per.node_count)
+    for start in range(0, len(live), block):
+        part = live[start:start + block]
+        chains, total, final = _descend(w, head, part, level)
+        for slave, chain, prob, ok in zip(part.tolist(), chains.tolist(),
+                                          total.tolist(), final.tolist()):
+            if ok:
+                paths[slave] = (tuple(chain), prob)
+            else:
+                path = best_path(per, slave, level)
+                paths[slave] = (path.repeaters, path.success_prob)
+    return [paths[s] if s in paths else (_smallest_chain(s, level), 0.0)
+            for s in per.slaves]
+
+
 def cycle_analysis(per: PerMatrix, max_level: int = 4) -> DlcCycleAnalysis:
     """Expected duration of one full polling cycle (sum over all slaves).
 
-    The total covers reachable slaves only; unreachable slaves are listed
+    Equals slave_analysis over every slave, but batches each search's
+    first descent across the slaves of a level and resumes best_path's
+    search only where that descent is not final (_level_paths).  The
+    total covers reachable slaves only; unreachable slaves are listed
     separately so a partial total stays inspectable.
     """
-    slaves = tuple(slave_analysis(per, s, max_level) for s in per.slaves)
+    _check_integer("max_level", max_level, InvalidPathError, low=0)
+    levels = [_level_paths(per, level)
+              for level in range(min(max_level, per.node_count - 2) + 1)]
+    slaves = tuple(_choose_level(s, options)
+                   for s, options in zip(per.slaves, zip(*levels)))
     unreachable = tuple(a.slave for a in slaves if not a.reachable)
     total = sum(a.expected_duration for a in slaves if a.reachable)
     return DlcCycleAnalysis(slaves, float(total), unreachable)

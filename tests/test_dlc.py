@@ -375,3 +375,90 @@ def test_cycle_analysis_independent_of_call_order():
         dlc._heads.cache_clear()
         got = {slave: slave_analysis(m, slave, 4) for slave in order(m.slaves)}
         assert tuple(got[slave] for slave in m.slaves) == want[4]
+
+
+def _batch_case(seed: int) -> tuple[PerMatrix, int]:
+    """A random matrix of 2-29 nodes and a max_level of 0-5.
+
+    Seeds cycle through continuous PERs, PERs quantized to exact ties,
+    half-dead PERs (half the links, at random, at PER 1) and uniform PER
+    0.3.  Half-dead matrices start at max_level 3, the first level whose
+    descent can meet an all-zero bound below its top.  The depth-first search
+    visits every tie of a uniform matrix, so those stay at 12 nodes and
+    max_level 4 or less.
+    """
+    rng = np.random.default_rng(seed)
+    kind = seed % 4
+    n = int(rng.integers(2, 13 if kind == 3 else 30))
+    max_level = int(rng.integers(3 if kind == 2 else 0, 5 if kind == 3 else 6))
+    if kind == 0:
+        arr = rng.random((n, n))
+    elif kind == 1:
+        arr = rng.choice([0.1, 0.3, 0.5, 1.0], size=(n, n))
+    elif kind == 2:
+        arr = rng.random((n, n))
+        arr[rng.random((n, n)) < 0.5] = 1.0
+    else:
+        arr = np.full((n, n), 0.3)
+    np.fill_diagonal(arr, 0.0)
+    return PerMatrix(arr), max_level
+
+
+def test_cycle_analysis_equals_slave_analysis_on_random_matrices():
+    # the batched first descent decides most searches without best_path;
+    # every decision must be the depth-first search's, ties included
+    for seed in range(240):
+        m, max_level = _batch_case(seed)
+        want = tuple(slave_analysis(m, s, max_level) for s in m.slaves)
+        assert cycle_analysis(m, max_level).slaves == want, seed
+        # an analysis keeps the chain of its best level only; the chains of
+        # the other levels must be best_path's too
+        for level in range(min(max_level, m.node_count - 2) + 1):
+            paths = [best_path(m, s, level) for s in m.slaves]
+            assert dlc._level_paths(m, level) == [
+                (p.repeaters, p.success_prob) for p in paths], (seed, level)
+
+
+def test_cycle_analysis_takes_no_stuck_descent():
+    # every slave hangs off the master, and slaves 2 and 3 are also linked.
+    # At level 3, slave 2's descent picks r_3 = 3, whose bound for r_2 is
+    # all zero, so argmax names the master; taken on from there, the
+    # descent would read a positive product.  No chain of three distinct
+    # repeaters reaches slave 2.
+    arr = np.ones((5, 5))
+    np.fill_diagonal(arr, 0.0)
+    for a, b in [(0, 1), (0, 2), (0, 3), (0, 4), (2, 3)]:
+        arr[a, b] = arr[b, a] = 0.5
+    m = PerMatrix(arr)
+    assert best_path(m, 2, 3).success_prob == 0.0
+    analysis = cycle_analysis(m, 3)
+    assert analysis.slaves == tuple(slave_analysis(m, s, 3) for s in m.slaves)
+    assert analysis.slaves[1].per_level[3].success_prob == 0.0
+
+
+@pytest.mark.parametrize("name,spec", [
+    ("ring_100", ChannelSpec(kind="ring", node_count=100)),
+    ("rand_area_100", ChannelSpec(kind="rand_area", node_count=100, seed=100)),
+])
+def test_cycle_analysis_independent_of_block_size(name, spec, monkeypatch):
+    m = build_matrix(spec)
+    want = cycle_analysis(m, 4)
+    monkeypatch.setattr(dlc, "_BATCH_ELEMENTS", 1)  # one slave per block
+    assert cycle_analysis(m, 4) == want
+
+
+def test_cycle_analysis_searches_only_undecided_descents(monkeypatch):
+    # rand_area_100 has 99 slaves and so 396 searches at levels 1-4; the
+    # batched descent decides all but a few of them
+    m = build_matrix(ChannelSpec(kind="rand_area", node_count=100, seed=100))
+    calls = []
+    original = dlc.best_path
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(dlc, "best_path", counted)
+    cycle_analysis(m, 4)
+    assert 0 < len(calls) <= 25
+    assert all(level >= 1 for _, _, level in calls)
