@@ -6,24 +6,26 @@ in _PURPOSES of what the stream is for: a protocol of PROTOCOLS, or
 "sampler".  The seed fills a fixed-width entropy pool before the spawn
 key, so no two seeds, purposes or keys share a stream, and each purpose
 owns its streams.  A DLC1000 slave draws the geometric try counts of all
-its cycles in order from one stream keyed on (0, slave).  SFN cycles are
-simulated a block of _BLOCK at a time, each (slave, block) group drawing
+its cycles in order from one stream keyed on (0, slave).  The SFN cycles
+of a slave come in blocks of _BLOCK, and each (slave, block) group draws
 from its own stream keyed on (1, slave, block), one flood per
 still-failing cycle and try; sample_first_success_levels draws its trials
 of target the same way from (2, target, block).  The SFN floods of all
-slaves run together: each leg of each try is one kernel call (_spread)
-over the still-failing cycles of every slave and block, in batches of
-bounded size.  The driver (_first_successes) draws each flood's uniforms
-from its group's stream before level 0, one per row and node, and _spread
+slaves run together: each leg of each try passes over the still-failing
+(slave, cycle) cells of every slave and block in order, in row chunks of
+at most _BATCH_ELEMENTS rows times nodes, one kernel call (_spread) a
+chunk.  The driver (_first_successes) draws each flood's uniforms from
+its group's stream before level 0, one per row and node, and _spread
 draws nothing, so each group draws from its own stream exactly the
 uniforms, in the same order, that it would draw on its own, however long
 its floods run.  So reports are bit-identical across repeats, and no
-report depends on the batching.  An SFN slave with no live route to and
-from the master is given up in every cycle without a flood or a draw.
-Slot accounting is exact: a DLC1000 try reserves 2*(level+1) slots
+report depends on where the chunks end.  An SFN slave with no live route
+to and from the master is given up in every cycle without a flood or a
+draw.  Slot accounting is exact: a DLC1000 try reserves 2*(level+1) slots
 whether or not it succeeds, an SFN try reserves the two full flood
 windows, 2 + r_dl + r_ul slots, with both levels incremented by one per
-retry.  `analyze` is the one dispatch from a protocol to its cycle
+retry.  Give-ups are counted in Python ints, so no retry cap overflows
+a count.  `analyze` is the one dispatch from a protocol to its cycle
 analysis, and `compare` sets a simulation against the analysis whose plan
 it polled with.
 """
@@ -43,9 +45,10 @@ PROTOCOLS = ("dlc1000", "sfn")
 _PURPOSES = (*PROTOCOLS, "sampler")
 
 _BLOCK = 256  # SFN cycles (or sampler trials) per keyed random stream
-# Rows times nodes of one batch of simulated floods: bounds each (rows, n)
-# array of the kernel, and so the memory a batch needs.  Also the most
-# DLC1000 cycles whose try counts are drawn at once.
+# Rows times nodes of one kernel call of simulated floods (at least one
+# row): bounds each (rows, n) array of the kernel, and so the memory a
+# call needs.  Also the most DLC1000 cycles whose try counts are drawn at
+# once.
 _BATCH_ELEMENTS = 1 << 15
 # log-miss of a PER-0 link.  The flood's matrix product multiplies the
 # zeros of the transmitter mask by every entry, and 0 * -inf is NaN.  A
@@ -107,12 +110,6 @@ def _stream(seed: int, purpose: str, *key: int) -> np.random.Generator:
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
         seed, spawn_key=(_PURPOSES.index(purpose), *key))))
-
-
-def _blocks(count: int):
-    """(block index, rows) pairs that cover count SFN cycles or trials."""
-    for block, start in enumerate(range(0, count, _BLOCK)):
-        yield block, min(_BLOCK, count - start)
 
 
 @lru_cache(maxsize=1)
@@ -232,50 +229,45 @@ def _first_successes(per: PerMatrix, plans, tries: int, count: int,
     stops at its first success or after tries tries.  This is the one
     place that maps (plan, block) groups to streams: each block of a
     plan's cycles draws from _stream(seed, purpose, key, block), in the
-    order a block simulated on its own would.  The groups run in batches
-    of at most _BATCH_ELEMENTS rows times nodes (at least one group).  For
-    each leg of each try, the still-failing cycles of every group of a
-    batch draw their floods' uniforms before level 0, group by group in
-    group order, and _spread floods them all in one call.
+    order a block simulated on its own would.  Each leg of each try
+    passes over the still-failing cells of first, across plans and
+    blocks, in row chunks of at most _BATCH_ELEMENTS rows times nodes (at
+    least one row): a chunk's cells draw their floods' uniforms before
+    level 0, each group's run of cells from its own stream, and _spread
+    floods them all in one call.  The cells stay in order, so a group's
+    stream is read in the same order whatever the chunk boundaries.
     """
     log_miss = _log_miss(per)
     legs = np.array([plan_legs for _, plan_legs in plans], dtype=np.intp)
+    blocks = -(-count // _BLOCK)
+    streams = [_stream(seed, *key, block)  # group plan * blocks + block
+               for key, _ in plans for block in range(blocks)]
     first = np.full((len(plans), count), -1, dtype=np.int64)
-    batch_rows = max(1, _BATCH_ELEMENTS // per.node_count)
-    batches, size = [[]], 0  # (plan, block, rows) groups
-    for p in range(len(plans)):
-        for block, rows in _blocks(count):
-            if batches[-1] and size + rows > batch_rows:
-                batches.append([])
-                size = 0
-            batches[-1].append((p, block, rows))
-            size += rows
-    for batch in filter(None, batches):
-        plan = np.array([p for p, _, _ in batch])
-        streams = [_stream(seed, *plans[p][0], block) for p, block, _ in batch]
-        pending = np.concatenate([  # cells of first, grouped by group
-            np.arange(rows) + (p * count + block * _BLOCK)
-            for p, block, rows in batch])
-        group = np.repeat(np.arange(len(batch)), [g[2] for g in batch])
-        for j in range(tries):
-            ok = np.arange(pending.size)  # rows whose legs all arrived
-            for leg in range(legs.shape[1]):
-                counts = np.bincount(group[ok], minlength=len(batch))
-                live = np.flatnonzero(counts)
-                stops = np.cumsum(counts[live]).tolist()
-                uniforms = np.empty((ok.size, per.node_count))
-                for g, start, stop in zip(live.tolist(), [0, *stops], stops):
-                    streams[g].random(out=uniforms[start:stop])
-                origin, level, dest = legs[plan[group[ok]], leg].T
-                ok = ok[_spread(log_miss, origin, level + j, dest, uniforms)]
-                if not ok.size:
-                    break
-            first.flat[pending[ok]] = j
-            failed = np.ones(pending.size, dtype=bool)
-            failed[ok] = False
-            pending, group = pending[failed], group[failed]
-            if not pending.size:
+    chunk = max(1, _BATCH_ELEMENTS // per.node_count)
+    pending = np.arange(first.size)  # the still-failing cells of first
+    for j in range(tries):
+        if not pending.size:
+            break
+        ok = pending  # the cells whose legs so far all arrived
+        for leg in range(legs.shape[1]):
+            arrived = []
+            for start in range(0, ok.size, chunk):
+                cells = ok[start:start + chunk]
+                plan = cells // count
+                group = plan * blocks + cells % count // _BLOCK
+                runs = (np.flatnonzero(np.diff(group)) + 1).tolist()
+                uniforms = np.empty((cells.size, per.node_count))
+                for g, lo, hi in zip(group[[0, *runs]].tolist(), [0, *runs],
+                                     [*runs, cells.size]):
+                    streams[g].random(out=uniforms[lo:hi])
+                origin, level, dest = legs[plan, leg].T
+                arrived.append(cells[_spread(log_miss, origin, level + j,
+                                             dest, uniforms)])
+            ok = np.concatenate(arrived)
+            if not ok.size:
                 break
+        first.flat[ok] = j
+        pending = pending[first.flat[pending] < 0]
     return first
 
 
@@ -313,16 +305,23 @@ def _plan(per: PerMatrix, cfg: SimConfig, protocol: str, analysis):
 
 
 def _report(cfg: SimConfig, counts) -> SimReport:
-    """The report of counts, one (attempts, successes, slots) per slave."""
+    """The report of counts, one (tries, successes, slots, lost) per slave.
+
+    tries and slots are those of the cycles that succeed, and lost is the
+    slots of a cycle that gives up after max_retries + 1 tries.  Python
+    ints count the give-ups exactly, whatever the retry cap.
+    """
     per_slave = []
-    for s, (tries, succ, slots) in enumerate(counts, 1):
-        succ, slots = int(succ), int(slots)
+    for s, (tries, succ, slots, lost) in enumerate(counts, 1):
+        succ = int(succ)
+        give_ups = cfg.cycles - succ
+        slots = int(slots) + give_ups * lost
         per_slave.append(SlaveStats(
             slave=s,
-            attempts=int(tries),
+            attempts=int(tries) + give_ups * (cfg.max_retries + 1),
             successes=succ,
             mean_round_trip_slots=float(slots) / succ if succ else None,
-            give_ups=cfg.cycles - succ,
+            give_ups=give_ups,
             slots=slots,
         ))
     reached = [s.slots for s in per_slave if s.successes]
@@ -358,16 +357,18 @@ def simulate_dlc(per: PerMatrix, cfg: SimConfig,
     for a in analysis.slaves:
         try_ok = dlc.round_trip_success(per, a.repeaters, a.slave)
         tries = successes = 0
-        if try_ok == 0.0:  # numpy's geometric rejects p = 0
-            tries = cfg.cycles * cap
-        else:
+        if try_ok > 0.0:  # numpy's geometric rejects p = 0
             rng = _stream(cfg.seed, "dlc1000", a.slave)
             for start in range(0, cfg.cycles, _BATCH_ELEMENTS):
                 g = rng.geometric(try_ok,
                                   min(_BATCH_ELEMENTS, cfg.cycles - start))
-                tries += int(np.minimum(g, cap).sum())
-                successes += int((g <= cap).sum())
-        counts.append((tries, successes, 2 * (a.best_level + 1) * tries))
+                g = g[g <= cap]  # the tries of the cycles that succeed
+                successes += g.size
+                # in int64 only where the sum cannot overflow
+                tries += (int(g.sum()) if g.size * cap < 2**63
+                          else sum(g.tolist()))
+        per_try = 2 * (a.best_level + 1)  # slots a try takes
+        counts.append((tries, successes, per_try * tries, per_try * cap))
     return _report(cfg, counts)
 
 
@@ -407,11 +408,12 @@ def simulate_sfn(per: PerMatrix, cfg: SimConfig,
                ((MASTER, a.r_dl, a.slave), (a.slave, a.r_ul, MASTER)))
               for a in analysis.slaves if live[a.slave]],
         cap, cfg.cycles, cfg.seed)
-    made = np.where(first >= 0, first + 1, cap)
-    window = np.array([[1 + a.r_dl + a.r_ul] for a in analysis.slaves])
-    return _report(cfg, zip(made.sum(axis=1),
-                            np.count_nonzero(first >= 0, axis=1),
-                            (made * (window + made)).sum(axis=1)))
+    made = first + 1  # the tries of a cycle that succeeds, 0 for a give-up
+    window = [1 + a.r_dl + a.r_ul for a in analysis.slaves]
+    return _report(cfg, zip(
+        made.sum(axis=1), np.count_nonzero(made, axis=1),
+        (made * (np.array(window)[:, None] + made)).sum(axis=1),
+        [cap * (w + cap) for w in window]))
 
 
 def simulate(per: PerMatrix, cfg: SimConfig, analysis=None) -> SimReport:

@@ -118,8 +118,9 @@ def _attempt_success_estimate(per, target, trials, seed, horizon):
     """
     log_miss = simulator._log_miss(per)
     reached = np.zeros(horizon + 1)
-    for block, rows in simulator._blocks(trials):
+    for block, start in enumerate(range(0, trials, simulator._BLOCK)):
         rng = simulator._stream(seed, "sfn", target, block)
+        rows = min(simulator._BLOCK, trials - start)
         levels = simulator._flood(log_miss, 0, horizon, rows, rng,
                                   target)[:, target]
         reached += np.bincount(levels[levels >= 0], minlength=horizon + 1)

@@ -172,6 +172,25 @@ def test_relative_difference_is_na_when_no_slave_is_reached(dead2, capsys,
                               "0.00 (0 slaves)", "n/a"] * 2]
 
 
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_simulate_counts_give_ups_past_int64(capsys, tmp_path, protocol):
+    # slave 1 answers now and then, slave 2 never: its 3 cycles make 2**63
+    # tries each, at 2 slots a try for dlc1000 and 2**63 + 1 on average
+    # for sfn
+    path = tmp_path / "half.per"
+    path.write_text("0,0.5,1\n0.5,0,1\n1,1,0\n")
+    out = tmp_path / "sim.json"
+    code, text, err = run(capsys, "simulate", "--protocol", protocol,
+                          "--cycles", "3", "--max-retries", str(2**63 - 1),
+                          "-o", str(out), str(path))
+    assert (code, err) == (0, "")
+    stats = json.loads(out.read_text())["simulation"]["per_slave"][1]
+    per_try = 2**63 + 1 if protocol == "sfn" else 2
+    assert (stats["attempts"], stats["slots"]) == (3 * 2**63,
+                                                   3 * 2**63 * per_try)
+    assert str(3 * 2**63) in text
+
+
 def test_simulate_same_command_same_output(ring10, capsys, tmp_path):
     outs = []
     for name in ("a.json", "b.json"):

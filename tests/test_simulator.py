@@ -342,9 +342,10 @@ def _flood_replay(m: PerMatrix, cfg: SimConfig, analysis) -> dict:
     for a in analysis.slaves:
         s = a.slave
         attempts = successes = slots = 0
-        for block, rows in simulator._blocks(cfg.cycles):
+        for block, start in enumerate(range(0, cfg.cycles,
+                                            simulator._BLOCK)):
             rng = simulator._stream(cfg.seed, "sfn", s, block)
-            failing = rows
+            failing = min(simulator._BLOCK, cfg.cycles - start)
             for j in range(cfg.max_retries + 1):
                 attempts += failing
                 slots += failing * (2 + a.r_dl + a.r_ul + 2 * j)
@@ -401,9 +402,9 @@ def test_sampler_draws_from_streams_of_its_own():
     log_miss = simulator._log_miss(m)
     for purpose, same in (("sfn", False), ("sampler", True)):
         want = np.full(trials, -1)
-        for block, rows in simulator._blocks(trials):
+        for block, start in enumerate(range(0, trials, simulator._BLOCK)):
             rng = simulator._stream(seed, purpose, target, block)
-            pending = np.arange(rows) + block * simulator._BLOCK
+            pending = np.arange(start, min(start + simulator._BLOCK, trials))
             for level in range(m.node_count + 1):
                 got = simulator._flood(log_miss, 0, level, pending.size, rng,
                                        target)[:, target] >= 0
@@ -414,10 +415,14 @@ def test_sampler_draws_from_streams_of_its_own():
         assert np.array_equal(want, levels) == same, purpose
 
 
-@pytest.mark.parametrize("elements", [1, 1 << 62],
-                         ids=["one-group-per-batch", "one-batch"])
+@pytest.mark.parametrize("elements", [1, 100 * 20, 1 << 62],
+                         ids=["one-row-per-call", "blocks-split-across-calls",
+                              "one-call-per-leg"])
 def test_batch_size_leaves_reports_and_samples_unchanged(monkeypatch,
                                                          elements):
+    # 100-row calls split each 256-cycle block of the 20-node models and
+    # hold several (slave, block) groups; every group's stream is still
+    # read in cell order
     ring = _BATCH_MODELS["ring_20"]
     runs = [(ring, SimConfig("sfn", cycles=300, max_retries=10_000, seed=5)),
             (_BATCH_MODELS["rand_area_20"],
@@ -428,6 +433,41 @@ def test_batch_size_leaves_reports_and_samples_unchanged(monkeypatch,
     assert [asdict(simulate_sfn(m, cfg)) for m, cfg in runs] == want
     assert np.array_equal(
         sample_first_success_levels(ring, 10, 600, seed=3), sample)
+
+
+def test_kernel_calls_stay_within_the_element_budget(monkeypatch):
+    # a 256-cycle block of a 200-node model holds more rows than the
+    # budget admits, so the block's cells are split across calls
+    m = build_matrix(dict(DEFAULT_MODELS)["rand_area_200"])
+    spread, rows = simulator._spread, []
+
+    def counted(log_miss, src, *args, **kwargs):
+        rows.append(len(src))
+        return spread(log_miss, src, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "_spread", counted)
+    simulate_sfn(m, SimConfig("sfn", cycles=300, max_retries=0, seed=3))
+    assert max(rows) == simulator._BATCH_ELEMENTS // m.node_count
+    assert sum(rows) >= 300 * (m.node_count - 1)
+
+
+@pytest.mark.parametrize("cap", [10**8, 2**63 - 1, 2**63, 10**30])
+@pytest.mark.parametrize("protocol", ["dlc1000", "sfn"])
+def test_give_ups_are_counted_exactly_at_any_cap(protocol, cap):
+    # slave 1 answers a try with probability 0.25 or so, slave 2 never; its
+    # give-ups make cap tries each, and their slots pass 2**63 on sfn
+    m = matrix([[0.0, 0.5, 1.0], [0.5, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    cycles = 1000
+    report = simulate(m, SimConfig(protocol, cycles=cycles,
+                                   max_retries=cap - 1, seed=4))
+    near = simulate(m, SimConfig(protocol, cycles=cycles, max_retries=99,
+                                 seed=4))
+    assert report.per_slave[0] == near.per_slave[0]
+    dead = report.per_slave[1]
+    per_try = cap + 1 if protocol == "sfn" else 2  # mean slots a try
+    assert (dead.attempts, dead.successes, dead.give_ups, dead.slots) == \
+        (cycles * cap, 0, cycles, cycles * cap * per_try)
+    assert report.total_slots == near.per_slave[0].slots + dead.slots
 
 
 _FLOOD_DRAW_CASES = [("ring_20", 0), ("ring_20", 3), ("ring_20", 40),
