@@ -6,17 +6,19 @@ in _PURPOSES of what the stream is for: a protocol of PROTOCOLS, or
 "sampler".  The seed fills a fixed-width entropy pool before the spawn
 key, so no two seeds, purposes or keys share a stream, and each purpose
 owns its streams.  A DLC1000 slave draws the geometric try counts of all
-its cycles in order from one stream keyed on (0, slave).  The SFN cycles
-of a slave come in blocks of _BLOCK, and each (slave, block) group draws
-from its own stream keyed on (1, slave, block), one flood per
-still-failing cycle and try; sample_first_success_levels draws its trials
-of target the same way from (2, target, block).  The SFN floods of all
-slaves run together: each leg of each try passes over the still-failing
-(slave, cycle) cells of every slave and block in order, in row chunks of
+its cycles in order from one stream keyed on (0, slave).  SFN cycles come
+in blocks of _BLOCK, and block b draws from its own stream keyed on
+(1, b): each try of a cycle that still polls a slave runs two floods from
+the master, the downlink on the matrix and the uplink on its transpose,
+and they serve every slave of the cycle, so a cycle's slaves are
+correlated while each slave's law is that of its own floods.
+sample_first_success_levels draws its trials of target the same way from
+(2, target, block), one flood a trial and try.  Each leg of each try
+passes over the pending cycles of every block in order, in row chunks of
 at most _BATCH_ELEMENTS rows times nodes, one kernel call (_spread) a
 chunk.  The driver (_first_successes) draws each flood's uniforms from
-its group's stream before level 0, one per row and node, and _spread
-draws nothing, so each group draws from its own stream exactly the
+its block's stream before level 0, one per row and node, and _spread
+draws nothing, so each block draws from its own stream exactly the
 uniforms, in the same order, that it would draw on its own, however long
 its floods run.  So reports are bit-identical across repeats, and no
 report depends on where the chunks end.  An SFN slave with no live route
@@ -217,58 +219,58 @@ def flood_trial(per: PerMatrix, origin: int, max_level: int,
     return _flood(_log_miss(per), origin, max_level, 1, rng, dest)[0]
 
 
-def _first_successes(per: PerMatrix, plans, tries: int, count: int,
+def _first_successes(per: PerMatrix, key, plans, tries: int, count: int,
                      seed: int) -> np.ndarray:
-    """First successful try of each of count cycles (or trials), -1 if none.
+    """First successful try of each target in each of count cycles (or
+    trials), -1 if none: a (targets, count) array.
 
-    plans holds one ((purpose, key), legs) pair per row of the result.
-    Try j runs the legs (origin, level, dest) in order, each a flood from
-    origin with allowed level level + j in which dest does not relay; a
-    leg runs only in the cycles whose earlier legs reached their
-    destination, and the try succeeds when the last one does.  A cycle
-    stops at its first success or after tries tries.  This is the one
-    place that maps (plan, block) groups to streams: each block of a
-    plan's cycles draws from _stream(seed, purpose, key, block), in the
-    order a block simulated on its own would.  Each leg of each try
-    passes over the still-failing cells of first, across plans and
-    blocks, in row chunks of at most _BATCH_ELEMENTS rows times nodes (at
-    least one row): a chunk's cells draw their floods' uniforms before
-    level 0, each group's run of cells from its own stream, and _spread
-    floods them all in one call.  The cells stay in order, so a group's
-    stream is read in the same order whatever the chunk boundaries.
+    plans holds one (target, level per leg) row per target.  Try j of a
+    cycle runs its legs in order, each one flood from the master: leg 0
+    on _log_miss(per), leg 1 on its transpose (the same array when per is
+    symmetric).  A target succeeds in try j when every leg's flood first
+    reaches it within its level + j; it stops at its first success or
+    after tries tries.  A cycle's floods serve all its targets at once:
+    they run while any target is pending, each to the largest level + j
+    among the targets whose legs so far all arrived.  Leg 1 is the uplink
+    by reversal: a flood from the target reaches the master within level
+    r exactly when, in the graph of live links reversed, the master's
+    flood reaches the target within r (Borgs et al., SODA 2014).  And a
+    node's first reception does not depend on its own relay, so no flood
+    mutes a target.  The cycles come in blocks of _BLOCK, and block b
+    draws from _stream(seed, *key, b).  Each leg of each try passes over
+    the pending cycles in order, in row chunks of at most _BATCH_ELEMENTS
+    rows times nodes (at least one row): a chunk draws its floods'
+    uniforms before level 0, each block's run of rows from the block's
+    stream, and _spread floods them in one call.  So a block's stream is
+    read in the same order whatever the chunk boundaries.
     """
-    log_miss = _log_miss(per)
-    legs = np.array([plan_legs for _, plan_legs in plans], dtype=np.intp)
-    blocks = -(-count // _BLOCK)
-    streams = [_stream(seed, *key, block)  # group plan * blocks + block
-               for key, _ in plans for block in range(blocks)]
-    first = np.full((len(plans), count), -1, dtype=np.int64)
-    chunk = max(1, _BATCH_ELEMENTS // per.node_count)
-    pending = np.arange(first.size)  # the still-failing cells of first
+    log_miss, n = _log_miss(per), per.node_count
+    up = (log_miss if np.array_equal(log_miss, log_miss.T)
+          else log_miss.T.copy())
+    targets, *levels = np.asarray(plans, dtype=np.intp).T
+    streams = [_stream(seed, *key, b) for b in range(-(-count // _BLOCK))]
+    first = np.full((count, targets.size), -1, dtype=np.int64)
+    chunk = max(1, _BATCH_ELEMENTS // n)
     for j in range(tries):
-        if not pending.size:
+        cycles = np.flatnonzero((first < 0).any(axis=1))
+        if not cycles.size:
             break
-        ok = pending  # the cells whose legs so far all arrived
-        for leg in range(legs.shape[1]):
-            arrived = []
-            for start in range(0, ok.size, chunk):
-                cells = ok[start:start + chunk]
-                plan = cells // count
-                group = plan * blocks + cells % count // _BLOCK
-                runs = (np.flatnonzero(np.diff(group)) + 1).tolist()
-                uniforms = np.empty((cells.size, per.node_count))
-                for g, lo, hi in zip(group[[0, *runs]].tolist(), [0, *runs],
-                                     [*runs, cells.size]):
-                    streams[g].random(out=uniforms[lo:hi])
-                origin, level, dest = legs[plan, leg].T
-                arrived.append(cells[_spread(log_miss, origin, level + j,
-                                             dest, uniforms)])
-            ok = np.concatenate(arrived)
-            if not ok.size:
-                break
-        first.flat[ok] = j
-        pending = pending[first.flat[pending] < 0]
-    return first
+        ok = first[cycles] < 0  # the targets whose legs so far all arrived
+        for matrix, reach in zip((log_miss, up), levels):
+            budget = np.where(ok, reach + j, -1).max(axis=1)
+            for start in range(0, cycles.size, chunk):
+                rows = cycles[start:start + chunk]
+                blocks, runs = np.unique(rows // _BLOCK, return_counts=True)
+                uniforms = np.concatenate([streams[b].random((k, n))
+                                           for b, k in zip(blocks, runs)])
+                # a node that never receives keeps a level past any reach
+                level = np.full((rows.size, n), np.iinfo(np.intp).max)
+                src = np.full(rows.size, MASTER)  # and dest: no node muted
+                _spread(matrix, src, budget[start:start + chunk], src,
+                        uniforms, level)
+                ok[start:start + chunk] &= level[:, targets] <= reach + j
+        first[cycles] = np.where(ok, j, first[cycles])
+    return first.T
 
 
 def analyze(per: PerMatrix, protocol: str, max_level: int = 4):
@@ -390,24 +392,25 @@ def simulate_sfn(per: PerMatrix, cfg: SimConfig,
     transmission levels coming from the analytic per-slave plan.  The
     destination only answers after the full downlink window to avoid
     collisions, so try j always occupies 2 + r_dl + r_ul + 2j slots, and a
-    cycle that makes t tries spends t * (1 + r_dl + r_ul + t).  The uplink
-    flood runs only when the downlink reached the slave.  Slaves the
-    analysis finds unreachable are polled with levels (0, 0) and consume
-    slots the same way.  A slave with no live route, a chain of PER < 1
-    links from the master to it and one back, can never be polled: it is
-    given up in every cycle without a flood or a draw, and still spends
-    the slots of cap tries per cycle.
+    cycle that makes t tries spends t * (1 + r_dl + r_ul + t).  Each try
+    of a cycle runs one downlink flood from the master and one uplink
+    flood, from the master on the transposed matrix, for all the slaves
+    it still polls (see _first_successes).  Slaves the analysis finds
+    unreachable are polled with levels (0, 0) and consume slots the same
+    way.  A slave with no live route, a chain of PER < 1 links from the
+    master to it and one back, can never be polled: it is given up in
+    every cycle without a flood or a draw, and still spends the slots of
+    cap tries per cycle.
     """
     analysis = _plan(per, cfg, "sfn", analysis)
     cap = cfg.max_retries + 1  # most tries a cycle makes
     links = _log_miss(per) < 0  # links[i, j]: i can deliver to j
     live = _reached(links) & _reached(links.T)  # a live route both ways
     first = np.full((len(analysis.slaves), cfg.cycles), -1, dtype=np.int64)
-    first[live[per.slaves]] = _first_successes(
-        per, [(("sfn", a.slave),
-               ((MASTER, a.r_dl, a.slave), (a.slave, a.r_ul, MASTER)))
-              for a in analysis.slaves if live[a.slave]],
-        cap, cfg.cycles, cfg.seed)
+    plans = np.array([(a.slave, a.r_dl, a.r_ul) for a in analysis.slaves
+                      if live[a.slave]], dtype=np.intp).reshape(-1, 3)
+    first[live[per.slaves]] = _first_successes(per, ("sfn",), plans, cap,
+                                               cfg.cycles, cfg.seed)
     made = first + 1  # the tries of a cycle that succeeds, 0 for a give-up
     window = [1 + a.r_dl + a.r_ul for a in analysis.slaves]
     return _report(cfg, zip(
@@ -458,6 +461,5 @@ def sample_first_success_levels(per: PerMatrix, target: int, trials: int,
     _check_integer("target", target, low=MASTER + 1, high=per.node_count - 1)
     _check_integer("trials", trials, low=0)
     _check_seed(seed)
-    return _first_successes(
-        per, [(("sampler", target), ((MASTER, 0, target),))],
-        per.node_count + 1, trials, seed)[0]
+    return _first_successes(per, ("sampler", target), [(target, 0)],
+                            per.node_count + 1, trials, seed)[0]

@@ -246,23 +246,23 @@ def test_stream_keys_never_collide():
         draws(simulator._stream(5 + 3 * 2 ** 32, "sfn", 7, 0)),
         draws(simulator._stream(5, "sfn", 3, 7)))
     for seed in (0, 11, (1 << 64) - 1):
-        # the DLC and SFN streams of one slave differ
+        # a DLC slave's stream is not the SFN block of the same number
         assert not np.array_equal(
             draws(simulator._stream(seed, "dlc1000", 3)),
-            draws(simulator._stream(seed, "sfn", 3, 0)))
-        # the sampler's trials of a target are not that slave's SFN cycles
+            draws(simulator._stream(seed, "sfn", 3)))
+        # the sampler's trials of a target are not SFN cycles
         for block in (0, 1):
             assert not np.array_equal(
                 draws(simulator._stream(seed, "sampler", 3, block)),
-                draws(simulator._stream(seed, "sfn", 3, block)))
+                draws(simulator._stream(seed, "sfn", block)))
         # so do a key and the same key with a trailing zero block
         for purpose in simulator._PURPOSES:
             assert not np.array_equal(
                 draws(simulator._stream(seed, purpose, 3)),
                 draws(simulator._stream(seed, purpose, 3, 0)))
     # the spawn key is the purpose's index, then the key: DLC (0, slave),
-    # SFN (1, slave, block), the sampler (2, target, block)
-    for purpose, spawn_key in (("dlc1000", (0, 3)), ("sfn", (1, 3, 1)),
+    # SFN (1, block), the sampler (2, target, block)
+    for purpose, spawn_key in (("dlc1000", (0, 3)), ("sfn", (1, 1)),
                                ("sampler", (2, 3, 1))):
         want = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(11, spawn_key=spawn_key)))
@@ -308,6 +308,35 @@ def test_sfn_slots_exact_without_retries(m):
         assert stats.slots == (2 + r_dl + r_ul) * stats.attempts
 
 
+def test_sfn_uplink_succeeds_as_a_lone_flood_from_the_slave():
+    # links towards the master fail far more often than links away from
+    # it, so the master's flood on the transposed matrix, which serves
+    # every slave's uplink, reaches a slave about half as often as its
+    # flood on the matrix itself would; each slave's successes at cap 0
+    # must match D * U from lone floods, the uplink from the slave with the
+    # master not relaying, on streams of their own
+    row, col = np.indices((5, 5))
+    m = PerMatrix(np.where(row < col, 0.2, 0.75) * (row != col))
+    analysis = sfn.cycle_analysis(m)
+    cycles, trials = 3000, 20_000
+    report = simulate_sfn(m, SimConfig("sfn", cycles=cycles, max_retries=0,
+                                       seed=9), analysis)
+    log_miss = simulator._log_miss(m)
+    for a, stats in zip(analysis.slaves, report.per_slave):
+        s = a.slave
+        down = np.mean(simulator._flood(log_miss, 0, a.r_dl, trials,
+                                        np.random.default_rng([31, s]),
+                                        s)[:, s] >= 0)
+        up = np.mean(simulator._flood(log_miss, s, a.r_ul, trials,
+                                      np.random.default_rng([37, s]),
+                                      0)[:, 0] >= 0)
+        want = down * up
+        var = (want * (1 - want) / cycles
+               + (up ** 2 * down * (1 - down) + down ** 2 * up * (1 - up))
+               / trials)
+        assert abs(stats.successes / cycles - want) <= 4 * np.sqrt(var), s
+
+
 def test_sfn_slave_without_live_route_is_given_up_without_floods(
         monkeypatch):
     # slave 1 hears the master but reaches no node, so no poll of it can
@@ -334,31 +363,38 @@ def test_sfn_slave_without_live_route_is_given_up_without_floods(
 
 
 def _flood_replay(m: PerMatrix, cfg: SimConfig, analysis) -> dict:
-    """(attempts, successes, slots) per slave from lone floods: one _flood
-    call per slave, block, try and leg, each drawing from the block's
-    keyed stream in turn."""
-    log_miss = simulator._log_miss(m)
+    """(attempts, successes, slots) per slave from shared floods: per
+    block, try and leg, one _flood call from the master over the block's
+    cycles that still poll a slave, drawing from the block's keyed stream
+    in turn; the downlink floods the matrix, the uplink its transpose."""
+    legs = [(simulator._log_miss(m), [a.r_dl for a in analysis.slaves]),
+            (np.ascontiguousarray(simulator._log_miss(m).T),
+             [a.r_ul for a in analysis.slaves])]
+    slaves = [a.slave for a in analysis.slaves]
+    first = np.full((cfg.cycles, len(slaves)), -1)
+    for block, start in enumerate(range(0, cfg.cycles, simulator._BLOCK)):
+        rng = simulator._stream(cfg.seed, "sfn", block)
+        cycles = first[start:start + simulator._BLOCK]  # a view
+        for j in range(cfg.max_retries + 1):
+            polled = np.flatnonzero((cycles < 0).any(axis=1))
+            if not polled.size:
+                break
+            ok = cycles[polled] < 0
+            for log_miss, levels in legs:
+                reach = np.array(levels) + j
+                level = simulator._flood(log_miss, 0, int(reach.max()),
+                                         polled.size, rng, 0)[:, slaves]
+                ok &= (level >= 0) & (level <= reach)
+            cycles[polled] = np.where(ok, j, cycles[polled])
     counts = {}
-    for a in analysis.slaves:
-        s = a.slave
-        attempts = successes = slots = 0
-        for block, start in enumerate(range(0, cfg.cycles,
-                                            simulator._BLOCK)):
-            rng = simulator._stream(cfg.seed, "sfn", s, block)
-            failing = min(simulator._BLOCK, cfg.cycles - start)
-            for j in range(cfg.max_retries + 1):
-                attempts += failing
-                slots += failing * (2 + a.r_dl + a.r_ul + 2 * j)
-                down = simulator._flood(log_miss, 0, a.r_dl + j, failing,
-                                        rng, s)
-                heard = int(np.count_nonzero(down[:, s] >= 0))
-                up = simulator._flood(log_miss, s, a.r_ul + j, heard, rng, 0)
-                done = int(np.count_nonzero(up[:, 0] >= 0))
-                successes += done
-                failing -= done
-                if not failing:
-                    break
-        counts[s] = (attempts, successes, slots)
+    for i, a in enumerate(analysis.slaves):
+        made = first[:, i] + 1  # tries of a cycle that succeeds, 0 if none
+        tries = np.where(made > 0, made, cfg.max_retries + 1)
+        slots = sum(int(np.count_nonzero(tries > j)) * (2 + a.r_dl + a.r_ul
+                                                         + 2 * j)
+                    for j in range(int(tries.max())))
+        counts[a.slave] = (int(tries.sum()), int(np.count_nonzero(made)),
+                           slots)
     return counts
 
 
@@ -378,10 +414,10 @@ _REPLAY_CASES = [*((name, max_retries, cycles, 13)
                          ids=["-".join(map(str, c[:3])) for c in _REPLAY_CASES])
 def test_batched_floods_equal_per_slave_flood_replay(name, max_retries,
                                                      cycles, seed):
-    # every slave's floods share one kernel call per try and leg, and each
-    # block still draws exactly what its own floods would, in order; so
-    # the slot, try and success counts follow from the plan and the
-    # per-try outcomes
+    # a cycle's slaves share its two floods per try, the kernel calls of a
+    # leg span blocks, and each block still draws exactly what its own
+    # floods would, in order; so the slot, try and success counts follow
+    # from the plan and the per-try outcomes
     m = _BATCH_MODELS[name]
     cfg = SimConfig("sfn", cycles=cycles, max_retries=max_retries, seed=seed)
     analysis = sfn.cycle_analysis(m)
@@ -420,9 +456,9 @@ def test_sampler_draws_from_streams_of_its_own():
                               "one-call-per-leg"])
 def test_batch_size_leaves_reports_and_samples_unchanged(monkeypatch,
                                                          elements):
-    # 100-row calls split each 256-cycle block of the 20-node models and
-    # hold several (slave, block) groups; every group's stream is still
-    # read in cell order
+    # 100-row calls split each 256-cycle block of the 20-node models, and
+    # one call may hold cycles of both blocks; every block's stream is
+    # still read in cycle order
     ring = _BATCH_MODELS["ring_20"]
     runs = [(ring, SimConfig("sfn", cycles=300, max_retries=10_000, seed=5)),
             (_BATCH_MODELS["rand_area_20"],
@@ -448,7 +484,7 @@ def test_kernel_calls_stay_within_the_element_budget(monkeypatch):
     monkeypatch.setattr(simulator, "_spread", counted)
     simulate_sfn(m, SimConfig("sfn", cycles=300, max_retries=0, seed=3))
     assert max(rows) == simulator._BATCH_ELEMENTS // m.node_count
-    assert sum(rows) >= 300 * (m.node_count - 1)
+    assert sum(rows) == 2 * 300  # one try: two floods a cycle, shared
 
 
 @pytest.mark.parametrize("cap", [10**8, 2**63 - 1, 2**63, 10**30])
