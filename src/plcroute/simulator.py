@@ -226,18 +226,18 @@ def _first_successes(per: PerMatrix, key, plans, tries: int, count: int,
 
     plans holds one (target, level per leg) row per target.  Try j of a
     cycle runs its legs in order, each one flood from the master: leg 0
-    on _log_miss(per), leg 1 on its transpose (the same array when per is
-    symmetric).  A target succeeds in try j when every leg's flood first
-    reaches it within its level + j; it stops at its first success or
-    after tries tries.  A cycle's floods serve all its targets at once:
-    they run while any target is pending, each to the largest level + j
-    among the targets whose legs so far all arrived.  Leg 1 is the uplink
-    by reversal: a flood from the target reaches the master within level
-    r exactly when, in the graph of live links reversed, the master's
-    flood reaches the target within r (Borgs et al., SODA 2014).  And a
-    node's first reception does not depend on its own relay, so no flood
-    mutes a target.  The cycles come in blocks of _BLOCK, and block b
-    draws from _stream(seed, *key, b).  Each leg of each try passes over
+    on _log_miss(per), leg 1 on a copy of its transpose (equal to it
+    when per is symmetric).  A target succeeds in try j when every leg's
+    flood first reaches it within its level + j; it stops at its first
+    success or after tries tries.  A cycle's floods serve all its targets
+    at once: they run while any target is pending, each to the largest
+    level + j among the targets whose legs so far all arrived.  Leg 1 is
+    the uplink by reversal: a flood from the target reaches the master
+    within level r exactly when, in the graph of live links reversed, the
+    master's flood reaches the target within r (Borgs et al., SODA 2014).
+    And a node's first reception does not depend on its own relay, so no
+    flood mutes a target.  The cycles come in blocks of _BLOCK, and block
+    b draws from _stream(seed, *key, b).  Each leg of each try passes over
     the pending cycles in order, in row chunks of at most _BATCH_ELEMENTS
     rows times nodes (at least one row): a chunk draws its floods'
     uniforms before level 0, each block's run of rows from the block's
@@ -245,9 +245,9 @@ def _first_successes(per: PerMatrix, key, plans, tries: int, count: int,
     read in the same order whatever the chunk boundaries.
     """
     log_miss, n = _log_miss(per), per.node_count
-    up = (log_miss if np.array_equal(log_miss, log_miss.T)
-          else log_miss.T.copy())
     targets, *levels = np.asarray(plans, dtype=np.intp).T
+    matrices = ((log_miss, np.ascontiguousarray(log_miss.T))
+                if len(levels) > 1 else (log_miss,))
     streams = [_stream(seed, *key, b) for b in range(-(-count // _BLOCK))]
     first = np.full((count, targets.size), -1, dtype=np.int64)
     chunk = max(1, _BATCH_ELEMENTS // n)
@@ -256,7 +256,7 @@ def _first_successes(per: PerMatrix, key, plans, tries: int, count: int,
         if not cycles.size:
             break
         ok = first[cycles] < 0  # the targets whose legs so far all arrived
-        for matrix, reach in zip((log_miss, up), levels):
+        for matrix, reach in zip(matrices, levels):
             budget = np.where(ok, reach + j, -1).max(axis=1)
             for start in range(0, cycles.size, chunk):
                 rows = cycles[start:start + chunk]

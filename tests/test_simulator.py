@@ -414,7 +414,11 @@ _REPLAY_CASES = [*((name, max_retries, cycles, 13)
                          ids=["-".join(map(str, c[:3])) for c in _REPLAY_CASES])
 def test_batched_floods_equal_per_slave_flood_replay(name, max_retries,
                                                      cycles, seed):
-    # a cycle's slaves share its two floods per try, the kernel calls of a
+    # the replay is of shared floods, as simulate_sfn runs them, and no
+    # longer of one flood per slave: the name and the case ids are kept.
+    # That shared floods give each slave the law of its own floods is
+    # checked by test_sfn_uplink_succeeds_as_a_lone_flood_from_the_slave.
+    # A cycle's slaves share its two floods per try, the kernel calls of a
     # leg span blocks, and each block still draws exactly what its own
     # floods would, in order; so the slot, try and success counts follow
     # from the plan and the per-try outcomes
