@@ -5,13 +5,16 @@ SeedSequence(seed, spawn_key=(purpose, key...)), purpose being the index
 in _PURPOSES of what the stream is for: a protocol of PROTOCOLS, or
 "sampler".  The seed fills a fixed-width entropy pool before the spawn
 key, so no two seeds, purposes or keys share a stream, and each purpose
-owns its streams.  A DLC1000 slave draws the geometric try counts of all
-its cycles in order from one stream keyed on (0, slave).  SFN cycles come
-in blocks of _BLOCK, and block b draws from its own stream keyed on
-(1, b): each try of a cycle that still polls a slave runs two floods from
-the master, the downlink on the matrix and the uplink on its transpose,
-and they serve every slave of the cycle, so a cycle's slaves are
-correlated while each slave's law is that of its own floods.
+owns its streams.  Cycles come in blocks of _BLOCK, and block b of a
+protocol draws from its own stream.  A DLC1000 block's stream, keyed on
+(0, b), gives the geometric try counts of every slave whose try can
+succeed, slave by slave and each slave's cycles in order, one call per
+block and slave chunk for every live slave; draws from one stream are
+independent, so the slaves stay independent.  An SFN block's stream is
+keyed on (1, b): each try of a cycle that still polls a slave runs two
+floods from the master, the downlink on the matrix and the uplink on its
+transpose, and they serve every slave of the cycle, so a cycle's slaves
+are correlated while each slave's law is that of its own floods.
 sample_first_success_levels draws its trials of target the same way from
 (2, target, block), one flood a trial and try.  Each leg of each try
 passes over the pending cycles of every block in order, in row chunks of
@@ -46,11 +49,11 @@ PROTOCOLS = ("dlc1000", "sfn")
 # What a random stream is for; its index leads the stream's spawn key
 _PURPOSES = (*PROTOCOLS, "sampler")
 
-_BLOCK = 256  # SFN cycles (or sampler trials) per keyed random stream
+_BLOCK = 256  # cycles (or sampler trials) per keyed random stream
 # Rows times nodes of one kernel call of simulated floods (at least one
 # row): bounds each (rows, n) array of the kernel, and so the memory a
-# call needs.  Also the most DLC1000 cycles whose try counts are drawn at
-# once.
+# call needs.  Also bounds one call that draws DLC1000 try counts (at
+# least one slave's cycles of a block).
 _BATCH_ELEMENTS = 1 << 15
 # log-miss of a PER-0 link.  The flood's matrix product multiplies the
 # zeros of the transmitter mask by every entry, and 0 * -inf is NaN.  A
@@ -213,8 +216,7 @@ def flood_trial(per: PerMatrix, origin: int, max_level: int,
     n = per.node_count
     _check_integer("origin", origin, low=0, high=n - 1)
     _check_integer("max_level", max_level, low=0)
-    if dest is None:
-        dest = origin
+    dest = origin if dest is None else dest
     _check_integer("dest", dest, low=0, high=n - 1)
     return _flood(_log_miss(per), origin, max_level, 1, rng, dest)[0]
 
@@ -348,30 +350,34 @@ def simulate_dlc(per: PerMatrix, cfg: SimConfig,
     dlc.round_trip_success, so each cycle draws its try count at once: a
     geometric variable G gives min(G, max_retries + 1) tries and a success
     when G <= max_retries + 1.  Unreachable slaves are still polled (at
-    level 0) and consume slots.  A slave draws its cycles' G in order from
-    its own stream, keyed on ("dlc1000", slave), at most _BATCH_ELEMENTS
-    at a time; geometric reads the stream in order, so the report does
-    not depend on that chunk size.
+    level 0) and consume slots.  Cycles come in blocks of _BLOCK, and
+    block b draws the G of every slave whose try can succeed from one
+    stream keyed on (0, b), slave by slave and each slave's cycles in
+    order, in calls of at most _BATCH_ELEMENTS draws (at least one
+    slave); geometric reads the stream in order, so the report does not
+    depend on where the calls end.
     """
     analysis = _plan(per, cfg, "dlc1000", analysis)
     cap = cfg.max_retries + 1  # most tries a cycle makes
-    counts = []
-    for a in analysis.slaves:
-        try_ok = dlc.round_trip_success(per, a.repeaters, a.slave)
-        tries = successes = 0
-        if try_ok > 0.0:  # numpy's geometric rejects p = 0
-            rng = _stream(cfg.seed, "dlc1000", a.slave)
-            for start in range(0, cfg.cycles, _BATCH_ELEMENTS):
-                g = rng.geometric(try_ok,
-                                  min(_BATCH_ELEMENTS, cfg.cycles - start))
-                g = g[g <= cap]  # the tries of the cycles that succeed
-                successes += g.size
-                # in int64 only where the sum cannot overflow
-                tries += (int(g.sum()) if g.size * cap < 2**63
-                          else sum(g.tolist()))
-        per_try = 2 * (a.best_level + 1)  # slots a try takes
-        counts.append((tries, successes, per_try * tries, per_try * cap))
-    return _report(cfg, counts)
+    p = np.array([dlc.round_trip_success(per, a.repeaters, a.slave)
+                  for a in analysis.slaves])
+    live = np.flatnonzero(p > 0.0)  # numpy's geometric rejects p = 0
+    # tries and successes, in int64 only where the sums cannot overflow
+    tries, succ = np.zeros(
+        (2, p.size), np.int64 if cfg.cycles * cap < 2**63 else object)
+    step = max(1, _BATCH_ELEMENTS // min(_BLOCK, cfg.cycles))  # slaves a call
+    chunks = np.split(live, range(step, live.size, step))
+    for block, start in enumerate(range(0, cfg.cycles, _BLOCK)):
+        rng = _stream(cfg.seed, "dlc1000", block)
+        for rows in chunks:
+            g = rng.geometric(p[rows, None],
+                              (rows.size, min(_BLOCK, cfg.cycles - start)))
+            ok = g <= cap  # the cycles that succeed, and their tries
+            succ[rows] += ok.sum(axis=1)
+            tries[rows] += np.add.reduce(g, 1, tries.dtype, where=ok, initial=0)
+    # slots a try takes; Python ints make every product exact
+    w = np.array([2 * (a.best_level + 1) for a in analysis.slaves], object)
+    return _report(cfg, zip(tries, succ, w * tries.astype(object), w * cap))
 
 
 def _reached(links: np.ndarray) -> np.ndarray:

@@ -216,24 +216,30 @@ def test_dlc_slot_accounting_reconstructable():
     assert report.total_slots == sum(s.slots for s in report.per_slave)
 
 
-def test_dlc_counts_replay_each_slaves_one_stream():
-    # one geometric try count per cycle, drawn in turn from the slave's
-    # one ("dlc1000", slave) stream
+def test_dlc_counts_replay_the_per_block_streams():
+    # block b's ("dlc1000", b) stream gives each slave whose try can
+    # succeed its geometric try counts in turn, slave by slave and each
+    # slave's cycles of the block in order; 300 cycles span two blocks
     m = generate_ring(8, 0.2, 0.7)
     cfg = SimConfig("dlc1000", cycles=300, max_retries=3, max_level=2, seed=9)
     analysis = dlc.cycle_analysis(m, cfg.max_level)
     report = simulate_dlc(m, cfg, analysis)
     cap = cfg.max_retries + 1
-    for a, stats in zip(analysis.slaves, report.per_slave):
-        rng = simulator._stream(cfg.seed, "dlc1000", a.slave)
-        try_ok = dlc.round_trip_success(m, a.repeaters, a.slave)
-        attempts = successes = 0
-        for _ in range(cfg.cycles):
-            g = int(rng.geometric(try_ok))
-            attempts += min(g, cap)
-            successes += g <= cap
+    try_ok = [dlc.round_trip_success(m, a.repeaters, a.slave)
+              for a in analysis.slaves]
+    assert min(try_ok) > 0.0
+    attempts, successes = [0] * len(try_ok), [0] * len(try_ok)
+    for block, start in enumerate(range(0, cfg.cycles, simulator._BLOCK)):
+        rng = simulator._stream(cfg.seed, "dlc1000", block)
+        for i, p in enumerate(try_ok):
+            for _ in range(min(simulator._BLOCK, cfg.cycles - start)):
+                g = int(rng.geometric(p))
+                attempts[i] += min(g, cap)
+                successes[i] += g <= cap
+    for a, stats, tries, succ in zip(analysis.slaves, report.per_slave,
+                                     attempts, successes):
         assert (stats.slave, stats.attempts, stats.successes, stats.slots) \
-            == (a.slave, attempts, successes, 2 * (a.best_level + 1) * attempts)
+            == (a.slave, tries, succ, 2 * (a.best_level + 1) * tries)
 
 
 def test_stream_keys_never_collide():
@@ -246,7 +252,7 @@ def test_stream_keys_never_collide():
         draws(simulator._stream(5 + 3 * 2 ** 32, "sfn", 7, 0)),
         draws(simulator._stream(5, "sfn", 3, 7)))
     for seed in (0, 11, (1 << 64) - 1):
-        # a DLC slave's stream is not the SFN block of the same number
+        # a DLC block's stream is not the SFN block of the same number
         assert not np.array_equal(
             draws(simulator._stream(seed, "dlc1000", 3)),
             draws(simulator._stream(seed, "sfn", 3)))
@@ -260,9 +266,9 @@ def test_stream_keys_never_collide():
             assert not np.array_equal(
                 draws(simulator._stream(seed, purpose, 3)),
                 draws(simulator._stream(seed, purpose, 3, 0)))
-    # the spawn key is the purpose's index, then the key: DLC (0, slave),
+    # the spawn key is the purpose's index, then the key: DLC (0, block),
     # SFN (1, block), the sampler (2, target, block)
-    for purpose, spawn_key in (("dlc1000", (0, 3)), ("sfn", (1, 1)),
+    for purpose, spawn_key in (("dlc1000", (0, 1)), ("sfn", (1, 1)),
                                ("sampler", (2, 3, 1))):
         want = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(11, spawn_key=spawn_key)))
@@ -543,6 +549,46 @@ def test_dlc_chunk_size_leaves_reports_unchanged(monkeypatch, max_retries,
     want = asdict(simulate_dlc(m, cfg))
     monkeypatch.setattr(simulator, "_BATCH_ELEMENTS", elements)
     assert asdict(simulate_dlc(m, cfg)) == want
+
+
+@pytest.mark.parametrize("name", ["rand_area_20", "dead_2_of_5"])
+@pytest.mark.parametrize("max_retries", [0, 10_000])
+def test_dlc_slave_chunks_of_a_block_leave_reports_unchanged(
+        monkeypatch, name, max_retries):
+    # at 5 * 256 elements a call takes 5 slaves of a 256-cycle block, so
+    # rand_area_20's 19 slaves take four calls a block; dead_2_of_5's
+    # slave 2 hears no one, so its try never succeeds and it takes no
+    # draw, between slaves 1 and 3 that take a call each at 256 elements
+    if name == "rand_area_20":
+        m, elements = _BATCH_MODELS[name], 5 * simulator._BLOCK
+    else:
+        per = np.full((5, 5), 0.3)
+        per[2, :] = per[:, 2] = 1.0
+        np.fill_diagonal(per, 0.0)
+        m, elements = matrix(per), simulator._BLOCK
+    cfg = SimConfig("dlc1000", cycles=300, max_retries=max_retries, seed=8)
+    analysis = dlc.cycle_analysis(m, cfg.max_level)
+    want = asdict(simulate_dlc(m, cfg, analysis))  # one call a block
+    monkeypatch.setattr(simulator, "_BATCH_ELEMENTS", elements)
+    calls, stream = [], simulator._stream
+
+    class Counted:  # a block's stream that records each call's size
+        def __init__(self, *key):
+            self.rng = stream(*key)
+
+        def geometric(self, p, size):
+            calls.append(size)
+            return self.rng.geometric(p, size)
+
+    monkeypatch.setattr(simulator, "_stream", Counted)
+    assert asdict(simulate_dlc(m, cfg, analysis)) == want
+    live = m.node_count - 1 - (name != "rand_area_20")
+    per_block = -(-live // (elements // simulator._BLOCK))
+    assert len(calls) == 2 * per_block  # two blocks of 300 cycles
+    assert sum(rows * cycles for rows, cycles in calls) == live * 300
+    if name != "rand_area_20":
+        dead = want["per_slave"][1]
+        assert (dead["slave"], dead["successes"]) == (2, 0)
 
 
 def _two_relay_matrix(per_13: float, per_23: float) -> PerMatrix:
