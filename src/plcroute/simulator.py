@@ -1,38 +1,38 @@
 """Seeded slot-accurate Monte-Carlo simulation of both polling protocols.
 
-Every random stream is a PCG64 generator seeded by
-SeedSequence(seed, spawn_key=(purpose, key...)), purpose being the index
-in _PURPOSES of what the stream is for: a protocol of PROTOCOLS, or
-"sampler".  The seed fills a fixed-width entropy pool before the spawn
-key, so no two seeds, purposes or keys share a stream, and each purpose
-owns its streams.  Cycles come in blocks of _BLOCK, and block b of a
-protocol draws from its own stream.  A DLC1000 block's stream, keyed on
-(0, b), gives the geometric try counts of every slave whose try can
-succeed, slave by slave and each slave's cycles in order, one call per
-block and slave chunk for every live slave; draws from one stream are
-independent, so the slaves stay independent.  An SFN block's stream is
-keyed on (1, b): each try of a cycle that still polls a slave runs two
-floods from the master, the downlink on the matrix and the uplink on its
-transpose, and they serve every slave of the cycle, so a cycle's slaves
-are correlated while each slave's law is that of its own floods.
-sample_first_success_levels draws its trials of target the same way from
-(2, target, block), one flood a trial and try.  Each leg of each try
-passes over the pending cycles of every block in order, in row chunks of
-at most _BATCH_ELEMENTS rows times nodes, one kernel call (_spread) a
-chunk.  The driver (_first_successes) draws each flood's uniforms from
-its block's stream before level 0, one per row and node, and _spread
-draws nothing, so each block draws from its own stream exactly the
-uniforms, in the same order, that it would draw on its own, however long
-its floods run.  So reports are bit-identical across repeats, and no
-report depends on where the chunks end.  An SFN slave with no live route
-to and from the master is given up in every cycle without a flood or a
-draw.  Slot accounting is exact: a DLC1000 try reserves 2*(level+1) slots
+Every random stream is a PCG64 generator seeded by SeedSequence(seed,
+spawn_key=(purpose, key...)), purpose being the index in _PURPOSES of
+what the stream is for: a protocol of PROTOCOLS, or "sampler".  The seed
+fills a fixed-width entropy pool before the spawn key, so no two seeds,
+purposes or keys share a stream, and each purpose owns its streams.
+Cycles come in blocks of _BLOCK, and block b of a protocol draws from
+its own stream.  A DLC1000 block's stream, keyed on (0, b), gives the
+geometric try counts of every slave whose try can succeed, slave by
+slave and each slave's cycles in order, in one call per block; draws
+from one stream are independent, so the slaves stay independent.  An SFN
+block's stream is keyed on (1, b): each try of a cycle that still polls
+a slave runs two floods from the master, the downlink on the matrix and
+the uplink on its transpose, and they serve every slave of the cycle, so
+a cycle's slaves are correlated while each slave's law is that of its
+own floods.  sample_first_success_levels draws its trials of target
+the same way from (2, target, block), one flood a trial and try.  Each leg
+of each try passes over the pending cycles of every block in order, in
+row chunks of at most _BATCH_ELEMENTS rows times nodes, one kernel call
+(_spread) a chunk; a call floods every row from one origin, the master.
+The driver (_first_successes) draws each flood's uniforms from its
+block's stream before level 0, one per row and node, and _spread draws
+nothing, so each block draws from its own stream exactly the uniforms,
+in the same order, that it would draw on its own, however long its
+floods run.  So reports are bit-identical across repeats, and no report
+depends on where the chunks end.  An SFN slave with no live route to and
+from the master is given up in every cycle without a flood or a draw.
+Slot accounting is exact: a DLC1000 try reserves 2*(level+1) slots
 whether or not it succeeds, an SFN try reserves the two full flood
 windows, 2 + r_dl + r_ul slots, with both levels incremented by one per
-retry.  Give-ups are counted in Python ints, so no retry cap overflows
-a count.  `analyze` is the one dispatch from a protocol to its cycle
-analysis, and `compare` sets a simulation against the analysis whose plan
-it polled with.
+retry.  Give-ups are counted in Python ints, so no retry cap overflows a
+count.  `analyze` is the one dispatch from a protocol to its cycle
+analysis, and `compare` sets a simulation against the analysis whose
+plan it polled with.
 """
 from __future__ import annotations
 
@@ -52,8 +52,7 @@ _PURPOSES = (*PROTOCOLS, "sampler")
 _BLOCK = 256  # cycles (or sampler trials) per keyed random stream
 # Rows times nodes of one kernel call of simulated floods (at least one
 # row): bounds each (rows, n) array of the kernel, and so the memory a
-# call needs.  Also bounds one call that draws DLC1000 try counts (at
-# least one slave's cycles of a block).
+# call needs.
 _BATCH_ELEMENTS = 1 << 15
 # log-miss of a PER-0 link.  The flood's matrix product multiplies the
 # zeros of the transmitter mask by every entry, and 0 * -inf is NaN.  A
@@ -132,15 +131,16 @@ def _log_miss(per: PerMatrix) -> np.ndarray:
     return log_miss
 
 
-def _spread(log_miss: np.ndarray, src, budget, dest, uniforms: np.ndarray,
-            level: np.ndarray | None = None) -> np.ndarray:
-    """Independent floods, one per row; whether each row's dest received.
+def _spread(log_miss: np.ndarray, origin: int, dest: int, budget,
+            uniforms: np.ndarray, level: np.ndarray) -> None:
+    """Independent floods from origin, one per row; writes each node's
+    first-reception level into level, a (rows, n) array.
 
-    Row i floods from src[i] with level budget budget[i], and dest[i]
-    receives but never relays; a flood without a destination passes its
-    origin, which never first-receives, so nothing is muted.  The origin
-    transmits at level 0, and a node that first receives at level r
-    retransmits exactly once at level r + 1 while the budget lasts.
+    Row i floods with level budget budget[i], and dest receives but never
+    relays; a flood without a destination passes its origin, which never
+    first-receives, so nothing is muted.  The origin transmits at level 0,
+    and a node that first receives at level r retransmits exactly once at
+    level r + 1 while the budget lasts.
 
     uniforms is the (rows, n) block of uniforms that the caller drew for
     the floods before level 0; the kernel turns it into bar = log1p(-u) in
@@ -153,25 +153,21 @@ def _spread(log_miss: np.ndarray, src, budget, dest, uniforms: np.ndarray,
     row stops after its budget, or after a level with no fresh relay:
     with no transmitter its miss no longer moves, so it receives nothing
     more.  Stopped rows stay, silent, until at most half of the rows still
-    run, and are then dropped.  Given a (rows, n) array level, also writes
-    each node's first-reception level there.
+    run, and are then dropped.
     """
     bar = np.log1p(np.negative(uniforms, out=uniforms), out=uniforms)
-    ids = np.arange(bar.shape[0])  # each current row's row of the result
-    bar[ids, src] = -np.inf  # no miss sum falls below it
-    miss = log_miss[src]  # level 0: the origin transmits alone
+    bar[:, origin] = -np.inf  # no miss sum falls below it
+    miss = np.tile(log_miss[origin], (bar.shape[0], 1))  # level 0
+    ids = np.arange(bar.shape[0])  # each current row's row of level
     waiting = np.ones(bar.shape, dtype=bool)  # may still first-receive
-    got = np.zeros(ids.size, dtype=bool)
     tx = np.empty_like(bar)  # 1.0 where a node transmits at the next level
     for r in itertools.count():
         fresh = miss < bar
         fresh &= waiting
-        if level is not None:
-            hit_row, hit_node = np.nonzero(fresh)
-            level[ids[hit_row], hit_node] = r
+        hit_row, hit_node = np.nonzero(fresh)
+        level[ids[hit_row], hit_node] = r
         waiting ^= fresh
-        rows = np.arange(ids.size)
-        fresh[rows, dest] = False  # the fresh relays
+        fresh[:, dest] = False  # the fresh relays
         going = fresh.any(axis=1)
         going &= budget > r
         run = np.count_nonzero(going)
@@ -179,11 +175,10 @@ def _spread(log_miss: np.ndarray, src, budget, dest, uniforms: np.ndarray,
         if 2 * run <= going.size:
             # dropping the stopped rows at every stop instead cost 10% on
             # perfbench sim-small's SFN runs (2 vCPUs; BENCH_sim_draws.json)
-            got[ids] = ~waiting[rows, dest]  # final for the dropped rows
             if not run:
-                return got
-            bar, miss, waiting, tx, ids, dest, budget = (
-                a[going] for a in (bar, miss, waiting, tx, ids, dest, budget))
+                return
+            bar, miss, waiting, tx, ids, budget = (
+                a[going] for a in (bar, miss, waiting, tx, ids, budget))
         elif run < going.size:
             tx[~going] = 0.0
         miss += tx @ log_miss
@@ -194,13 +189,14 @@ def _flood(log_miss: np.ndarray, origin: int, max_level: int, rows: int,
     """rows independent floods; first-reception level per row and node (-1 if none).
 
     The floods draw their rows * n uniforms from rng before level 0 and
-    hand them to _spread; dest (the packet's destination, or the origin
-    for no destination) receives but never retransmits.
+    hand them to one _spread call from origin; dest (the packet's
+    destination, or the origin for no destination) receives but never
+    retransmits.
     """
     n = log_miss.shape[0]
     level = np.full((rows, n), -1, dtype=np.int64)
-    _spread(log_miss, np.full(rows, origin), np.full(rows, max_level),
-            np.full(rows, dest), rng.random((rows, n)), level)
+    _spread(log_miss, origin, dest, np.full(rows, max_level),
+            rng.random((rows, n)), level)
     return level
 
 
@@ -243,8 +239,9 @@ def _first_successes(per: PerMatrix, key, plans, tries: int, count: int,
     the pending cycles in order, in row chunks of at most _BATCH_ELEMENTS
     rows times nodes (at least one row): a chunk draws its floods'
     uniforms before level 0, each block's run of rows from the block's
-    stream, and _spread floods them in one call.  So a block's stream is
-    read in the same order whatever the chunk boundaries.
+    stream, and _spread floods them from the master in one call, muting
+    no node.  So a block's stream is read in the same order whatever the
+    chunk boundaries.
     """
     log_miss, n = _log_miss(per), per.node_count
     targets, *levels = np.asarray(plans, dtype=np.intp).T
@@ -267,9 +264,8 @@ def _first_successes(per: PerMatrix, key, plans, tries: int, count: int,
                                            for b, k in zip(blocks, runs)])
                 # a node that never receives keeps a level past any reach
                 level = np.full((rows.size, n), np.iinfo(np.intp).max)
-                src = np.full(rows.size, MASTER)  # and dest: no node muted
-                _spread(matrix, src, budget[start:start + chunk], src,
-                        uniforms, level)
+                _spread(matrix, MASTER, MASTER, budget[start:start + chunk],
+                        uniforms, level)  # dest MASTER: no node muted
                 ok[start:start + chunk] &= level[:, targets] <= reach + j
         first[cycles] = np.where(ok, j, first[cycles])
     return first.T
@@ -352,10 +348,9 @@ def simulate_dlc(per: PerMatrix, cfg: SimConfig,
     when G <= max_retries + 1.  Unreachable slaves are still polled (at
     level 0) and consume slots.  Cycles come in blocks of _BLOCK, and
     block b draws the G of every slave whose try can succeed from one
-    stream keyed on (0, b), slave by slave and each slave's cycles in
-    order, in calls of at most _BATCH_ELEMENTS draws (at least one
-    slave); geometric reads the stream in order, so the report does not
-    depend on where the calls end.
+    stream keyed on (0, b) in one call, slave by slave and each slave's
+    cycles in order.  A block's draws take at most _BLOCK * (n - 1)
+    int64 values, less than the n * n PER matrix once n >= _BLOCK - 1.
     """
     analysis = _plan(per, cfg, "dlc1000", analysis)
     cap = cfg.max_retries + 1  # most tries a cycle makes
@@ -365,16 +360,12 @@ def simulate_dlc(per: PerMatrix, cfg: SimConfig,
     # tries and successes, in int64 only where the sums cannot overflow
     tries, succ = np.zeros(
         (2, p.size), np.int64 if cfg.cycles * cap < 2**63 else object)
-    step = max(1, _BATCH_ELEMENTS // min(_BLOCK, cfg.cycles))  # slaves a call
-    chunks = np.split(live, range(step, live.size, step))
     for block, start in enumerate(range(0, cfg.cycles, _BLOCK)):
-        rng = _stream(cfg.seed, "dlc1000", block)
-        for rows in chunks:
-            g = rng.geometric(p[rows, None],
-                              (rows.size, min(_BLOCK, cfg.cycles - start)))
-            ok = g <= cap  # the cycles that succeed, and their tries
-            succ[rows] += ok.sum(axis=1)
-            tries[rows] += np.add.reduce(g, 1, tries.dtype, where=ok, initial=0)
+        g = _stream(cfg.seed, "dlc1000", block).geometric(
+            p[live, None], (live.size, min(_BLOCK, cfg.cycles - start)))
+        ok = g <= cap  # the cycles that succeed, and their tries
+        succ[live] += ok.sum(axis=1)
+        tries[live] += np.add.reduce(g, 1, tries.dtype, where=ok, initial=0)
     # slots a try takes; Python ints make every product exact
     w = np.array([2 * (a.best_level + 1) for a in analysis.slaves], object)
     return _report(cfg, zip(tries, succ, w * tries.astype(object), w * cap))

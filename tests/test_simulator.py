@@ -487,9 +487,9 @@ def test_kernel_calls_stay_within_the_element_budget(monkeypatch):
     m = build_matrix(dict(DEFAULT_MODELS)["rand_area_200"])
     spread, rows = simulator._spread, []
 
-    def counted(log_miss, src, *args, **kwargs):
-        rows.append(len(src))
-        return spread(log_miss, src, *args, **kwargs)
+    def counted(log_miss, origin, dest, budget, uniforms, level):
+        rows.append(len(uniforms))
+        spread(log_miss, origin, dest, budget, uniforms, level)
 
     monkeypatch.setattr(simulator, "_spread", counted)
     simulate_sfn(m, SimConfig("sfn", cycles=300, max_retries=0, seed=3))
@@ -539,56 +539,42 @@ def test_flood_draws_one_uniform_per_row_and_node(name, budget):
     assert (name == "dead_5") == (levels.max() == -1)
 
 
-@pytest.mark.parametrize("elements", [1, 7, 1 << 62],
-                         ids=["one-cycle", "seven-cycles", "one-chunk"])
-@pytest.mark.parametrize("max_retries", [0, 10_000])
-def test_dlc_chunk_size_leaves_reports_unchanged(monkeypatch, max_retries,
-                                                 elements):
-    m = _BATCH_MODELS["rand_area_20"]
-    cfg = SimConfig("dlc1000", cycles=300, max_retries=max_retries, seed=5)
-    want = asdict(simulate_dlc(m, cfg))
-    monkeypatch.setattr(simulator, "_BATCH_ELEMENTS", elements)
-    assert asdict(simulate_dlc(m, cfg)) == want
-
-
 @pytest.mark.parametrize("name", ["rand_area_20", "dead_2_of_5"])
 @pytest.mark.parametrize("max_retries", [0, 10_000])
-def test_dlc_slave_chunks_of_a_block_leave_reports_unchanged(
-        monkeypatch, name, max_retries):
-    # at 5 * 256 elements a call takes 5 slaves of a 256-cycle block, so
-    # rand_area_20's 19 slaves take four calls a block; dead_2_of_5's
-    # slave 2 hears no one, so its try never succeeds and it takes no
-    # draw, between slaves 1 and 3 that take a call each at 256 elements
+def test_dlc_draws_one_geometric_call_per_block(monkeypatch, name,
+                                                max_retries):
+    # a block's stream draws the try counts of all its live slaves in one
+    # call; dead_2_of_5's slave 2 hears no one, so its try never succeeds:
+    # it takes no draw and is given up in every cycle
     if name == "rand_area_20":
-        m, elements = _BATCH_MODELS[name], 5 * simulator._BLOCK
+        m = _BATCH_MODELS[name]
     else:
         per = np.full((5, 5), 0.3)
         per[2, :] = per[:, 2] = 1.0
         np.fill_diagonal(per, 0.0)
-        m, elements = matrix(per), simulator._BLOCK
+        m = matrix(per)
     cfg = SimConfig("dlc1000", cycles=300, max_retries=max_retries, seed=8)
     analysis = dlc.cycle_analysis(m, cfg.max_level)
-    want = asdict(simulate_dlc(m, cfg, analysis))  # one call a block
-    monkeypatch.setattr(simulator, "_BATCH_ELEMENTS", elements)
+    want = asdict(simulate_dlc(m, cfg, analysis))
     calls, stream = [], simulator._stream
 
-    class Counted:  # a block's stream that records each call's size
+    class Counted:  # a block's stream that records each call's shapes
         def __init__(self, *key):
             self.rng = stream(*key)
 
         def geometric(self, p, size):
-            calls.append(size)
+            calls.append((np.shape(p), size))
             return self.rng.geometric(p, size)
 
     monkeypatch.setattr(simulator, "_stream", Counted)
     assert asdict(simulate_dlc(m, cfg, analysis)) == want
     live = m.node_count - 1 - (name != "rand_area_20")
-    per_block = -(-live // (elements // simulator._BLOCK))
-    assert len(calls) == 2 * per_block  # two blocks of 300 cycles
-    assert sum(rows * cycles for rows, cycles in calls) == live * 300
+    # two blocks of 300 cycles: 256 cycles, then 44
+    assert calls == [((live, 1), (live, 256)), ((live, 1), (live, 44))]
     if name != "rand_area_20":
         dead = want["per_slave"][1]
-        assert (dead["slave"], dead["successes"]) == (2, 0)
+        assert (dead["slave"], dead["successes"], dead["give_ups"]) == \
+            (2, 0, cfg.cycles)
 
 
 def _two_relay_matrix(per_13: float, per_23: float) -> PerMatrix:
@@ -674,16 +660,13 @@ def test_spread_with_zero_uniforms_floods_every_live_link(per, budget):
     # u = 0 gives bar = 0, so one transmitter over a PER < 1 link suffices
     n = per.node_count
     budget = n if budget is None else budget
-    pairs = [(o, d) for o in (0, 5, n - 1) for d in (o, 1, 2, n // 2)]
-    src, dest = np.array(pairs).T
-    level = np.full((len(pairs), n), -1)
-    got = simulator._spread(simulator._log_miss(per), src,
-                            np.full(len(pairs), budget), dest,
-                            np.zeros((len(pairs), n)), level)
-    for i, (o, d) in enumerate(pairs):
-        want = _hop_levels(per, o, d, budget)
-        assert np.array_equal(level[i], want), (o, d)
-        assert got[i] == (d != o and want[d] >= 0), (o, d)
+    for o in (0, 5, n - 1):
+        for d in (o, 1, 2, n // 2):
+            level = np.full((1, n), -1)
+            simulator._spread(simulator._log_miss(per), o, d,
+                              np.full(1, budget), np.zeros((1, n)), level)
+            assert np.array_equal(level[0], _hop_levels(per, o, d, budget)), \
+                (o, d)
 
 
 def test_spread_with_largest_uniforms_delivers_only_per_0_links():
@@ -691,8 +674,9 @@ def test_spread_with_largest_uniforms_delivers_only_per_0_links():
     # -36.7): _LOG_CERTAIN gets through, a PER-0.6 two-hop link never does
     per, n = generate_ring(10, 0.0, 0.6), 10
     level = np.full((n, n), -1)
-    simulator._spread(simulator._log_miss(per), np.arange(n), np.full(n, n),
-                      np.arange(n), np.full((n, n), 1 - 2.0**-53), level)
+    for o in range(n):  # row o floods from o, which mutes no node
+        simulator._spread(simulator._log_miss(per), o, o, np.full(1, n),
+                          np.full((1, n), 1 - 2.0**-53), level[o:o + 1])
     apart = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     assert np.array_equal(level, np.minimum(apart, n - apart) - 1)
 
