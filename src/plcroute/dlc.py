@@ -184,20 +184,15 @@ def best_path(per: PerMatrix, slave: int, level: int) -> DlcPathResult:
         bound = w[nxt] * head[k - 1]
         bound[chain[k + 1:]] = 0.0  # the slave and r_k+1..r_level
         if k == 1:
-            # bound[r] is w[0, r] * w[r, r_2], the product's first factor;
-            # the later hops multiply it in order and rounding is monotone,
-            # so its largest entry leads, and only a tie needs them all
+            # bound[r] is w[0, r] * w[r, r_2]; times the later hops in
+            # order, each entry becomes its chain's product, and argmax
+            # gives the smallest r_1 among ties; a positive tie with the
+            # best chain so far goes to the smaller sequence
+            for a, b in zip(chain[2:], chain[3:]):
+                bound *= w.item(a, b)
             r = int(bound.argmax())
-            total = bound.item(r)
-            factors = [w.item(a, b) for a, b in zip(chain[2:], chain[3:])]
-            for f in factors:
-                total *= f
-            if total < best or total == 0.0:
-                return
-            for f in factors:
-                bound *= f
-            seq = (int(bound.argmax()), *chain[2:-1])  # smallest r_1 of ties
-            if total > best or seq < best_seq:
+            total, seq = bound.item(r), (r, *chain[2:-1])
+            if total > best or (total == best > 0.0 and seq < best_seq):
                 best, best_seq = total, seq
             return
         while True:

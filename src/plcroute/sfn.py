@@ -169,16 +169,17 @@ def _closes_in_one_level(per: PerMatrix, node: int) -> bool:
     return bool(others.prod() <= 2.0 ** -53)
 
 
-def _receptions(src, ok, tx, cum_rcv, origins) -> np.ndarray:
+def _receptions(src, ok, tx, cum_rcv) -> np.ndarray:
     """First-reception probabilities of one level, one row per flood.
 
-    Rows run in chunks whose (rows, slots) temporary stays within
-    _BATCH_ELEMENTS.
+    A reception is (1 - cum_rcv) * (...), so a flood's origin, whose
+    cumulative reception starts at 1.0, receives exactly 0.  Rows run in
+    chunks whose (rows, slots) temporary stays within _BATCH_ELEMENTS.
     """
     chunk = max(1, _BATCH_ELEMENTS // ok.size)
     if len(tx) > chunk:
         return np.concatenate([
-            _receptions(src, ok, tx[part], cum_rcv[part], origins[part])
+            _receptions(src, ok, tx[part], cum_rcv[part])
             for part in (slice(s, s + chunk)
                          for s in range(0, len(tx), chunk))])
     if src is None:
@@ -194,7 +195,6 @@ def _receptions(src, ok, tx, cum_rcv, origins) -> np.ndarray:
         miss *= ok
     np.subtract(1.0, miss, out=miss)
     rcv = (1.0 - cum_rcv) * (1.0 - miss.prod(axis=1))
-    rcv[np.arange(len(origins)), origins] = 0.0
     np.maximum(rcv, 0.0, out=rcv)
     return rcv
 
@@ -202,13 +202,15 @@ def _receptions(src, ok, tx, cum_rcv, origins) -> np.ndarray:
 def _flood_levels(per: PerMatrix, origins, initial_tx, *, until=None):
     """Advance one flood per origin, all at once, level by level.
 
-    initial_tx gives each flood's level-0 transmit mass at its origin.
-    Yields (rows, tx, rcv) for r = 0, 1, ...: the indices of the floods
-    still running at level r and, one row each, their transmit and
-    first-reception probabilities at that level.  A flood stops after
-    level n, the node count, or after a level whose receptions leave no
-    node any transmit mass, as `flood` describes.  A level's receptions
-    are computed in chunks of rows (`_receptions`).
+    initial_tx gives each flood's level-0 transmit mass at its origin,
+    and the origin starts with cumulative reception 1.0, so each of its
+    receptions, (1 - cumulative) * (...), is exactly 0.  Yields (rows,
+    tx, rcv) for r = 0, 1, ...: the indices of the floods still running
+    at level r and, one row each, their transmit and first-reception
+    probabilities at that level.  A flood stops after level n, the node
+    count, or after a level whose receptions leave no node any transmit
+    mass, as `flood` describes.  A level's receptions are computed in
+    chunks of rows (`_receptions`).
 
     Given a node `until`, the kernel yields (rows, rcv) with rcv that
     node's column alone, and a flood also stops after the first level at
@@ -222,10 +224,10 @@ def _flood_levels(per: PerMatrix, origins, initial_tx, *, until=None):
     src, ok = _in_links(per)
     n = per.node_count
     rows = np.arange(len(origins))
-    origins = np.asarray(origins)
     tx = np.zeros((rows.size, n))
     tx[rows, origins] = initial_tx
     cum_rcv = np.zeros_like(tx)
+    cum_rcv[rows, origins] = 1.0
     # transmit mass through level r-1 when building level r+1
     spent_tx = last_tx = np.zeros_like(tx)
     target_first = until is not None and _closes_in_one_level(per, until)
@@ -237,17 +239,15 @@ def _flood_levels(per: PerMatrix, origins, initial_tx, *, until=None):
         if target_first:
             miss = np.prod(1.0 - tx[:, links] * link_ok, axis=1)
             col = (1.0 - cum_rcv[:, until]) * (1.0 - miss)
-            col[origins == until] = 0.0
             np.maximum(col, 0.0, out=col)
             yield rows, col
             going = cum_rcv[:, until] + col < 1.0
             if r == n or not going.any():
                 return
             if not going.all():
-                rows, origins, tx, cum_rcv, spent_tx, last_tx = (
-                    a[going] for a in (rows, origins, tx, cum_rcv, spent_tx,
-                                       last_tx))
-        rcv = _receptions(src, ok, tx, cum_rcv, origins)
+                rows, tx, cum_rcv, spent_tx, last_tx = (
+                    a[going] for a in (rows, tx, cum_rcv, spent_tx, last_tx))
+        rcv = _receptions(src, ok, tx, cum_rcv)
         if until is None:
             yield rows, tx, rcv
         elif not target_first:
@@ -255,8 +255,7 @@ def _flood_levels(per: PerMatrix, origins, initial_tx, *, until=None):
         if r == n:
             return
         cum_rcv = cum_rcv + rcv
-        if r >= 1:
-            spent_tx = spent_tx + last_tx
+        spent_tx = spent_tx + last_tx
         last_tx, tx = tx, np.maximum(1.0 - spent_tx, 0.0) * rcv
         going = tx.any(axis=1)
         if until is not None:
@@ -264,9 +263,8 @@ def _flood_levels(per: PerMatrix, origins, initial_tx, *, until=None):
         if not going.any():
             return
         if not going.all():
-            rows, origins, tx, cum_rcv, spent_tx, last_tx = (
-                a[going] for a in (rows, origins, tx, cum_rcv, spent_tx,
-                                   last_tx))
+            rows, tx, cum_rcv, spent_tx, last_tx = (
+                a[going] for a in (rows, tx, cum_rcv, spent_tx, last_tx))
 
 
 def flood(per: PerMatrix, origin: int,

@@ -146,27 +146,26 @@ def _spread(log_miss: np.ndarray, origin: int, dest: int, budget,
     the floods before level 0; the kernel turns it into bar = log1p(-u) in
     place and draws nothing.  Each node of a row first receives at the
     first level where miss, the sum of log_miss over every transmitter of
-    the flood so far, falls below its bar.  The links are independent, so
-    given the flood so far that reception has probability
-    1 - prod(1 - ok) over the level's transmitters, as with one fresh
-    uniform per link (the live-edge view of the independent cascade).  A
-    row stops after its budget, or after a level with no fresh relay:
-    with no transmitter its miss no longer moves, so it receives nothing
-    more.  Stopped rows stay, silent, until at most half of the rows still
-    run, and are then dropped.
+    the flood so far, falls below its bar, and its bar then becomes -inf,
+    as the origin's is from level 0: no finite miss sum falls below it.
+    The links are independent, so given the flood so far that reception
+    has probability 1 - prod(1 - ok) over the level's transmitters, as
+    with one fresh uniform per link (the live-edge view of the
+    independent cascade).  A row stops after its budget, or after a level
+    with no fresh relay: with no transmitter its miss no longer moves, so
+    it receives nothing more.  Stopped rows stay, silent, until at most
+    half of the rows still run, and are then dropped.
     """
     bar = np.log1p(np.negative(uniforms, out=uniforms), out=uniforms)
-    bar[:, origin] = -np.inf  # no miss sum falls below it
+    bar[:, origin] = -np.inf  # the origin never first-receives
     miss = np.tile(log_miss[origin], (bar.shape[0], 1))  # level 0
     ids = np.arange(bar.shape[0])  # each current row's row of level
-    waiting = np.ones(bar.shape, dtype=bool)  # may still first-receive
     tx = np.empty_like(bar)  # 1.0 where a node transmits at the next level
     for r in itertools.count():
         fresh = miss < bar
-        fresh &= waiting
         hit_row, hit_node = np.nonzero(fresh)
         level[ids[hit_row], hit_node] = r
-        waiting ^= fresh
+        bar[hit_row, hit_node] = -np.inf  # nor does a node twice
         fresh[:, dest] = False  # the fresh relays
         going = fresh.any(axis=1)
         going &= budget > r
@@ -177,8 +176,8 @@ def _spread(log_miss: np.ndarray, origin: int, dest: int, budget,
             # perfbench sim-small's SFN runs (2 vCPUs; BENCH_sim_draws.json)
             if not run:
                 return
-            bar, miss, waiting, tx, ids, budget = (
-                a[going] for a in (bar, miss, waiting, tx, ids, budget))
+            bar, miss, tx, ids, budget = (
+                a[going] for a in (bar, miss, tx, ids, budget))
         elif run < going.size:
             tx[~going] = 0.0
         miss += tx @ log_miss

@@ -453,9 +453,9 @@ def test_target_first_step_runs_only_where_one_level_can_close(
     full_rows = []
     receptions = sfn._receptions
 
-    def counting(src, ok, tx, cum_rcv, origins):
+    def counting(src, ok, tx, cum_rcv):
         full_rows.append(len(tx))
-        return receptions(src, ok, tx, cum_rcv, origins)
+        return receptions(src, ok, tx, cum_rcv)
 
     monkeypatch.setattr(sfn, "_receptions", counting)
     run_rows = sum(len(rows) for rows, _ in sfn._flood_levels(
@@ -496,7 +496,7 @@ def test_all_node_product_serves_every_one_row_chunk(monkeypatch, nodes,
     chunks = {"one-row": 0, "all-node": 0, "other": 0}
     receptions = sfn._receptions
 
-    def counting(src, ok, tx, cum_rcv, origins):
+    def counting(src, ok, tx, cum_rcv):
         if len(tx) <= max(1, sfn._BATCH_ELEMENTS // ok.size):  # one chunk
             if len(tx) > 1:
                 chunks["other"] += 1
@@ -504,7 +504,7 @@ def test_all_node_product_serves_every_one_row_chunk(monkeypatch, nodes,
                 chunks["all-node"] += 1
             else:
                 chunks["one-row"] += 1
-        return receptions(src, ok, tx, cum_rcv, origins)
+        return receptions(src, ok, tx, cum_rcv)
 
     monkeypatch.setattr(sfn, "_receptions", counting)
     sfn.cycle_analysis(m)
