@@ -317,7 +317,10 @@ def _level_paths(per: PerMatrix, level: int) -> list:
             else:
                 path = best_path(per, slave, level)
                 paths[slave] = (path.repeaters, path.success_prob)
-    return [paths[s] if s in paths else (_smallest_chain(s, level), 0.0)
+    # _smallest_chain(s, level) of every slave s above level + 1
+    above = tuple(range(1, level + 1))
+    return [paths[s] if s in paths else
+            (_smallest_chain(s, level) if s <= level + 1 else above, 0.0)
             for s in per.slaves]
 
 

@@ -21,9 +21,14 @@ slot-major table cached per matrix; when some receiver has more than
 n / 3 live in-links it multiplies over every node that transmits at the
 level, or, for a one-row chunk (every chunk, on a dense matrix of 182
 nodes or more), over every node once more than half of them transmit, a
-silent node's factor being exactly 1.0.  numpy multiplies along the
-reduced axis in order, so each product, and with it every profile and
-analysis, is bit for bit the dense per-flood product over all n nodes.
+silent node's factor being exactly 1.0.  The dense products are formed
+by np.einsum with no summed index, one multiply per element, as a
+broadcast forms them.  Level 0 is a closed form for every flood in one
+(F, n) pass, (1 - cum) * (1 - (1 - tx_0 * ok[origin, j])): the origin is
+its one transmitter and every other factor is 1 - 0 * ok, exactly 1.0.
+numpy multiplies along the reduced axis in order, so each product, and
+with it every profile and analysis, is bit for bit the dense per-flood
+product over all n nodes.
 
 `cycle_analysis` floods the downlink once and every slave's uplinks
 together, keeping only the master's column.  An uplink flood stops after
@@ -184,12 +189,14 @@ def _receptions(src, ok, tx, cum_rcv) -> np.ndarray:
                          for s in range(0, len(tx), chunk))])
     if src is None:
         live = tx.any(axis=0)
+        # einsum with no summed index forms each element by one multiply,
+        # as a broadcast product does, at less overhead
         if len(tx) == 1 and 2 * np.count_nonzero(live) > live.size:
             # one row (every chunk once n * n > _BATCH_ELEMENTS / 2):
             # gathering live rows of ok would copy what the product multiplies
-            miss = (tx[0, :, None] * ok)[None]
+            miss = np.einsum("i,ij->ij", tx[0], ok)[None]
         else:
-            miss = tx[:, live, None] * ok[live]
+            miss = np.einsum("ri,ij->rij", tx[:, live], ok[live])
     else:
         miss = tx[:, src]
         miss *= ok
@@ -209,17 +216,19 @@ def _flood_levels(per: PerMatrix, origins, initial_tx, *, until=None):
     at level r and, one row each, their transmit and first-reception
     probabilities at that level.  A flood stops after level n, the node
     count, or after a level whose receptions leave no node any transmit
-    mass, as `flood` describes.  A level's receptions are computed in
-    chunks of rows (`_receptions`).
+    mass, as `flood` describes.  Level 0 is one closed-form pass over all
+    rows; each later level's receptions are computed in chunks of rows
+    (`_receptions`).
 
     Given a node `until`, the kernel yields (rows, rcv) with rcv that
     node's column alone, and a flood also stops after the first level at
     which the node's cumulative reception reaches 1.0: every later
     reception of the node is (1 - cumulative) * (...) clipped at 0, so
     exactly 0.  When one level can close the node (`_closes_in_one_level`),
-    each level first computes the node's column for every running row,
-    with the same factors in the same order as the full level; the rows
-    that closed, or reached level n, stop before the full level.
+    each level after level 0 first computes the node's column for every
+    running row, with the same factors in the same order as the full
+    level; the rows that closed, or reached level n, stop before the full
+    level.
     """
     src, ok = _in_links(per)
     n = per.node_count
@@ -235,8 +244,17 @@ def _flood_levels(per: PerMatrix, origins, initial_tx, *, until=None):
         links = np.arange(n) if src is None else src[:, until]
         live = ok[:, until] > 0.0
         links, link_ok = links[live], ok[live, until]
+    # Level 0 in closed form: the origin is a row's one transmitter, and
+    # every other factor of a miss product is 1 - 0 * ok, exactly 1.0, so
+    # the product is the origin's factor 1 - tx_0 * ok[origin, j] alone
+    miss = 1.0 - per.per[origins]
+    miss[rows, origins] = 0.0  # a node is not its own transmitter
+    miss *= tx[rows, origins, None]
+    np.subtract(1.0, miss, out=miss)
+    rcv = (1.0 - cum_rcv) * (1.0 - miss)
+    np.maximum(rcv, 0.0, out=rcv)
     for r in range(n + 1):
-        if target_first:
+        if r and target_first:
             miss = np.prod(1.0 - tx[:, links] * link_ok, axis=1)
             col = (1.0 - cum_rcv[:, until]) * (1.0 - miss)
             np.maximum(col, 0.0, out=col)
@@ -247,10 +265,11 @@ def _flood_levels(per: PerMatrix, origins, initial_tx, *, until=None):
             if not going.all():
                 rows, tx, cum_rcv, spent_tx, last_tx = (
                     a[going] for a in (rows, tx, cum_rcv, spent_tx, last_tx))
-        rcv = _receptions(src, ok, tx, cum_rcv)
+        if r:
+            rcv = _receptions(src, ok, tx, cum_rcv)
         if until is None:
             yield rows, tx, rcv
-        elif not target_first:
+        elif not (r and target_first):
             yield rows, rcv[:, until]
         if r == n:
             return

@@ -445,7 +445,8 @@ def test_target_first_step_runs_only_where_one_level_can_close(
     # Where one level can make the master certain, the kernel computes the
     # master's column first, and the rows that close skip the full level;
     # elsewhere every level a row runs is a full one.  A wrong gate gives
-    # the same analysis, only slower, so it is pinned here.
+    # the same analysis, only slower, so it is pinned here.  Level 0 is a
+    # closed form outside _receptions, so rows count from level 1.
     m = build_matrix(spec)
     assert sfn._closes_in_one_level(m, 0) == target_first
     plan = uplink_seeds(m)[:20]
@@ -458,12 +459,52 @@ def test_target_first_step_runs_only_where_one_level_can_close(
         return receptions(src, ok, tx, cum_rcv)
 
     monkeypatch.setattr(sfn, "_receptions", counting)
-    run_rows = sum(len(rows) for rows, _ in sfn._flood_levels(
+    run_rows = sum(len(rows) for r, (rows, _) in enumerate(sfn._flood_levels(
         m, [s for s, _, _ in plan], [seed for _, _, seed in plan], until=0))
+        if r)
     if target_first:
         assert sum(full_rows) < run_rows
     else:
         assert sum(full_rows) == run_rows
+
+
+def kernel_level_zero(per: PerMatrix, origins, seeds) -> np.ndarray:
+    """Level 0 of the given floods as the kernel computes every later
+    level, through _receptions."""
+    src, ok = sfn._in_links(per)
+    rows = np.arange(len(origins))
+    tx = np.zeros((rows.size, per.node_count))
+    tx[rows, origins] = seeds
+    cum_rcv = np.zeros_like(tx)
+    cum_rcv[rows, origins] = 1.0
+    return sfn._receptions(src, ok, tx, cum_rcv)
+
+
+@pytest.mark.parametrize("per", [
+    pytest.param(build_matrix(ChannelSpec(kind="rand_area", node_count=100,
+                                          seed=100)), id="rand_area_100"),
+    pytest.param(build_matrix(ChannelSpec(kind="ring", node_count=100)),
+                 id="ring_100"),
+    *(pytest.param(closing_matrix(seed), id=f"closing_{seed}")
+      for seed in range(6)),
+])
+def test_closed_form_level_zero_is_the_kernels_level_zero(per):
+    # Level 0 is computed in closed form, (1 - cum) * (1 - (1 - tx_0 *
+    # ok[origin])), for every flood in one pass; it must equal the
+    # kernel's product over every factor bit for bit, for full-mass and
+    # fractional seeds, with and without a target column.
+    origins = np.arange(per.node_count)
+    seeds = np.resize([1.0, 0.25, 0.7, 1e-3, 0.5], origins.size)
+    want = kernel_level_zero(per, origins, seeds)
+    rows, tx, rcv = next(sfn._flood_levels(per, origins, seeds))
+    assert np.array_equal(rows, np.arange(origins.size))
+    assert rcv.tobytes() == want.tobytes()
+    slaves = origins[1:]
+    rows, col = next(sfn._flood_levels(per, slaves, seeds[1:], until=0))
+    assert col.tobytes() == want[1:, 0].tobytes()
+    for origin in (0, 1, per.node_count - 1):
+        profile = flood(per, int(origin), float(seeds[origin]))
+        assert profile.rcv[:, 0].tobytes() == want[origin].tobytes()
 
 
 class _CountedOk(np.ndarray):

@@ -197,6 +197,39 @@ def test_dlc_polls_the_chain_of_the_analysis():
     assert cut.successes == 0 and cut.slots == 2 * 40
 
 
+@pytest.mark.parametrize("chain, message", [
+    ((0,), "repeater 0 may not be the master or the destination"),
+    ((3,), "repeater 3 may not be the master or the destination"),
+    ((2, 2), "duplicate repeater 2"),
+    ((1, 4, 1), "duplicate repeater 1"),
+    ((8,), "repeater index 8 out of range 0..7"),
+    ((2.0,), "repeater index must be an integer, not 2.0"),
+])
+def test_dlc_rejects_an_invalid_chain_of_a_hand_built_analysis(chain,
+                                                                 message):
+    # slave 3 of a ring gets a chain that is not a path; the polling
+    # products raise round_trip_success's error for it
+    m = generate_ring(8, 0.2, 0.7)
+    analysis = dlc.cycle_analysis(m)
+    slaves = list(analysis.slaves)
+    slaves[2] = replace(slaves[2], best_level=len(chain), repeaters=chain)
+    bad = replace(analysis, slaves=tuple(slaves))
+    with pytest.raises(dlc.InvalidPathError, match=re.escape(message)):
+        simulate_dlc(m, SimConfig("dlc1000", cycles=2), bad)
+
+
+def test_dlc_polling_products_are_round_trip_success():
+    # one array pass over chains of every length gives each slave
+    # round_trip_success's product bit for bit
+    m = generate_rand_area(40, seed=40)
+    analysis = dlc.cycle_analysis(m)
+    assert len({len(a.repeaters) for a in analysis.slaves}) > 2
+    want = [dlc.round_trip_success(m, a.repeaters, a.slave)
+            for a in analysis.slaves]
+    assert simulator._round_trip_successes(m, analysis.slaves).tolist() \
+        == want
+
+
 def test_protocol_config_must_match_entry_point():
     m = perfect(2)
     with pytest.raises(ValueError):
