@@ -31,13 +31,22 @@ with it every profile and analysis, is bit for bit the dense per-flood
 product over all n nodes.
 
 `cycle_analysis` floods the downlink once and every slave's uplinks
-together, keeping only the master's column.  An uplink flood stops after
-the first level at which the master's cumulative reception reaches 1.0,
-since every later level adds exactly 0 to it.  Where one level can close
-the master, that is where prod_{i != 0} per[i, 0] <= 2^-53 (rand_area_100
-and up, but not the rings or rand_area_20), each level first computes
-the master's column alone, from the same factors in the same order; the
-floods that closed, or reached level n, stop there, and only the others
+together, keeping only the master's column.  `_choose` reads two things
+from an uplink: the floor and ceil of the master's mean first-success
+level, and the master's cumulative reception at those two levels.  So an
+uplink flood stops once they are certain (`_settled`): after a level at
+which no mass still fails, the master's reception having reached 1.0, or
+at which a bound on the levels not yet computed puts the mean strictly
+between two integers no later than that level.  The bound holds with a
+margin for rounding, and a mean at or near an integer never stops early,
+so every analysis is byte-identical to one built from full-horizon
+uplinks: the same candidates, read from a prefix that holds them.  Only
+an uplink's truncated mass is that of the prefix, not of the full
+horizon; no analysis reports it.  Where one level can close the master,
+that is where prod_{i != 0} per[i, 0] <= 2^-53 (rand_area_100 and up, but
+not the rings or rand_area_20), each level first computes the master's
+column alone, from the same factors in the same order; the floods that
+stop there, or reached level n, skip the full level, and only the others
 pay the full level.  Elsewhere the kernel runs full levels and applies
 the same stop test after each.  Bounds: the uplinks run in row blocks
 that hold either the level temporary or about eight (rows, n) state
@@ -62,6 +71,9 @@ TRUNCATION_TOLERANCE = 1e-9
 # level; bounds the rows per chunk of a level and per block of uplink
 # floods, and so the memory a batch needs.
 _BATCH_ELEMENTS = 1 << 16
+# Allowance per level for the rounding of a mean first-success level's
+# sums, when an uplink flood's stop is certified early
+_MEAN_MARGIN = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,11 +179,49 @@ def _closes_in_one_level(per: PerMatrix, node: int) -> bool:
     level's reception from rounding to 1.0, and the node can close only
     through the rounding of many levels' sums (the rings and rand_area_20
     never close), so a target-first step would cost a column per level
-    and save nothing.  Computed once per matrix, like `_in_links`.
+    and save only the full level at which a flood's stop is certified:
+    run on every uplink it made ring_100's analysis 7% slower and
+    ring_150's 1-3%.  Computed once per matrix, like `_in_links`.
     """
     others = per.per[:, node].copy()
     others[node] = 1.0
     return bool(others.prod() <= 2.0 ** -53)
+
+
+def _settled(law, level, cumulative, n) -> np.ndarray:
+    """Add one level to each row's first-success law; which rows may stop.
+
+    law holds per row the still-failing mass S, the mass A0 = sum pi_r
+    and the moment A1 = sum r * pi_r of the levels so far, formed as
+    `first_success_distribution` forms them (pi_r = c_r * S, then
+    S *= 1 - c_r), and is updated in place with the given level's
+    cumulative reception c.  A row may stop when S == 0, since every later
+    pi is then exactly 0, or when the floor and ceil of its mean level are
+    certain.  c never decreases, receptions being clipped at 0, so every
+    level after K = level succeeds with probability at least c_K: the
+    later levels carry mass at most S, at a mean level of at most
+    m = min(K + 1 / c_K, n), and the mean over all levels lies in
+    [A1 / A0, (A1 + S * m) / (A0 + S)].  A row is certified when that
+    interval, widened by _MEAN_MARGIN * (K + 1) for the rounding of the
+    sums here and in `_distribution`, lies strictly inside some (k, k + 1).
+    Then k < A1 / A0 <= K, so both candidate levels, k and k + 1, are
+    already computed.  A mean at or near an integer is never certified.
+    """
+    failing, mass, moment = law.T
+    pi = cumulative * failing
+    failing *= 1.0 - cumulative
+    mass += pi
+    moment += level * pi
+    margin = _MEAN_MARGIN * (level + 1)
+    # a row with no mass yet has c = 0 and a 0 / 0 mean, and is not certified
+    with np.errstate(divide="ignore", invalid="ignore"):
+        low = moment / mass
+        tail = np.minimum(level + 1.0 / cumulative, n)
+        high = (moment + failing * tail) / (mass + failing)
+        floor = np.floor(low - margin)
+        certified = (mass > 0.0) & (low - margin > floor) & (
+            high + margin < floor + 1)
+    return (failing == 0.0) | certified
 
 
 def _receptions(src, ok, tx, cum_rcv) -> np.ndarray:
@@ -222,13 +272,13 @@ def _flood_levels(per: PerMatrix, origins, initial_tx, *, until=None):
 
     Given a node `until`, the kernel yields (rows, rcv) with rcv that
     node's column alone, and a flood also stops after the first level at
-    which the node's cumulative reception reaches 1.0: every later
-    reception of the node is (1 - cumulative) * (...) clipped at 0, so
-    exactly 0.  When one level can close the node (`_closes_in_one_level`),
-    each level after level 0 first computes the node's column for every
-    running row, with the same factors in the same order as the full
-    level; the rows that closed, or reached level n, stop before the full
-    level.
+    which the floor and ceil of the node's mean first-success level are
+    certain, or no mass still fails (`_settled`); the row's column so far
+    is a prefix of the lone flood's.  When one level can close the node
+    (`_closes_in_one_level`), each level after level 0 first computes the
+    node's column for every running row, with the same factors in the
+    same order as the full level; the rows that stop there, or reached
+    level n, skip the full level.
     """
     src, ok = _in_links(per)
     n = per.node_count
@@ -239,6 +289,9 @@ def _flood_levels(per: PerMatrix, origins, initial_tx, *, until=None):
     cum_rcv[rows, origins] = 1.0
     # transmit mass through level r-1 when building level r+1
     spent_tx = last_tx = np.zeros_like(tx)
+    # each row's first-success law of `until`: (still failing, mass, moment)
+    law = np.zeros((rows.size, 3))
+    law[:, 0] = 1.0
     target_first = until is not None and _closes_in_one_level(per, until)
     if target_first:
         links = np.arange(n) if src is None else src[:, until]
@@ -259,12 +312,13 @@ def _flood_levels(per: PerMatrix, origins, initial_tx, *, until=None):
             col = (1.0 - cum_rcv[:, until]) * (1.0 - miss)
             np.maximum(col, 0.0, out=col)
             yield rows, col
-            going = cum_rcv[:, until] + col < 1.0
+            going = ~_settled(law, r, cum_rcv[:, until] + col, n)
             if r == n or not going.any():
                 return
             if not going.all():
-                rows, tx, cum_rcv, spent_tx, last_tx = (
-                    a[going] for a in (rows, tx, cum_rcv, spent_tx, last_tx))
+                rows, tx, cum_rcv, spent_tx, last_tx, law = (
+                    a[going] for a in (rows, tx, cum_rcv, spent_tx, last_tx,
+                                       law))
         if r:
             rcv = _receptions(src, ok, tx, cum_rcv)
         if until is None:
@@ -277,13 +331,13 @@ def _flood_levels(per: PerMatrix, origins, initial_tx, *, until=None):
         spent_tx = spent_tx + last_tx
         last_tx, tx = tx, np.maximum(1.0 - spent_tx, 0.0) * rcv
         going = tx.any(axis=1)
-        if until is not None:
-            going &= cum_rcv[:, until] < 1.0
+        if until is not None and not (r and target_first):
+            going &= ~_settled(law, r, cum_rcv[:, until], n)
         if not going.any():
             return
         if not going.all():
-            rows, tx, cum_rcv, spent_tx, last_tx = (
-                a[going] for a in (rows, tx, cum_rcv, spent_tx, last_tx))
+            rows, tx, cum_rcv, spent_tx, last_tx, law = (
+                a[going] for a in (rows, tx, cum_rcv, spent_tx, last_tx, law))
 
 
 def flood(per: PerMatrix, origin: int,
@@ -328,14 +382,16 @@ def _master_cumulative(per: PerMatrix, origins,
                        initial_tx) -> list[np.ndarray]:
     """The master's cumulative reception per level of each given flood.
 
-    Equal to flood(per, o, m).cumulative[MASTER] for each origin o and
-    seed m, cut after its first entry of 1.0 or more: a flood stops at the
-    level where the master's reception becomes certain, because every
-    later entry repeats that one.  The floods run in row blocks sized so
-    that either the kernel's level temporary or its (rows, n) state, about
-    eight arrays, stays within _BATCH_ELEMENTS, whichever admits more
-    rows: the kernel chunks the level temporary itself, and on a dense
-    matrix many rows of a block stop after the master's column alone.
+    A prefix of flood(per, o, m).cumulative[MASTER] for each origin o and
+    seed m, long enough for `_choose`: a flood stops after the level at
+    which the floor and ceil of the master's mean first-success level
+    become certain, or no mass still fails (`_settled`), so the prefix
+    gives them and holds the entries at both.  The floods run in row
+    blocks sized so that either the kernel's level temporary or its
+    (rows, n) state, about eight arrays, stays within _BATCH_ELEMENTS,
+    whichever admits more rows: the kernel chunks the level temporary
+    itself, and on a dense matrix many rows of a block stop after the
+    master's column alone.
     """
     slots = _in_links(per)[1].size  # per row of the kernel's temporary
     rows_per_block = max(

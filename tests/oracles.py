@@ -5,6 +5,7 @@ formulas, sharing no code with the package beyond its public data types.
 """
 from __future__ import annotations
 
+import math
 from itertools import permutations
 
 import numpy as np
@@ -225,6 +226,20 @@ def geometric_retry_mean(success_prob: float, terms: int = 10_000) -> float:
         total += (n + 1) * success_prob * failing
         failing *= 1.0 - success_prob
     return total
+
+
+def first_success_mean(cumulative) -> float | None:
+    """Mean level at which retries first succeed, an attempt at level r
+    succeeding with probability cumulative[r]; normalized over the given
+    levels, and None when none of them can succeed."""
+    failing = 1.0
+    mass, moment = [], []
+    for r, c in enumerate(cumulative):
+        mass.append(c * failing)
+        moment.append(r * c * failing)
+        failing *= 1.0 - c
+    total = math.fsum(mass)
+    return math.fsum(moment) / total if total > 0.0 else None
 
 
 def random_matrix(rng: np.random.Generator, node_count: int) -> PerMatrix:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from plcroute.sfn import (
 )
 
 from oracles import (
+    first_success_mean,
     flood_reference,
     geometric_retry_mean,
     per_origin_flood,
@@ -350,13 +354,21 @@ def test_batched_floods_stop_each_row_at_its_own_level():
         assert np.array_equal(np.column_stack(rcv_rows[row]), want.rcv)
         stops.add(want.horizon)
     assert len(stops) > 2
+    # An uplink flood stops once the floor and ceil of the master's mean
+    # first-success level are certain: its cumulative is a prefix of the
+    # full-horizon one that holds the level at the ceil.  A flood that
+    # cannot reach the master runs to its end.
     master = sfn._master_cumulative(m, origins[1:], seeds[1:])
     cut = 0
     for got, origin, seed in zip(master, origins[1:], seeds[1:]):
         full = per_origin_flood(m, origin, seed).cumulative[0]
-        want = until_master_closes(full)
-        assert np.array_equal(got, want)
-        cut += want.size < full.size
+        assert np.array_equal(got, full[:got.size])
+        mean = first_success_mean(full)
+        if mean is None:
+            assert got.size == full.size
+        else:
+            assert got.size > math.ceil(mean)
+        cut += got.size < full.size
     assert cut >= 1
 
 
@@ -409,6 +421,43 @@ def closing_matrix(seed: int) -> PerMatrix:
     return PerMatrix(arr)
 
 
+def quantized_matrix(seed: int) -> PerMatrix:
+    """Seeded random matrix whose PERs are multiples of 1/4, so that many
+    uplink floods have a mean first-success level at or near an integer."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 13))
+    arr = rng.integers(0, 5, (n, n)) / 4.0
+    np.fill_diagonal(arr, 0.0)
+    return PerMatrix(arr)
+
+
+@lru_cache(maxsize=1)
+def certified_models():
+    """(matrix, full-length analysis) of ring_30 and ring_100, where the
+    master never closes, and of 30 quantized matrices; built once for every
+    batch size, with the count of quantized uplinks whose mean is an
+    integer."""
+    models = [build_matrix(ChannelSpec(kind="ring", node_count=n))
+              for n in (30, 100)]
+    integer_means = 0
+    for seed in range(30):
+        m = quantized_matrix(seed)
+        models.append(m)
+        for s, _, dl_success in uplink_seeds(m):
+            mean = first_success_mean(
+                per_origin_flood(m, s, dl_success).cumulative[0])
+            integer_means += mean is not None and mean == math.floor(mean)
+    return [(m, full_length_cycle_analysis(m)) for m in models], integer_means
+
+
+def assert_cycle_analysis_is(per: PerMatrix, want) -> None:
+    got = cycle_analysis(per)
+    assert got.slaves == want
+    assert got.total == float(sum(
+        a.expected_duration for a in want if a.reachable))
+    assert got.unreachable == tuple(a.slave for a in want if not a.reachable)
+
+
 @pytest.mark.parametrize("batch", [1, 1 << 16, 1 << 30])
 def test_cycle_analysis_equals_full_length_uplinks(monkeypatch, batch):
     monkeypatch.setattr(sfn, "_BATCH_ELEMENTS", batch)
@@ -418,12 +467,13 @@ def test_cycle_analysis_equals_full_length_uplinks(monkeypatch, batch):
     for m in models:
         want, closed = full_length_cycle_analysis(m)
         assert closed >= 1
-        got = cycle_analysis(m)
-        assert got.slaves == want
-        assert got.total == float(sum(
-            a.expected_duration for a in want if a.reachable))
-        assert got.unreachable == tuple(
-            a.slave for a in want if not a.reachable)
+        assert_cycle_analysis_is(m, want)
+    # ring_100 runs every level in full, without the target-first step
+    certified, integer_means = certified_models()
+    assert not sfn._closes_in_one_level(certified[1][0], 0)
+    assert integer_means >= 1
+    for m, (want, _) in certified:
+        assert_cycle_analysis_is(m, want)
 
 
 def test_uplink_floods_stop_once_the_master_closes():
@@ -433,6 +483,83 @@ def test_uplink_floods_stop_once_the_master_closes():
         m, [s for s, _, _ in plan], [seed for _, _, seed in plan])
     full = sum(flood(m, s, seed).horizon + 1 for s, _, seed in plan)
     assert sum(c.size for c in master) < full
+
+
+def test_ring_uplinks_run_fewer_full_levels_than_their_horizons(monkeypatch):
+    # ring_100's uplink means are never near an integer, so each uplink
+    # stops once the floor and ceil of its mean are certain, long before
+    # the end of its flood.  Level 0 is a closed form outside _receptions,
+    # so a flood's full levels are 1 to its horizon.
+    m = build_matrix(ChannelSpec(kind="ring", node_count=100))
+    plan = uplink_seeds(m)
+    horizons = sum(flood(m, s, seed).horizon for s, _, seed in plan)
+    full_rows = []
+    receptions = sfn._receptions
+
+    def counting(src, ok, tx, cum_rcv):
+        full_rows.append(len(tx))
+        return receptions(src, ok, tx, cum_rcv)
+
+    monkeypatch.setattr(sfn, "_receptions", counting)
+    sfn._master_cumulative(
+        m, [s for s, _, _ in plan], [seed for _, _, seed in plan])
+    assert 2 * sum(full_rows) < horizons
+
+
+def stop_level(cumulative) -> int | None:
+    """The first level after which sfn._settled lets a one-row flood stop,
+    given its target's cumulative reception at levels 0..n."""
+    law = np.array([[1.0, 0.0, 0.0]])
+    n = len(cumulative) - 1
+    for r, c in enumerate(cumulative):
+        if sfn._settled(law, r, np.array([c]), n)[0]:
+            return r
+    return None
+
+
+@pytest.mark.parametrize("cumulative", [
+    pytest.param([0.0, 0.0, 1.0], id="mean-2"),
+    pytest.param([0.0, 0.0, 1.0 - 1e-12, 1.0 - 1e-12, 1.0],
+                 id="mean-2-plus-1e-12"),
+    # geometric: the mean is 1 less about n * 2^-n, and nothing fails
+    # once 2^-(r + 1) underflows, at level 1074
+    pytest.param([0.5] * 1100, id="geometric-mean-1"),
+])
+def test_mean_at_or_near_an_integer_stops_only_when_nothing_fails(
+        cumulative):
+    failing = np.multiply.accumulate(1.0 - np.array(cumulative))
+    assert stop_level(cumulative) == np.flatnonzero(failing == 0.0)[0]
+
+
+def test_certified_stop_keeps_floor_and_ceil_of_the_mean():
+    # Nondecreasing sequences in [0, 1], every other one short and on a
+    # grid of quarters, whose means are often integers: wherever the rule
+    # stops, the candidates from the prefix are those of the whole
+    # sequence and lie within the prefix.
+    rng = np.random.default_rng(0)
+    early = integer_means = 0
+    for k in range(400):
+        n = int(rng.integers(1, 8 if k % 2 else 60))
+        steps = rng.random(n + 1) * (rng.random(n + 1) < 0.4)
+        if k % 2:
+            cumulative = np.minimum(np.cumsum(np.round(steps * 4) / 4), 1.0)
+        else:
+            cumulative = np.minimum(np.cumsum(steps) * rng.random(), 1.0)
+        level = stop_level(cumulative)
+        whole = sfn._distribution(cumulative)
+        if whole.unreachable:
+            assert level is None
+            continue
+        integer_means += whole.mean_level == math.floor(whole.mean_level)
+        want = sfn._level_candidates(whole.mean_level)
+        if level is None:
+            continue
+        prefix = sfn._distribution(cumulative[:level + 1])
+        assert sfn._level_candidates(prefix.mean_level) == want
+        assert max(want) <= level
+        early += level < n and cumulative[level] < 1.0
+    assert early >= 100
+    assert integer_means >= 20
 
 
 @pytest.mark.parametrize("spec,target_first", [
