@@ -507,7 +507,7 @@ def _slave_analyses(per: PerMatrix, slaves,
     """slave_analysis of each slave, with all their uplinks in one batch."""
     plans = []  # (slave, [(r_dl, downlink success), ...])
     for s in slaves:
-        dl_dist = level_distribution(downlink, s)
+        dl_dist = _distribution(downlink.cumulative[s])
         r_dls = [] if dl_dist.unreachable else \
             _level_candidates(dl_dist.mean_level)
         plans.append(

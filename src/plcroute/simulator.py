@@ -131,16 +131,14 @@ def _log_miss(per: PerMatrix) -> np.ndarray:
     return log_miss
 
 
-def _spread(log_miss: np.ndarray, origin: int, dest: int, budget,
+def _spread(log_miss: np.ndarray, origin: int, budget,
             uniforms: np.ndarray, level: np.ndarray) -> None:
     """Independent floods from origin, one per row; writes each node's
     first-reception level into level, a (rows, n) array.
 
-    Row i floods with level budget budget[i], and dest receives but never
-    relays; a flood without a destination passes its origin, which never
-    first-receives, so nothing is muted.  The origin transmits at level 0,
-    and a node that first receives at level r retransmits exactly once at
-    level r + 1 while the budget lasts.
+    Row i floods with level budget budget[i].  The origin transmits at
+    level 0, and a node that first receives at level r retransmits exactly
+    once at level r + 1 while the budget lasts.
 
     uniforms is the (rows, n) block of uniforms that the caller drew for
     the floods before level 0; the kernel turns it into bar = log1p(-u) in
@@ -166,7 +164,6 @@ def _spread(log_miss: np.ndarray, origin: int, dest: int, budget,
         hit_row, hit_node = np.nonzero(fresh)
         level[ids[hit_row], hit_node] = r
         bar[hit_row, hit_node] = -np.inf  # nor does a node twice
-        fresh[:, dest] = False  # the fresh relays
         going = fresh.any(axis=1)
         going &= budget > r
         run = np.count_nonzero(going)
@@ -184,36 +181,29 @@ def _spread(log_miss: np.ndarray, origin: int, dest: int, budget,
 
 
 def _flood(log_miss: np.ndarray, origin: int, max_level: int, rows: int,
-           rng: np.random.Generator, dest: int) -> np.ndarray:
+           rng: np.random.Generator) -> np.ndarray:
     """rows independent floods; first-reception level per row and node (-1 if none).
 
     The floods draw their rows * n uniforms from rng before level 0 and
-    hand them to one _spread call from origin; dest (the packet's
-    destination, or the origin for no destination) receives but never
-    retransmits.
+    hand them to one _spread call from origin.
     """
     n = log_miss.shape[0]
     level = np.full((rows, n), -1, dtype=np.int64)
-    _spread(log_miss, origin, dest, np.full(rows, max_level),
-            rng.random((rows, n)), level)
+    _spread(log_miss, origin, np.full(rows, max_level), rng.random((rows, n)),
+            level)
     return level
 
 
 def flood_trial(per: PerMatrix, origin: int, max_level: int,
-                rng: np.random.Generator, dest=None) -> np.ndarray:
+                rng: np.random.Generator) -> np.ndarray:
     """One simulated flood; returns each node's first-reception level (-1 if none).
 
     The origin transmits in slot 0; a node that first receives at level r
     retransmits exactly once at level r + 1 while the level budget lasts.
-    dest, the packet's destination if given, receives but never
-    retransmits.
     """
-    n = per.node_count
-    _check_integer("origin", origin, low=0, high=n - 1)
+    _check_integer("origin", origin, low=0, high=per.node_count - 1)
     _check_integer("max_level", max_level, low=0)
-    dest = origin if dest is None else dest
-    _check_integer("dest", dest, low=0, high=n - 1)
-    return _flood(_log_miss(per), origin, max_level, 1, rng, dest)[0]
+    return _flood(_log_miss(per), origin, max_level, 1, rng)[0]
 
 
 def _first_successes(per: PerMatrix, key, plans, tries: int, count: int,
@@ -232,15 +222,15 @@ def _first_successes(per: PerMatrix, key, plans, tries: int, count: int,
     the uplink by reversal: a flood from the target reaches the master
     within level r exactly when, in the graph of live links reversed, the
     master's flood reaches the target within r (Borgs et al., SODA 2014).
-    And a node's first reception does not depend on its own relay, so no
-    flood mutes a target.  The cycles come in blocks of _BLOCK, and block
-    b draws from _stream(seed, *key, b).  Each leg of each try passes over
-    the pending cycles in order, in row chunks of at most _BATCH_ELEMENTS
-    rows times nodes (at least one row): a chunk draws its floods'
-    uniforms before level 0, each block's run of rows from the block's
-    stream, and _spread floods them from the master in one call, muting
-    no node.  So a block's stream is read in the same order whatever the
-    chunk boundaries.
+    And a node's first reception does not depend on its own relay, so a
+    flood that serves every target reaches each one as its own flood
+    would.  The cycles come in blocks of _BLOCK, and block b draws from
+    _stream(seed, *key, b).  Each leg of each try passes over the pending
+    cycles in order, in row chunks of at most _BATCH_ELEMENTS rows times
+    nodes (at least one row): a chunk draws its floods' uniforms before
+    level 0, each block's run of rows from the block's stream, and _spread
+    floods them from the master in one call.  So a block's stream is read
+    in the same order whatever the chunk boundaries.
     """
     log_miss, n = _log_miss(per), per.node_count
     targets, *levels = np.asarray(plans, dtype=np.intp).T
@@ -263,8 +253,8 @@ def _first_successes(per: PerMatrix, key, plans, tries: int, count: int,
                                            for b, k in zip(blocks, runs)])
                 # a node that never receives keeps a level past any reach
                 level = np.full((rows.size, n), np.iinfo(np.intp).max)
-                _spread(matrix, MASTER, MASTER, budget[start:start + chunk],
-                        uniforms, level)  # dest MASTER: no node muted
+                _spread(matrix, MASTER, budget[start:start + chunk],
+                        uniforms, level)
                 ok[start:start + chunk] &= level[:, targets] <= reach + j
         first[cycles] = np.where(ok, j, first[cycles])
     return first.T
@@ -285,7 +275,9 @@ def _plan(per: PerMatrix, cfg: SimConfig, protocol: str, analysis):
 
     analyze(per, protocol, cfg.max_level) when none is given.  An analysis
     of the other protocol, or of a matrix with other slaves, is a
-    ValueError.
+    ValueError, and so is a slave's plan that no analysis gives: a DLC1000
+    best_level other than the length of its repeater chain, or SFN levels
+    outside 0..node_count, the analysis's flood cap.
     """
     if cfg.protocol != protocol:
         raise ValueError(f"config protocol must be {protocol!r}")
@@ -300,7 +292,21 @@ def _plan(per: PerMatrix, cfg: SimConfig, protocol: str, analysis):
     if got != tuple(per.slaves):
         raise ValueError(f"analysis covers slaves {got}, the matrix has "
                          f"slaves 1..{per.node_count - 1}")
+    for a in analysis.slaves:
+        if protocol == "dlc1000":
+            _check_level(a, "best_level", len(a.repeaters), len(a.repeaters))
+        else:
+            _check_level(a, "r_dl", 0, per.node_count)
+            _check_level(a, "r_ul", 0, per.node_count)
     return analysis
+
+
+def _check_level(a, name: str, low: int, high: int) -> None:
+    """_check_integer of slave analysis a's field name, named after its
+    slave; the name is formatted only for a value that fails."""
+    value = getattr(a, name)
+    if type(value) is not int or not low <= value <= high:
+        _check_integer(f"slave {a.slave} {name}", value, low=low, high=high)
 
 
 def _report(cfg: SimConfig, counts) -> SimReport:

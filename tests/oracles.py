@@ -196,7 +196,7 @@ def first_success_loop(attempt_success):
 
 
 def per_link_flood(per: np.ndarray, origin: int, max_level: int,
-                   rng: np.random.Generator, no_relay=()) -> list[int]:
+                   rng: np.random.Generator) -> list[int]:
     """One flood with an independent draw for every link of every level.
 
     Returns each node's first-reception level, -1 if it never receives.
@@ -212,7 +212,7 @@ def per_link_flood(per: np.ndarray, origin: int, max_level: int,
             if any(rng.random() >= per[t][node] for t in transmitters):
                 level[node] = r
                 fresh.append(node)
-        transmitters = [v for v in fresh if v not in no_relay]
+        transmitters = fresh
         if not transmitters:
             break
     return level

@@ -121,8 +121,8 @@ def _attempt_success_estimate(per, target, trials, seed, horizon):
     for block, start in enumerate(range(0, trials, simulator._BLOCK)):
         rng = simulator._stream(seed, "sfn", target, block)
         rows = min(simulator._BLOCK, trials - start)
-        levels = simulator._flood(log_miss, 0, horizon, rows, rng,
-                                  target)[:, target]
+        levels = simulator._flood(log_miss, 0, horizon, rows,
+                                  rng)[:, target]
         reached += np.bincount(levels[levels >= 0], minlength=horizon + 1)
     return np.cumsum(reached) / trials
 

@@ -218,6 +218,44 @@ def test_dlc_rejects_an_invalid_chain_of_a_hand_built_analysis(chain,
         simulate_dlc(m, SimConfig("dlc1000", cycles=2), bad)
 
 
+_BAD_PLANS = [
+    ("sfn", 1, dict(r_dl=-5, r_ul=-5), "slave 1 r_dl -5 out of range 0..10"),
+    ("sfn", 1, dict(r_dl=1.5), "slave 1 r_dl must be an integer, not 1.5"),
+    ("sfn", 1, dict(r_dl=2**70),
+     f"slave 1 r_dl {2**70} out of range 0..10"),
+    ("sfn", 2, dict(r_ul=11), "slave 2 r_ul 11 out of range 0..10"),
+    ("sfn", 3, dict(r_ul=True), "slave 3 r_ul must be an integer, not True"),
+    ("dlc1000", 4, dict(best_level=0),
+     "slave 4 best_level 0 out of range 3..3"),
+    ("dlc1000", 4, dict(best_level=-3),
+     "slave 4 best_level -3 out of range 3..3"),
+    ("dlc1000", 1, dict(best_level=2),
+     "slave 1 best_level 2 out of range 0..0"),
+    ("dlc1000", 2, dict(best_level=1.0),
+     "slave 2 best_level must be an integer, not 1.0"),
+]
+
+
+@pytest.mark.parametrize("protocol,slave,fields,message", _BAD_PLANS,
+                         ids=[f"{c[0]}-{c[1]}-" + "-".join(
+                             f"{k}={v}" for k, v in c[2].items())
+                              for c in _BAD_PLANS])
+def test_a_hand_built_plan_that_no_analysis_gives_is_rejected(
+        protocol, slave, fields, message):
+    # ring_10's chains are (), (1,), (1, 2), (1, 2, 3), ...; a DLC1000
+    # best_level must be its chain's length, and SFN levels lie in
+    # 0..node_count, so no negative or fractional slot count is reported
+    m = build_matrix(dict(DEFAULT_MODELS)["ring_10"])
+    analysis = simulator.analyze(m, protocol)
+    slaves = list(analysis.slaves)
+    slaves[slave - 1] = replace(slaves[slave - 1], **fields)
+    bad = replace(analysis, slaves=tuple(slaves))
+    cfg = SimConfig(protocol, cycles=10)
+    for run in (simulate, simulator.compare):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(m, cfg, bad)
+
+
 def test_dlc_polling_products_are_round_trip_success():
     # one array pass over chains of every length gives each slave
     # round_trip_success's product bit for bit
@@ -352,8 +390,8 @@ def test_sfn_uplink_succeeds_as_a_lone_flood_from_the_slave():
     # it, so the master's flood on the transposed matrix, which serves
     # every slave's uplink, reaches a slave about half as often as its
     # flood on the matrix itself would; each slave's successes at cap 0
-    # must match D * U from lone floods, the uplink from the slave with the
-    # master not relaying, on streams of their own
+    # must match D * U from lone floods, the uplink from the slave, on
+    # streams of their own
     row, col = np.indices((5, 5))
     m = PerMatrix(np.where(row < col, 0.2, 0.75) * (row != col))
     analysis = sfn.cycle_analysis(m)
@@ -363,12 +401,11 @@ def test_sfn_uplink_succeeds_as_a_lone_flood_from_the_slave():
     log_miss = simulator._log_miss(m)
     for a, stats in zip(analysis.slaves, report.per_slave):
         s = a.slave
-        down = np.mean(simulator._flood(log_miss, 0, a.r_dl, trials,
-                                        np.random.default_rng([31, s]),
-                                        s)[:, s] >= 0)
-        up = np.mean(simulator._flood(log_miss, s, a.r_ul, trials,
-                                      np.random.default_rng([37, s]),
-                                      0)[:, 0] >= 0)
+        down = simulator._flood(log_miss, 0, a.r_dl, trials,
+                                np.random.default_rng([31, s]))[:, s]
+        up = simulator._flood(log_miss, s, a.r_ul, trials,
+                              np.random.default_rng([37, s]))[:, 0]
+        down, up = np.mean(down >= 0), np.mean(up >= 0)
         want = down * up
         var = (want * (1 - want) / cycles
                + (up ** 2 * down * (1 - down) + down ** 2 * up * (1 - up))
@@ -422,7 +459,7 @@ def _flood_replay(m: PerMatrix, cfg: SimConfig, analysis) -> dict:
             for log_miss, levels in legs:
                 reach = np.array(levels) + j
                 level = simulator._flood(log_miss, 0, int(reach.max()),
-                                         polled.size, rng, 0)[:, slaves]
+                                         polled.size, rng)[:, slaves]
                 ok &= (level >= 0) & (level <= reach)
             cycles[polled] = np.where(ok, j, cycles[polled])
     counts = {}
@@ -485,8 +522,8 @@ def test_sampler_draws_from_streams_of_its_own():
             rng = simulator._stream(seed, purpose, target, block)
             pending = np.arange(start, min(start + simulator._BLOCK, trials))
             for level in range(m.node_count + 1):
-                got = simulator._flood(log_miss, 0, level, pending.size, rng,
-                                       target)[:, target] >= 0
+                got = simulator._flood(log_miss, 0, level, pending.size,
+                                       rng)[:, target] >= 0
                 want[pending[got]] = level
                 pending = pending[~got]
                 if not pending.size:
@@ -520,9 +557,9 @@ def test_kernel_calls_stay_within_the_element_budget(monkeypatch):
     m = build_matrix(dict(DEFAULT_MODELS)["rand_area_200"])
     spread, rows = simulator._spread, []
 
-    def counted(log_miss, origin, dest, budget, uniforms, level):
+    def counted(log_miss, origin, budget, uniforms, level):
         rows.append(len(uniforms))
-        spread(log_miss, origin, dest, budget, uniforms, level)
+        spread(log_miss, origin, budget, uniforms, level)
 
     monkeypatch.setattr(simulator, "_spread", counted)
     simulate_sfn(m, SimConfig("sfn", cycles=300, max_retries=0, seed=3))
@@ -562,10 +599,9 @@ def test_flood_draws_one_uniform_per_row_and_node(name, budget):
     # level 0
     m = (PerMatrix(1.0 - np.eye(5)) if name == "dead_5"
          else _BATCH_MODELS[name])
-    rows, n, dest = 37, m.node_count, 3
+    rows, n = 37, m.node_count
     rng, twin = np.random.default_rng(6), np.random.default_rng(6)
-    levels = simulator._flood(simulator._log_miss(m), 0, budget, rows, rng,
-                              dest)
+    levels = simulator._flood(simulator._log_miss(m), 0, budget, rows, rng)
     twin.random((rows, n))
     assert rng.bit_generator.state == twin.bit_generator.state
     assert levels.max() <= budget
@@ -626,7 +662,7 @@ def test_batched_flood_reception_is_one_minus_product_of_misses(per_13, per_23):
     rows = 20_000
     with np.errstate(invalid="raise"):  # a NaN from 0 * -inf would raise
         levels = simulator._flood(simulator._log_miss(m), 0, 3, rows,
-                                  np.random.default_rng(17), 3)
+                                  np.random.default_rng(17))
     assert np.all(levels[:, [1, 2]] == 0)
     assert np.all(np.isin(levels[:, 3], (-1, 1)))
     want = 1.0 - per_13 * per_23
@@ -637,14 +673,14 @@ def test_batched_flood_reception_is_one_minus_product_of_misses(per_13, per_23):
 
 def test_batched_flood_matches_per_link_reference():
     # every node's first-reception level distribution, batched kernel
-    # against one draw per link, with the destination (node 3) not relaying
+    # against one draw per link
     m = generate_ring(7, 0.2, 0.7)
-    max_level, dest = 3, 3
+    max_level = 3
     ref_rng = np.random.default_rng(8)
-    ref = np.array([per_link_flood(m.per, 0, max_level, ref_rng, (dest,))
+    ref = np.array([per_link_flood(m.per, 0, max_level, ref_rng)
                     for _ in range(4000)])
     got = simulator._flood(simulator._log_miss(m), 0, max_level, 20_000,
-                           np.random.default_rng(9), dest)
+                           np.random.default_rng(9))
     for node in range(7):
         for level in range(-1, max_level + 1):
             p_ref = np.mean(ref[:, node] == level)
@@ -665,10 +701,9 @@ def test_flood_trial_levels_respect_budget_and_suppression():
         assert levels[0] == -1  # origin never first-receives its own packet
 
 
-def _hop_levels(per: PerMatrix, origin: int, dest: int,
-                budget: int) -> np.ndarray:
+def _hop_levels(per: PerMatrix, origin: int, budget: int) -> np.ndarray:
     """First-reception levels of a flood in which every PER < 1 link
-    delivers: hop distance - 1, with dest not relaying, -1 past budget."""
+    delivers: hop distance - 1, -1 past budget."""
     links = per.per < 1
     np.fill_diagonal(links, False)
     level = np.full(per.node_count, -1)
@@ -678,8 +713,8 @@ def _hop_levels(per: PerMatrix, origin: int, dest: int,
         fresh = np.flatnonzero(links[transmitters].any(axis=0) & waiting)
         level[fresh] = r
         waiting[fresh] = False
-        transmitters = [v for v in fresh if v != dest]
-        if not transmitters:
+        transmitters = fresh
+        if not fresh.size:
             break
     return level
 
@@ -694,12 +729,10 @@ def test_spread_with_zero_uniforms_floods_every_live_link(per, budget):
     n = per.node_count
     budget = n if budget is None else budget
     for o in (0, 5, n - 1):
-        for d in (o, 1, 2, n // 2):
-            level = np.full((1, n), -1)
-            simulator._spread(simulator._log_miss(per), o, d,
-                              np.full(1, budget), np.zeros((1, n)), level)
-            assert np.array_equal(level[0], _hop_levels(per, o, d, budget)), \
-                (o, d)
+        level = np.full((1, n), -1)
+        simulator._spread(simulator._log_miss(per), o, np.full(1, budget),
+                          np.zeros((1, n)), level)
+        assert np.array_equal(level[0], _hop_levels(per, o, budget)), o
 
 
 def test_spread_with_largest_uniforms_delivers_only_per_0_links():
@@ -707,8 +740,8 @@ def test_spread_with_largest_uniforms_delivers_only_per_0_links():
     # -36.7): _LOG_CERTAIN gets through, a PER-0.6 two-hop link never does
     per, n = generate_ring(10, 0.0, 0.6), 10
     level = np.full((n, n), -1)
-    for o in range(n):  # row o floods from o, which mutes no node
-        simulator._spread(simulator._log_miss(per), o, o, np.full(1, n),
+    for o in range(n):  # row o floods from o
+        simulator._spread(simulator._log_miss(per), o, np.full(1, n),
                           np.full((1, n), 1 - 2.0**-53), level[o:o + 1])
     apart = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     assert np.array_equal(level, np.minimum(apart, n - apart) - 1)
@@ -730,7 +763,7 @@ def test_log_miss_is_cached_read_only_and_keeps_floods_unchanged():
 def test_flood_trial_line_is_deterministic():
     m = line_matrix()
     rng = np.random.default_rng(0)
-    levels = flood_trial(m, 0, 2, rng, dest=2)
+    levels = flood_trial(m, 0, 2, rng)
     assert levels[1] == 0 and levels[2] == 1
 
 
@@ -748,8 +781,6 @@ def test_flood_trial_line_is_deterministic():
      "seed must be an integer in 0..2**64-1"),
     (lambda m, rng: sample_first_success_levels(m, 2, -1),
      "trials must be >= 0"),
-    (lambda m, rng: flood_trial(m, 0, 2, rng, dest=9),
-     "dest 9 out of range 0..5"),
     # a non-integer index is named, not passed on to numpy
     (lambda m, rng: flood_trial(m, 1.5, 5, rng),
      "origin must be an integer, not 1.5"),
@@ -757,8 +788,6 @@ def test_flood_trial_line_is_deterministic():
      "origin must be an integer, not True"),
     (lambda m, rng: flood_trial(m, 0, 2.5, rng),
      "max_level must be an integer, not 2.5"),
-    (lambda m, rng: flood_trial(m, 0, 2, rng, dest=1.5),
-     "dest must be an integer, not 1.5"),
     (lambda m, rng: sample_first_success_levels(m, 2.5, 10),
      "target must be an integer, not 2.5"),
     (lambda m, rng: sample_first_success_levels(m, 1, True),
@@ -767,8 +796,7 @@ def test_flood_trial_line_is_deterministic():
         "flood-max-level-negative", "sample-target-master",
         "sample-target-negative", "sample-target-too-large",
         "sample-seed-negative", "sample-trials-negative",
-        "flood-no-relay-too-large", "flood-origin-float", "flood-origin-bool",
-        "flood-max-level-float", "flood-no-relay-float",
+        "flood-origin-float", "flood-origin-bool", "flood-max-level-float",
         "sample-target-float", "sample-trials-bool"])
 def test_flood_and_sampler_reject_out_of_range_nodes(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
