@@ -202,10 +202,13 @@ def save_matrix(matrix: PerMatrix, path) -> None:
 
 
 def load_matrix(path) -> PerMatrix:
-    """Read a matrix written by save_matrix; validates shape, range, diagonal."""
+    """Read a matrix written by save_matrix; validates shape, range, diagonal.
+
+    A leading UTF-8 byte-order mark, as some editors write one, is skipped.
+    """
     path = Path(path)
     rows = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -16,6 +16,7 @@ depth-first search only where that descent is not final.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -96,17 +97,61 @@ def round_trip_success(per: PerMatrix, repeaters, slave: int) -> float:
     """No-retry probability that request and response both traverse the chain.
 
     Multiplies, hop by hop from the master, the success of each forward
-    link u -> v times that of its reverse link v -> u.  best_path ranks
-    chains by this same product, so equal products are exact ties.
+    link u -> v times that of its reverse link v -> u: the one-row case
+    of _round_trips.  best_path ranks chains by this same product, so
+    equal products are exact ties.
     """
-    _check_slave(per, slave)
-    _check_path(per, repeaters, slave)
-    w = _pair_weights(per)
-    hops = [MASTER, *repeaters, slave]
-    prob = 1.0
-    for a, b in zip(hops, hops[1:]):
-        prob *= w[a, b]
-    return float(prob)
+    return float(_round_trips(per, (slave,), (repeaters,))[0])
+
+
+def _hop_table(per: PerMatrix, slaves, chains):
+    """(hops, size) of _round_trips, or None unless every slave and
+    repeater is a plain int in range and no chain repeats a node (a
+    repeater that is the master or the slave repeats it)."""
+    flat = list(itertools.chain.from_iterable(chains))
+    nodes = [*slaves, *flat]
+    if set(map(type, nodes)) != {int} or not (
+            0 <= min(nodes) and max(nodes) < per.node_count):
+        return None
+    size = np.fromiter(map(len, chains), np.intp, len(chains))
+    width = int(size.max()) + 2  # nodes of the longest chain
+    hops = np.empty((len(chains), width), np.intp)
+    hops[:, 0] = MASTER
+    hops[:, 1:] = np.array(slaves)[:, None]
+    hops[:, 1:-1][np.arange(width - 2) < size[:, None]] = flat
+    ordered = np.sort(hops, axis=1)
+    # a sorted row repeats a node once per padded cell, or it is invalid
+    repeats = np.count_nonzero(ordered[:, 1:] == ordered[:, :-1])
+    padded = hops.size - 2 * len(chains) - len(flat)
+    return (hops, size) if repeats == padded else None
+
+
+def _round_trips(per: PerMatrix, slaves, chains) -> np.ndarray:
+    """Round-trip success of each slave's repeater chain, in one pass.
+
+    Row i holds the hops of chains[i], the master first and slaves[i]
+    last, padded with the slave.  Each row multiplies its hop weights
+    (_pair_weights) in hop order from the master, and a padded hop's
+    factor is exactly 1.0, so every row is the hop-by-hop product bit for
+    bit.  Chains that fail _hop_table's fast test are checked one by one,
+    which raises InvalidPathError for an invalid one; valid chains of
+    other integers (numpy's) are then taken as plain ints.
+    """
+    chains = [tuple(c) for c in chains]
+    table = _hop_table(per, slaves, chains)
+    if table is None:
+        for slave, chain in zip(slaves, chains):
+            _check_slave(per, slave)
+            _check_path(per, chain, slave)
+        table = _hop_table(per, [int(s) for s in slaves],
+                           [tuple(map(int, c)) for c in chains])
+    hops, size = table
+    weight = _pair_weights(per)[hops[:, :-1], hops[:, 1:]]
+    weight[np.arange(hops.shape[1] - 1) > size[:, None]] = 1.0
+    prob = np.ones(len(hops))
+    for hop in weight.T:
+        prob *= hop
+    return prob
 
 
 @lru_cache(maxsize=1)

@@ -31,7 +31,8 @@ class OverheadReport:
 
 def routing_overhead(protocol: str, packet_bytes: int = 64) -> OverheadReport:
     """Share of a data packet spent on routing fields, and the routing
-    payload bits of one poll response."""
+    payload bits of one poll response.  A packet smaller than its routing
+    fields is a ValueError."""
     if protocol not in ("dlc1000", "sfn"):
         raise ValueError(f"unknown protocol {protocol!r}")
     _check_integer("packet_bytes", packet_bytes, low=1)
@@ -42,6 +43,11 @@ def routing_overhead(protocol: str, packet_bytes: int = 64) -> OverheadReport:
     else:
         routing_bits = SFN_ROUTING_BITS
         signaling = 0
+    if packet_bits < routing_bits:
+        raise ValueError(
+            f"packet_bytes {packet_bytes} cannot hold the {routing_bits} "
+            f"routing bits of {protocol}; it needs at least "
+            f"{-(-routing_bits // 8)}")
     return OverheadReport(
         protocol=protocol,
         routing_bits_per_packet=routing_bits,

@@ -467,26 +467,38 @@ def _level_candidates(mean: float) -> list[int]:
     return [lo] if lo == hi else [lo, hi]
 
 
+def _candidates(cumulative: np.ndarray) -> list[tuple[int, float]]:
+    """A leg's candidate levels and its success at each.
+
+    `cumulative` is the target's cumulative reception per level of the
+    leg's flood.  Returns (level, cumulative[level]) at the floor and ceil
+    of the mean first-success level, one pair when the mean is an
+    integer, and [] when no level can succeed.
+    """
+    dist = _distribution(cumulative)
+    if dist.unreachable:
+        return []
+    return [(r, float(cumulative[r]))
+            for r in _level_candidates(dist.mean_level)]
+
+
 def _choose(slave: int, uplinks) -> SfnSlaveAnalysis:
     """The least expected duration over a slave's evaluated level pairs.
 
     uplinks holds (r_dl, downlink success, master's cumulative uplink
     reception) per downlink candidate; it is empty when the downlink
-    cannot reach the slave.
+    cannot reach the slave.  Each uplink's levels are its _candidates.
+    Ties in duration go to the smaller (r_dl, r_ul) pair.
     """
     candidates = []
     best: SfnCandidate | None = None
     for r_dl, dl_success, master_cumulative in uplinks:
-        ul_dist = _distribution(master_cumulative)
-        if ul_dist.unreachable:
-            continue
-        for r_ul in _level_candidates(ul_dist.mean_level):
+        for r_ul, ul_success in _candidates(master_cumulative):
             # The level recursion can accumulate more reception mass at the
             # master than the uplink injected (simultaneous relays are
             # treated as independent chances), so the conditional factor is
             # capped at 1 to stay a probability.
-            ul_conditional = min(
-                1.0, float(master_cumulative[r_ul]) / dl_success)
+            ul_conditional = min(1.0, ul_success / dl_success)
             poll_success = dl_success * ul_conditional
             if poll_success <= 0.0:
                 continue
@@ -504,14 +516,13 @@ def _choose(slave: int, uplinks) -> SfnSlaveAnalysis:
 
 def _slave_analyses(per: PerMatrix, slaves,
                     downlink: FloodProfile) -> tuple[SfnSlaveAnalysis, ...]:
-    """slave_analysis of each slave, with all their uplinks in one batch."""
-    plans = []  # (slave, [(r_dl, downlink success), ...])
-    for s in slaves:
-        dl_dist = _distribution(downlink.cumulative[s])
-        r_dls = [] if dl_dist.unreachable else \
-            _level_candidates(dl_dist.mean_level)
-        plans.append(
-            (s, [(r, float(downlink.cumulative[s, r])) for r in r_dls]))
+    """slave_analysis of each slave, with all their uplinks in one batch.
+
+    A slave's downlink levels are the _candidates of its row of the
+    shared downlink flood's cumulative reception, and each seeds one
+    uplink flood with its success.
+    """
+    plans = [(s, _candidates(downlink.cumulative[s])) for s in slaves]
     origins = [s for s, dls in plans for _ in dls]
     seeds = [m for _, dls in plans for _, m in dls]
     master = iter(_master_cumulative(per, origins, seeds))

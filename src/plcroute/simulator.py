@@ -341,46 +341,6 @@ def _report(cfg: SimConfig, counts) -> SimReport:
     )
 
 
-def _round_trip_successes(per: PerMatrix, slaves) -> np.ndarray:
-    """dlc.round_trip_success of each slave analysis's chain, in one pass.
-
-    Row i holds the hops of slave i's chain, the master first and the slave
-    last, padded with the slave.  Each row multiplies its hop weights
-    (dlc._pair_weights) in hop order from the master, as round_trip_success
-    does, and a padded hop's factor is exactly 1.0, so every product is bit
-    for bit round_trip_success's.  Unless every slave and repeater is a
-    plain int in range and no chain repeats a node (a repeater that is the
-    master or the slave repeats it), the chains go through
-    round_trip_success one by one, which raises its InvalidPathError for an
-    invalid one.
-    """
-    repeaters = [a.repeaters for a in slaves]
-    flat = list(itertools.chain.from_iterable(repeaters))
-    nodes = [a.slave for a in slaves] + flat
-    valid = set(map(type, nodes)) == {int} and (
-        0 <= min(nodes) and max(nodes) < per.node_count)
-    if valid:
-        size = np.fromiter(map(len, repeaters), np.intp, len(slaves))
-        width = max(map(len, repeaters)) + 2  # nodes of the longest chain
-        hops = np.empty((len(slaves), width), np.intp)
-        hops[:, 0] = MASTER
-        hops[:, 1:] = np.array(nodes[:len(slaves)])[:, None]
-        hops[:, 1:-1][np.arange(width - 2) < size[:, None]] = flat
-        ordered = np.sort(hops, axis=1)
-        # a sorted row repeats a node once per padded cell, or it is invalid
-        valid = np.count_nonzero(ordered[:, 1:] == ordered[:, :-1]) \
-            == hops.size - 2 * len(slaves) - len(flat)
-    if not valid:
-        return np.array([dlc.round_trip_success(per, a.repeaters, a.slave)
-                         for a in slaves])
-    weight = dlc._pair_weights(per)[hops[:, :-1], hops[:, 1:]]
-    weight[np.arange(width - 1) > size[:, None]] = 1.0
-    prob = np.ones(len(slaves))
-    for hop in weight.T:
-        prob *= hop
-    return prob
-
-
 def simulate_dlc(per: PerMatrix, cfg: SimConfig,
                  analysis: dlc.DlcCycleAnalysis | None = None) -> SimReport:
     """Monte-Carlo polling under dynamic source routing.
@@ -399,7 +359,8 @@ def simulate_dlc(per: PerMatrix, cfg: SimConfig,
     """
     analysis = _plan(per, cfg, "dlc1000", analysis)
     cap = cfg.max_retries + 1  # most tries a cycle makes
-    p = _round_trip_successes(per, analysis.slaves)
+    p = dlc._round_trips(per, [a.slave for a in analysis.slaves],
+                         [a.repeaters for a in analysis.slaves])
     live = np.flatnonzero(p > 0.0)  # numpy's geometric rejects p = 0
     # tries and successes, in int64 only where the sums cannot overflow
     tries, succ = np.zeros(

@@ -14,22 +14,29 @@ from plcroute.channel import PerMatrix
 from plcroute.sfn import FloodProfile
 
 
+def round_trip_product(per: PerMatrix, repeaters, slave: int) -> float:
+    """A chain's round-trip success, multiplied hop by hop from the master,
+    each hop contributing its forward link's success times its reverse
+    link's."""
+    p = per.per
+    hops = [0, *repeaters, slave]
+    prob = 1.0
+    for a, b in zip(hops, hops[1:]):
+        prob *= (1.0 - p[a][b]) * (1.0 - p[b][a])
+    return float(prob)
+
+
 def brute_force_best_path(per: PerMatrix, slave: int, level: int):
     """Exhaustive maximum over all ordered sequences of distinct repeaters.
 
-    A chain's round-trip success is multiplied hop by hop from the master,
-    each hop contributing its forward link's success times its reverse
-    link's.  Ties go to the first (lexicographically smallest) sequence.
+    Chains are ranked by round_trip_product.  Ties go to the first
+    (lexicographically smallest) sequence.
     """
-    p = per.per
     candidates = [v for v in range(1, per.node_count) if v != slave]
     best_prob = -1.0
     best_seq = None
     for seq in permutations(candidates, level):
-        hops = [0, *seq, slave]
-        prob = 1.0
-        for a, b in zip(hops, hops[1:]):
-            prob *= (1.0 - p[a][b]) * (1.0 - p[b][a])
+        prob = round_trip_product(per, seq, slave)
         if prob > best_prob:
             best_prob, best_seq = prob, seq
     return best_seq, best_prob

@@ -126,6 +126,20 @@ def test_analyze_invalid_matrix_fails(tmp_path, capsys):
     assert "out of range" in err
 
 
+def test_analyze_reads_a_matrix_file_with_a_byte_order_mark(ring10, capsys,
+                                                             tmp_path):
+    # Windows editors may re-save a file with a UTF-8 BOM before its
+    # header comment; the BOM must not hide the comment's '#'
+    plain = Path(ring10)
+    assert not plain.read_bytes().startswith(b"\xef\xbb\xbf")
+    marked = tmp_path / "bom.per"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert np.array_equal(load_matrix(marked).per, load_matrix(plain).per)
+    code, out, err = run(capsys, "analyze", str(marked))
+    assert code == 0, err
+    assert out == run(capsys, "analyze", ring10)[1]
+
+
 @pytest.mark.parametrize("text,message", [
     ("0\n", "channel model needs at least 2 nodes"),
     ("# per matrix\n#\n", "no matrix rows found in "),

@@ -48,3 +48,18 @@ def test_overhead_validation():
 def test_per_response_signaling_in_overhead_report():
     assert routing_overhead("dlc1000", 64).signaling_bits_per_poll_response == 100
     assert routing_overhead("sfn", 64).signaling_bits_per_poll_response == 0
+
+
+@pytest.mark.parametrize("protocol,packet_bytes,bits", [
+    ("dlc1000", 1, 24), ("dlc1000", 2, 24)])
+def test_packet_smaller_than_its_routing_fields_is_rejected(
+        protocol, packet_bytes, bits):
+    # a 24-bit DLC1000 header does not fit an 8- or 16-bit packet
+    with pytest.raises(ValueError, match=f"packet_bytes {packet_bytes} "
+                                         f"cannot hold the {bits} routing"):
+        routing_overhead(protocol, packet_bytes)
+
+
+@pytest.mark.parametrize("protocol,packet_bytes", [("dlc1000", 3), ("sfn", 1)])
+def test_routing_fields_may_fill_the_whole_packet(protocol, packet_bytes):
+    assert routing_overhead(protocol, packet_bytes).overhead_ratio == 1.0

@@ -223,6 +223,38 @@ def test_slave_analysis_unreachable():
     assert analysis.expected_duration is None
 
 
+def test_candidates_are_the_floor_and_ceil_of_the_mean_level():
+    # pi = (0.25, 0.375, 0.375), mean level 1.125: levels 1 and 2, each
+    # with the cumulative reception at that level
+    assert sfn._candidates(np.array([0.25, 0.5, 1.0])) == [(1, 0.5), (2, 1.0)]
+    # pi = (0, 0.25), mean level exactly 1
+    assert sfn._candidates(np.array([0.0, 0.25])) == [(1, 0.25)]
+    assert sfn._candidates(np.array([0.0, 0.0, 0.0])) == []
+
+
+def test_choose_breaks_an_exact_tie_toward_the_smaller_level_pair():
+    # (r_dl, r_ul) = (1, 2) and (2, 1) both take 5 slots a try at poll
+    # success 0.5, so both last exactly 10 slots; in either evaluation
+    # order (1, 2) wins and both stay candidates in that order
+    one_two = (1, 0.5, np.array([0.0, 0.0, 0.5]))  # uplink mean level 2
+    two_one = (2, 0.5, np.array([0.0, 0.5]))  # uplink mean level 1
+    for uplinks in ([one_two, two_one], [two_one, one_two]):
+        got = sfn._choose(4, uplinks)
+        assert (got.r_dl, got.r_ul, got.expected_duration) == (1, 2, 10.0)
+        assert [(c.r_dl, c.r_ul, c.expected_duration)
+                for c in got.candidates] == [
+            (r_dl, 3 - r_dl, 10.0) for r_dl, _, _ in uplinks]
+
+
+def test_choose_caps_the_uplink_conditional_factor_at_one():
+    # the master's uplink reception 0.8 exceeds the downlink success 0.5:
+    # the conditional factor is 1, not 1.6, so the poll succeeds with 0.5
+    got = sfn._choose(1, [(0, 0.5, np.array([0.8]))])
+    assert (got.r_dl, got.r_ul) == (0, 0)
+    assert got.poll_success == 0.5
+    assert got.expected_duration == 4.0
+
+
 def test_cycle_three_node_line_hand_trace():
     analysis = cycle_analysis(line_matrix())
     by_slave = {a.slave: a for a in analysis.slaves}

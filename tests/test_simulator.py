@@ -18,7 +18,7 @@ from plcroute.simulator import (
     simulate_sfn,
 )
 
-from oracles import per_link_flood
+from oracles import per_link_flood, round_trip_product
 
 
 def matrix(rows) -> PerMatrix:
@@ -218,6 +218,21 @@ def test_dlc_rejects_an_invalid_chain_of_a_hand_built_analysis(chain,
         simulate_dlc(m, SimConfig("dlc1000", cycles=2), bad)
 
 
+def test_dlc_polls_a_chain_of_numpy_integers_as_plain_ints():
+    # a valid chain of np.int64 repeaters passes the chain checks and
+    # polls exactly as the same chain of plain ints
+    m = generate_ring(8, 0.2, 0.7)
+    analysis = dlc.cycle_analysis(m)
+    cfg = SimConfig("dlc1000", cycles=300, max_retries=2, seed=4)
+    reports = []
+    for chain in ((1, 2), (np.int64(1), np.int64(2))):
+        slaves = list(analysis.slaves)
+        slaves[2] = replace(slaves[2], best_level=2, repeaters=chain)
+        plan = replace(analysis, slaves=tuple(slaves))
+        reports.append(repr(asdict(simulate_dlc(m, cfg, plan))))
+    assert reports[0] == reports[1]
+
+
 _BAD_PLANS = [
     ("sfn", 1, dict(r_dl=-5, r_ul=-5), "slave 1 r_dl -5 out of range 0..10"),
     ("sfn", 1, dict(r_dl=1.5), "slave 1 r_dl must be an integer, not 1.5"),
@@ -258,14 +273,17 @@ def test_a_hand_built_plan_that_no_analysis_gives_is_rejected(
 
 def test_dlc_polling_products_are_round_trip_success():
     # one array pass over chains of every length gives each slave
-    # round_trip_success's product bit for bit
+    # round_trip_success's product bit for bit, and so the oracle's
+    # hop-by-hop product
     m = generate_rand_area(40, seed=40)
     analysis = dlc.cycle_analysis(m)
     assert len({len(a.repeaters) for a in analysis.slaves}) > 2
-    want = [dlc.round_trip_success(m, a.repeaters, a.slave)
-            for a in analysis.slaves]
-    assert simulator._round_trip_successes(m, analysis.slaves).tolist() \
-        == want
+    got = dlc._round_trips(m, [a.slave for a in analysis.slaves],
+                           [a.repeaters for a in analysis.slaves]).tolist()
+    assert got == [dlc.round_trip_success(m, a.repeaters, a.slave)
+                   for a in analysis.slaves]
+    assert got == [round_trip_product(m, a.repeaters, a.slave)
+                   for a in analysis.slaves]
 
 
 def test_protocol_config_must_match_entry_point():
