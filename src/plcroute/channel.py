@@ -31,28 +31,33 @@ class MatrixValidationError(ValueError):
 
 
 def _check_integer(name: str, value, error=ValueError,
-                   low: int | None = None, high: int | None = None) -> None:
-    """Raise error unless value is an integer other than a bool, and at
-    least low and at most high where they are given (high only with low).
-    Every node index, count and seed is checked so before it indexes an
-    array or keys a stream."""
+                   low: int | None = None, high: int | None = None) -> int:
+    """value as a Python int; raise error unless it is an integer other
+    than a bool, and at least low and at most high where they are given
+    (high only with low).  Every node index, count and seed is checked so
+    before it indexes an array or keys a stream, and a result keeps the
+    returned int, so that no numpy integer reaches a report."""
     # a plain int first: the Integral check costs ten times more
-    if type(value) is not int and (
-            isinstance(value, bool) or not isinstance(value, Integral)):
-        raise error(f"{name} must be an integer, not {value!r}")
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise error(f"{name} must be an integer, not {value!r}")
+        value = int(value)
     if high is not None:
         if not low <= value <= high:
             raise error(f"{name} {value} out of range {low}..{high}")
     elif low is not None and value < low:
         raise error(f"{name} must be >= {low}")
+    return value
 
 
-def _check_seed(seed, error=ValueError) -> None:
-    """Raise error unless seed is an integer in 0..2**64-1, the one range
-    that both numpy's generators and the simulator's keyed streams take."""
-    _check_integer("seed", seed, error)
+def _check_seed(seed, error=ValueError) -> int:
+    """seed as a Python int; raise error unless it is an integer in
+    0..2**64-1, the one range that both numpy's generators and the
+    simulator's keyed streams take."""
+    seed = _check_integer("seed", seed, error)
     if not 0 <= seed < 1 << 64:
         raise error("seed must be an integer in 0..2**64-1")
+    return seed
 
 
 @dataclass(frozen=True, eq=False)

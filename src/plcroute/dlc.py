@@ -74,9 +74,9 @@ class DlcCycleAnalysis:
         return not self.unreachable
 
 
-def _check_slave(per: PerMatrix, slave: int) -> None:
-    _check_integer("slave index", slave, InvalidPathError,
-                   low=MASTER + 1, high=per.node_count - 1)
+def _check_slave(per: PerMatrix, slave: int) -> int:
+    return _check_integer("slave index", slave, InvalidPathError,
+                          low=MASTER + 1, high=per.node_count - 1)
 
 
 def _check_path(per: PerMatrix, repeaters, slave: int) -> None:
@@ -193,11 +193,6 @@ def _bounds(per: PerMatrix, level: int) -> list:
     return head
 
 
-def _smallest_chain(slave: int, level: int) -> tuple[int, ...]:
-    """The lexicographically smallest valid sequence of `level` repeaters."""
-    return tuple(v for v in range(1, level + 2) if v != slave)[:level]
-
-
 def best_path(per: PerMatrix, slave: int, level: int) -> DlcPathResult:
     """Repeater chain with the highest round-trip success at a given level.
 
@@ -219,7 +214,8 @@ def best_path(per: PerMatrix, slave: int, level: int) -> DlcPathResult:
     head = _bounds(per, level)
 
     best = 0.0
-    best_seq = _smallest_chain(slave, level)
+    # the lexicographically smallest valid sequence of `level` repeaters
+    best_seq = tuple(v for v in range(1, level + 2) if v != slave)[:level]
     chain = [slave] * (level + 2)  # chain[k] is r_k once picked
 
     def visit(k: int, prob: float) -> None:
@@ -268,7 +264,7 @@ def slave_analysis(per: PerMatrix, slave: int,
     search's bound tables are shared by every slave, so slaves and levels
     may be analysed in any order.
     """
-    _check_slave(per, slave)
+    slave = _check_slave(per, slave)
     _check_integer("max_level", max_level, InvalidPathError, low=0)
     paths = (best_path(per, slave, level)
              for level in range(min(max_level, per.node_count - 2) + 1))
@@ -340,10 +336,12 @@ def _descend(w: np.ndarray, head: list, slaves: np.ndarray, level: int):
 def _level_paths(per: PerMatrix, level: int) -> list:
     """(repeaters, success_prob) of best_path(per, s, level), s = 1..n-1.
 
-    A slave whose top bound head[level][s] is 0 is dead: best_path returns
-    the smallest sequence at probability 0.  The others descend together
-    (_descend) in blocks of at most _BATCH_ELEMENTS bound entries, and
-    best_path searches only those whose descent is not final.
+    A slave whose top bound head[level][s] is 0 is dead: no chain reaches
+    it, and it gets ((), 0.0), as _choose_level reads no chain of
+    probability 0 (best_path would return the smallest sequence).  The
+    others descend together (_descend) in blocks of at most
+    _BATCH_ELEMENTS bound entries, and best_path searches only those whose
+    descent is not final.
     """
     w = _pair_weights(per)
     if level == 0:
@@ -362,11 +360,7 @@ def _level_paths(per: PerMatrix, level: int) -> list:
             else:
                 path = best_path(per, slave, level)
                 paths[slave] = (path.repeaters, path.success_prob)
-    # _smallest_chain(s, level) of every slave s above level + 1
-    above = tuple(range(1, level + 1))
-    return [paths[s] if s in paths else
-            (_smallest_chain(s, level) if s <= level + 1 else above, 0.0)
-            for s in per.slaves]
+    return [paths.get(s, ((), 0.0)) for s in per.slaves]
 
 
 def cycle_analysis(per: PerMatrix, max_level: int = 4) -> DlcCycleAnalysis:

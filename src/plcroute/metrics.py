@@ -35,7 +35,7 @@ def routing_overhead(protocol: str, packet_bytes: int = 64) -> OverheadReport:
     fields is a ValueError."""
     if protocol not in ("dlc1000", "sfn"):
         raise ValueError(f"unknown protocol {protocol!r}")
-    _check_integer("packet_bytes", packet_bytes, low=1)
+    packet_bytes = _check_integer("packet_bytes", packet_bytes, low=1)
     packet_bits = 8 * packet_bytes
     if protocol == "dlc1000":
         routing_bits = DLC_ROUTING_BITS

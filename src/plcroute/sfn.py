@@ -31,7 +31,8 @@ with it every profile and analysis, is bit for bit the dense per-flood
 product over all n nodes.
 
 `cycle_analysis` floods the downlink once and every slave's uplinks
-together, keeping only the master's column.  `_choose` reads two things
+together; an uplink yields only the master's cumulative reception, the
+kernel's own running sum, level by level.  `_choose` reads two things
 from an uplink: the floor and ceil of the master's mean first-success
 level, and the master's cumulative reception at those two levels.  So an
 uplink flood stops once they are certain (`_settled`): after a level at
@@ -45,14 +46,14 @@ an uplink's truncated mass is that of the prefix, not of the full
 horizon; no analysis reports it.  Where one level can close the master,
 that is where prod_{i != 0} per[i, 0] <= 2^-53 (rand_area_100 and up, but
 not the rings or rand_area_20), each level first computes the master's
-column alone, from the same factors in the same order; the floods that
-stop there, or reached level n, skip the full level, and only the others
-pay the full level.  Elsewhere the kernel runs full levels and applies
-the same stop test after each.  Bounds: the uplinks run in row blocks
-that hold either the level temporary or about eight (rows, n) state
-arrays within _BATCH_ELEMENTS, whichever admits more rows, and a full
-level runs over its rows in chunks whose (rows, slots) temporary stays
-within _BATCH_ELEMENTS.
+column alone, `_receptions` on a one-column slot table of its live
+in-links; the floods that stop there, or reached level n, skip the full
+level, and only the others pay the full level.  Elsewhere the kernel
+runs full levels and applies the same stop test after each.  Bounds: the
+uplinks run in row blocks that hold either the level temporary or about
+eight (rows, n) state arrays within _BATCH_ELEMENTS, whichever admits
+more rows, and a full level runs over its rows in chunks whose (rows,
+slots) temporary stays within _BATCH_ELEMENTS.
 """
 from __future__ import annotations
 
@@ -270,15 +271,16 @@ def _flood_levels(per: PerMatrix, origins, initial_tx, *, until=None):
     rows; each later level's receptions are computed in chunks of rows
     (`_receptions`).
 
-    Given a node `until`, the kernel yields (rows, rcv) with rcv that
-    node's column alone, and a flood also stops after the first level at
-    which the floor and ceil of the node's mean first-success level are
-    certain, or no mass still fails (`_settled`); the row's column so far
-    is a prefix of the lone flood's.  When one level can close the node
-    (`_closes_in_one_level`), each level after level 0 first computes the
-    node's column for every running row, with the same factors in the
-    same order as the full level; the rows that stop there, or reached
-    level n, skip the full level.
+    Given a node `until`, the kernel yields (rows, cumulative) with
+    cumulative that node's cumulative reception through the level, and a
+    flood also stops after the first level at which the floor and ceil of
+    the node's mean first-success level are certain, or no mass still
+    fails (`_settled`); the row's values so far are a prefix of the lone
+    flood's.  When one level can close the node (`_closes_in_one_level`),
+    each level after level 0 first computes the node's column for every
+    running row, `_receptions` on a one-column slot table of the node's
+    live in-links; the rows that stop there, or reached level n, skip the
+    full level.
     """
     src, ok = _in_links(per)
     n = per.node_count
@@ -294,9 +296,10 @@ def _flood_levels(per: PerMatrix, origins, initial_tx, *, until=None):
     law[:, 0] = 1.0
     target_first = until is not None and _closes_in_one_level(per, until)
     if target_first:
+        # `until`'s live in-links as a one-column slot table
         links = np.arange(n) if src is None else src[:, until]
         live = ok[:, until] > 0.0
-        links, link_ok = links[live], ok[live, until]
+        column = links[live, None], ok[live, until, None]
     # Level 0 in closed form: the origin is a row's one transmitter, and
     # every other factor of a miss product is 1 - 0 * ok, exactly 1.0, so
     # the product is the origin's factor 1 - tx_0 * ok[origin, j] alone
@@ -308,11 +311,10 @@ def _flood_levels(per: PerMatrix, origins, initial_tx, *, until=None):
     np.maximum(rcv, 0.0, out=rcv)
     for r in range(n + 1):
         if r and target_first:
-            miss = np.prod(1.0 - tx[:, links] * link_ok, axis=1)
-            col = (1.0 - cum_rcv[:, until]) * (1.0 - miss)
-            np.maximum(col, 0.0, out=col)
-            yield rows, col
-            going = ~_settled(law, r, cum_rcv[:, until] + col, n)
+            target_cum = cum_rcv[:, until] + _receptions(
+                *column, tx, cum_rcv[:, until, None])[:, 0]
+            yield rows, target_cum
+            going = ~_settled(law, r, target_cum, n)
             if r == n or not going.any():
                 return
             if not going.all():
@@ -323,11 +325,11 @@ def _flood_levels(per: PerMatrix, origins, initial_tx, *, until=None):
             rcv = _receptions(src, ok, tx, cum_rcv)
         if until is None:
             yield rows, tx, rcv
-        elif not (r and target_first):
-            yield rows, rcv[:, until]
+        cum_rcv = cum_rcv + rcv
+        if until is not None and not (r and target_first):
+            yield rows, cum_rcv[:, until]
         if r == n:
             return
-        cum_rcv = cum_rcv + rcv
         spent_tx = spent_tx + last_tx
         last_tx, tx = tx, np.maximum(1.0 - spent_tx, 0.0) * rcv
         going = tx.any(axis=1)
@@ -362,7 +364,7 @@ def flood(per: PerMatrix, origin: int,
     order; the skipped factors are exactly 1.0, so the result equals the
     dense product over every node bit for bit.
     """
-    _check_integer("origin", origin, low=0, high=per.node_count - 1)
+    origin = _check_integer("origin", origin, low=0, high=per.node_count - 1)
     if not (0.0 < initial_tx <= 1.0):
         raise ValueError("initial_tx must be in (0, 1]")
     tx_cols, rcv_cols = [], []
@@ -386,12 +388,13 @@ def _master_cumulative(per: PerMatrix, origins,
     seed m, long enough for `_choose`: a flood stops after the level at
     which the floor and ceil of the master's mean first-success level
     become certain, or no mass still fails (`_settled`), so the prefix
-    gives them and holds the entries at both.  The floods run in row
-    blocks sized so that either the kernel's level temporary or its
-    (rows, n) state, about eight arrays, stays within _BATCH_ELEMENTS,
-    whichever admits more rows: the kernel chunks the level temporary
-    itself, and on a dense matrix many rows of a block stop after the
-    master's column alone.
+    gives them and holds the entries at both.  The values are the
+    kernel's own running sums, written into one (rows, n + 1) array per
+    block.  The floods run in row blocks sized so that either the
+    kernel's level temporary or its (rows, n) state, about eight arrays,
+    stays within _BATCH_ELEMENTS, whichever admits more rows: the kernel
+    chunks the level temporary itself, and on a dense matrix many rows of
+    a block stop after the master's column alone.
     """
     slots = _in_links(per)[1].size  # per row of the kernel's temporary
     rows_per_block = max(
@@ -400,15 +403,12 @@ def _master_cumulative(per: PerMatrix, origins,
     for start in range(0, len(origins), rows_per_block):
         block = slice(start, start + rows_per_block)
         block_origins = origins[block]
-        cols = []
+        cumulative = np.zeros((len(block_origins), per.node_count + 1))
         levels = np.zeros(len(block_origins), dtype=np.int64)
-        for r, (rows, master_rcv) in enumerate(_flood_levels(
+        for r, (rows, master_cumulative) in enumerate(_flood_levels(
                 per, block_origins, initial_tx[block], until=MASTER)):
-            col = np.zeros(len(block_origins))
-            col[rows] = master_rcv
-            cols.append(col)
+            cumulative[rows, r] = master_cumulative
             levels[rows] = r + 1
-        cumulative = np.cumsum(np.column_stack(cols), axis=1)
         got.extend(c[:k] for c, k in zip(cumulative, levels))
     return got
 
@@ -543,8 +543,8 @@ def slave_analysis(per: PerMatrix, slave: int) -> SfnSlaveAnalysis:
     reported pair minimizes expected duration over the evaluated grid
     (ties toward the smaller pair).
     """
-    _check_integer("slave index", slave,
-                   low=MASTER + 1, high=per.node_count - 1)
+    slave = _check_integer("slave index", slave,
+                           low=MASTER + 1, high=per.node_count - 1)
     downlink = flood(per, MASTER)
     return _slave_analyses(per, (slave,), downlink)[0]
 

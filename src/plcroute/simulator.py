@@ -50,6 +50,11 @@ PROTOCOLS = ("dlc1000", "sfn")
 _PURPOSES = (*PROTOCOLS, "sampler")
 
 _BLOCK = 256  # cycles (or sampler trials) per keyed random stream
+# Slaves times cycles of one group of whole blocks that an SFN simulation
+# tallies at once: bounds its (slaves, cycles) arrays, so its memory does
+# not grow with the cycles.  2**15 made ring_100's 1000-cycle
+# retry-until-success run 8% slower by splitting it into four groups.
+_TALLY_CELLS = 1 << 20
 # Rows times nodes of one kernel call of simulated floods (at least one
 # row): bounds each (rows, n) array of the kernel, and so the memory a
 # call needs.
@@ -72,10 +77,12 @@ class SimConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
+        # kept as Python ints, whatever integer type was given
         for name, low in (("cycles", 1), ("max_retries", 0),
                           ("max_level", 0)):
-            _check_integer(name, getattr(self, name), low=low)
-        _check_seed(self.seed)
+            object.__setattr__(self, name, _check_integer(
+                name, getattr(self, name), low=low))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -207,9 +214,10 @@ def flood_trial(per: PerMatrix, origin: int, max_level: int,
 
 
 def _first_successes(per: PerMatrix, key, plans, tries: int, count: int,
-                     seed: int) -> np.ndarray:
+                     seed: int, first_block: int = 0) -> np.ndarray:
     """First successful try of each target in each of count cycles (or
-    trials), -1 if none: a (targets, count) array.
+    trials), -1 if none: a (targets, count) array.  The cycles are those of
+    the blocks from first_block on.
 
     plans holds one (target, level per leg) row per target.  Try j of a
     cycle runs its legs in order, each one flood from the master: leg 0
@@ -225,18 +233,20 @@ def _first_successes(per: PerMatrix, key, plans, tries: int, count: int,
     And a node's first reception does not depend on its own relay, so a
     flood that serves every target reaches each one as its own flood
     would.  The cycles come in blocks of _BLOCK, and block b draws from
-    _stream(seed, *key, b).  Each leg of each try passes over the pending
-    cycles in order, in row chunks of at most _BATCH_ELEMENTS rows times
-    nodes (at least one row): a chunk draws its floods' uniforms before
-    level 0, each block's run of rows from the block's stream, and _spread
-    floods them from the master in one call.  So a block's stream is read
-    in the same order whatever the chunk boundaries.
+    _stream(seed, *key, first_block + b).  Each leg of each try passes
+    over the pending cycles in order, in row chunks of at most
+    _BATCH_ELEMENTS rows times nodes (at least one row): a chunk draws its
+    floods' uniforms before level 0, each block's run of rows from the
+    block's stream, and _spread floods them from the master in one call.
+    So a block's stream is read in the same order whatever the chunk
+    boundaries.
     """
     log_miss, n = _log_miss(per), per.node_count
     targets, *levels = np.asarray(plans, dtype=np.intp).T
     matrices = ((log_miss, np.ascontiguousarray(log_miss.T))
                 if len(levels) > 1 else (log_miss,))
-    streams = [_stream(seed, *key, b) for b in range(-(-count // _BLOCK))]
+    streams = [_stream(seed, *key, first_block + b)
+               for b in range(-(-count // _BLOCK))]
     first = np.full((count, targets.size), -1, dtype=np.int64)
     chunk = max(1, _BATCH_ELEMENTS // n)
     for j in range(tries):
@@ -402,23 +412,33 @@ def simulate_sfn(per: PerMatrix, cfg: SimConfig,
     way.  A slave with no live route, a chain of PER < 1 links from the
     master to it and one back, can never be polled: it is given up in
     every cycle without a flood or a draw, and still spends the slots of
-    cap tries per cycle.
+    cap tries per cycle.  Cycles are tallied per slave in groups of whole
+    blocks, at most _TALLY_CELLS slaves times cycles a group (and at least
+    one block), so memory does not grow with cfg.cycles; block b keeps its
+    stream whatever group it falls in, so the report does not depend on
+    the grouping.
     """
     analysis = _plan(per, cfg, "sfn", analysis)
     cap = cfg.max_retries + 1  # most tries a cycle makes
     links = _log_miss(per) < 0  # links[i, j]: i can deliver to j
     live = _reached(links) & _reached(links.T)  # a live route both ways
-    first = np.full((len(analysis.slaves), cfg.cycles), -1, dtype=np.int64)
     plans = np.array([(a.slave, a.r_dl, a.r_ul) for a in analysis.slaves
                       if live[a.slave]], dtype=np.intp).reshape(-1, 3)
-    first[live[per.slaves]] = _first_successes(per, ("sfn",), plans, cap,
-                                               cfg.cycles, cfg.seed)
-    made = first + 1  # the tries of a cycle that succeeds, 0 for a give-up
-    window = [1 + a.r_dl + a.r_ul for a in analysis.slaves]
-    return _report(cfg, zip(
-        made.sum(axis=1), np.count_nonzero(made, axis=1),
-        (made * (np.array(window)[:, None] + made)).sum(axis=1),
-        [cap * (w + cap) for w in window]))
+    window = np.array([1 + a.r_dl + a.r_ul for a in analysis.slaves])
+    # tries, successes and slots of each slave's cycles that succeed
+    counts = np.zeros((3, window.size), np.int64)
+    group = _BLOCK * max(1, _TALLY_CELLS // (_BLOCK * window.size))
+    for start in range(0, cfg.cycles, group):
+        first = np.full((window.size, min(group, cfg.cycles - start)), -1,
+                        dtype=np.int64)
+        first[live[per.slaves]] = _first_successes(
+            per, ("sfn",), plans, cap, first.shape[1], cfg.seed,
+            start // _BLOCK)
+        made = first + 1  # the tries of a cycle that succeeds, 0 if none
+        counts += (made.sum(axis=1), np.count_nonzero(made, axis=1),
+                   (made * (window[:, None] + made)).sum(axis=1))
+    lost = [cap * (w + cap) for w in window.tolist()]  # exact Python ints
+    return _report(cfg, zip(*counts, lost))
 
 
 def simulate(per: PerMatrix, cfg: SimConfig, analysis=None) -> SimReport:

@@ -496,6 +496,10 @@ def test_cycle_analysis_equals_full_length_uplinks(monkeypatch, batch):
     models = [closing_matrix(seed) for seed in range(12)]
     models.append(build_matrix(
         ChannelSpec(kind="rand_area", node_count=100, seed=100)))
+    # a slot table whose master closes in one level: lossless neighbours
+    models.append(generate_ring(30, 0.0, 0.6))
+    assert sfn._in_links(models[-1])[0] is not None
+    assert sfn._closes_in_one_level(models[-1], 0)
     for m in models:
         want, closed = full_length_cycle_analysis(m)
         assert closed >= 1
@@ -598,6 +602,9 @@ def test_certified_stop_keeps_floor_and_ceil_of_the_mean():
     (ChannelSpec(kind="ring", node_count=100), False),
     (ChannelSpec(kind="rand_area", node_count=20, seed=20), False),
     (ChannelSpec(kind="rand_area", node_count=100, seed=100), True),
+    # a slot table whose master closes in one level: lossless neighbours
+    (ChannelSpec(kind="ring", node_count=30, per_adjacent=0.0,
+                 per_two_hop=0.6), True),
 ])
 def test_target_first_step_runs_only_where_one_level_can_close(
         monkeypatch, spec, target_first):
@@ -614,7 +621,8 @@ def test_target_first_step_runs_only_where_one_level_can_close(
     receptions = sfn._receptions
 
     def counting(src, ok, tx, cum_rcv):
-        full_rows.append(len(tx))
+        if ok.shape[1] > 1:  # a full level, not the master's column
+            full_rows.append(len(tx))
         return receptions(src, ok, tx, cum_rcv)
 
     monkeypatch.setattr(sfn, "_receptions", counting)
@@ -697,7 +705,9 @@ def test_all_node_product_serves_every_one_row_chunk(monkeypatch, nodes,
     receptions = sfn._receptions
 
     def counting(src, ok, tx, cum_rcv):
-        if len(tx) <= max(1, sfn._BATCH_ELEMENTS // ok.size):  # one chunk
+        if ok.shape[1] == 1:  # the master's column, not a full level
+            pass
+        elif len(tx) <= max(1, sfn._BATCH_ELEMENTS // ok.size):  # one chunk
             if len(tx) > 1:
                 chunks["other"] += 1
             elif 2 * np.count_nonzero(tx.any(axis=0)) > tx.shape[1]:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import re
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from plcroute import dlc, sfn, simulator
 from plcroute.channel import (DEFAULT_MODELS, PerMatrix, build_matrix,
                               generate_rand_area, generate_ring)
+from plcroute.metrics import routing_overhead
 from plcroute.simulator import (
     SimConfig,
     flood_trial,
@@ -602,6 +605,66 @@ def test_give_ups_are_counted_exactly_at_any_cap(protocol, cap):
     assert (dead.attempts, dead.successes, dead.give_ups, dead.slots) == \
         (cycles * cap, 0, cycles, cycles * cap * per_try)
     assert report.total_slots == near.per_slave[0].slots + dead.slots
+
+
+def test_sfn_tallies_groups_of_blocks_in_bounded_memory(monkeypatch):
+    # one 256-cycle block per tally group: the reports are those of one
+    # group, and the peak no longer grows with the cycles (at one group
+    # for the whole run it went 2.7 -> 7.0 MB on this model)
+    m = build_matrix(dict(DEFAULT_MODELS)["rand_area_100"])
+    ring = _BATCH_MODELS["ring_20"]
+    runs = [(m, SimConfig("sfn", cycles=700, max_retries=2, seed=5)),
+            (ring, SimConfig("sfn", cycles=600, max_retries=10_000, seed=5))]
+    want = [asdict(simulate_sfn(per, cfg)) for per, cfg in runs]
+    plan = sfn.cycle_analysis(m)
+    monkeypatch.setattr(simulator, "_TALLY_CELLS", 1)
+    assert [asdict(simulate_sfn(per, cfg)) for per, cfg in runs] == want
+
+    def peak(cycles: int) -> int:
+        cfg = SimConfig("sfn", cycles=cycles, max_retries=2, seed=3)
+        simulate_sfn(m, cfg, plan)  # caches of the matrix
+        tracemalloc.start()
+        try:
+            simulate_sfn(m, cfg, plan)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4 * 512) < 1.5 * peak(512)
+
+
+@pytest.mark.parametrize("protocol", ["dlc1000", "sfn"])
+def test_numpy_integer_settings_give_plain_int_results(protocol):
+    # every checked integer is kept as a Python int, so a report holds no
+    # numpy integer, serializes, and counts exactly at any cap
+    m = _BATCH_MODELS["ring_20"]
+
+    def plain(value) -> bool:
+        if isinstance(value, dict):
+            return all(map(plain, value.values()))
+        if isinstance(value, (list, tuple)):
+            return all(map(plain, value))
+        return type(value) in (int, float, str, type(None))
+
+    for cap in (2, 2**70):
+        want = simulate(m, SimConfig(protocol, cycles=5, max_retries=cap,
+                                     seed=3))
+        cfg = SimConfig(protocol, cycles=np.int64(5),
+                        max_retries=np.int64(cap) if cap < 2**63 else cap,
+                        seed=np.uint64(3))
+        assert cfg == SimConfig(protocol, cycles=5, max_retries=cap, seed=3)
+        got = asdict(simulate(m, cfg))
+        assert got == asdict(want)
+        assert plain(got)
+        json.dumps(got)
+    overhead = asdict(routing_overhead(protocol, np.int64(64)))
+    assert overhead == asdict(routing_overhead(protocol, 64))
+    assert plain(overhead)
+    json.dumps(overhead)
+    analysis = (dlc if protocol == "dlc1000" else sfn).slave_analysis(
+        m, np.int64(3))
+    assert type(analysis.slave) is int
+    assert type(sfn.flood(m, np.int64(2)).origin) is int
 
 
 _FLOOD_DRAW_CASES = [("ring_20", 0), ("ring_20", 3), ("ring_20", 40),
