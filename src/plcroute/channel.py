@@ -168,15 +168,18 @@ class ChannelSpec:
     width: float = DEFAULT_RAND_AREA_WIDTH
     seed: int = 0
 
+    def __post_init__(self):
+        # kept as Python ints, whatever integer type was given, so that
+        # to_dict serializes; build_matrix checks their ranges
+        for name in ("node_count", "seed"):
+            object.__setattr__(self, name, _check_integer(
+                name, getattr(self, name), ChannelSpecError))
+
     def to_dict(self) -> dict:
-        d = asdict(self)
-        if self.kind == "ring":
-            for key in ("d50", "width", "seed"):
-                d.pop(key)
-        elif self.kind == "rand_area":
-            for key in ("per_adjacent", "per_two_hop"):
-                d.pop(key)
-        return d
+        """The fields, less the other kind's parameters."""
+        other = {"ring": ("d50", "width", "seed"),
+                 "rand_area": ("per_adjacent", "per_two_hop")}.get(self.kind, ())
+        return {k: v for k, v in asdict(self).items() if k not in other}
 
 
 def build_matrix(spec: ChannelSpec) -> PerMatrix:

@@ -2,14 +2,15 @@
 
 The master reaches a slave through an explicitly addressed chain of
 repeaters and the response retraces the chain in reverse, so one try
-costs 2*(repeaters+1) slots and succeeds only if every directed link on
-the round trip succeeds.  For each allowed repeater count the master uses
-the chain with the highest round-trip success probability, found by one
-depth-first search from the slave back to the master that tries the best
-bound first; across counts it keeps the one with the lowest expected
-duration under retry-until-success.  The search's bound tables hold the
-best walks out of the master, so every slave and count shares them: a
-whole `cycle_analysis` makes max_level - 1 dense table steps.
+costs a slot per hop each way (`_schedule`) and succeeds only if every
+directed link on the round trip succeeds.  For each allowed repeater
+count the master uses the chain with the highest round-trip success
+probability, found by one depth-first search from the slave back to the
+master that tries the best bound first; across counts it keeps the one
+with the lowest expected duration under retry-until-success.  The
+search's bound tables hold the best walks out of the master, so every
+slave and count shares them: a whole `cycle_analysis` makes
+max_level - 1 dense table steps.
 `cycle_analysis` takes each search's first descent for all slaves of a
 count at once, in a few (slaves, n) array steps, and resumes the
 depth-first search only where that descent is not final.
@@ -256,13 +257,13 @@ def slave_analysis(per: PerMatrix, slave: int,
                    max_level: int = 4) -> DlcSlaveAnalysis:
     """Best repeater count and expected polling duration for one slave.
 
-    A level with success probability p costs 2*(level+1)/p slots on
-    average; levels that cannot succeed are kept in the table with no
-    duration.  Ties between levels go to the smaller level, and the chain
-    best_path found for it is kept as the poll route.  Levels above
-    node_count - 2 add no usable repeaters and are not evaluated.  The
-    search's bound tables are shared by every slave, so slaves and levels
-    may be analysed in any order.
+    A level with success probability p costs its first try's slots
+    (_schedule) over p on average; levels that cannot succeed are kept in
+    the table with no duration.  Ties between levels go to the smaller
+    level, and the chain best_path found for it is kept as the poll route.
+    Levels above node_count - 2 add no usable repeaters and are not
+    evaluated.  The search's bound tables are shared by every slave, so
+    slaves and levels may be analysed in any order.
     """
     slave = _check_slave(per, slave)
     _check_integer("max_level", max_level, InvalidPathError, low=0)
@@ -271,17 +272,26 @@ def slave_analysis(per: PerMatrix, slave: int,
     return _choose_level(slave, ((p.repeaters, p.success_prob) for p in paths))
 
 
+def _schedule(level: int) -> tuple[int, int]:
+    """(first, step) of a poll over a chain of level repeaters: try j costs
+    first + step * j slots.  Request and response each take one slot per
+    hop, and every retry retraces the same chain, so first is
+    2 * (level + 1) and step is 0."""
+    return 2 * (level + 1), 0
+
+
 def _choose_level(slave: int, paths) -> DlcSlaveAnalysis:
     """A slave's analysis from its best chain at levels 0, 1, ... in order.
 
-    `paths` yields (repeaters, success_prob) pairs.  Ties between levels go
-    to the smaller level.
+    `paths` yields (repeaters, success_prob) pairs.  A level's expected
+    duration is its first try's slots (_schedule) over its success.  Ties
+    between levels go to the smaller level.
     """
     options = []
     best: DlcLevelOption | None = None
     repeaters: tuple[int, ...] = ()
     for level, (chain, prob) in enumerate(paths):
-        duration = 2.0 * (level + 1) / prob if prob > 0.0 else None
+        duration = _schedule(level)[0] / prob if prob > 0.0 else None
         option = DlcLevelOption(level, prob, duration)
         options.append(option)
         if duration is not None and (

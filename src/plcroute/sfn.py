@@ -4,11 +4,12 @@ A request floods level by level: every node that first receives the
 packet retransmits it exactly once in the next slot, and simultaneous
 transmissions are treated as independent chances at each receiver.  The
 downlink and uplink each get an allowed repeater level chosen around the
-mean first-success level; a poll try occupies the two full windows
-(2 + r_dl + r_ul slots).  The expected duration is the paper's
-fixed-level formula, (2 + r_dl + r_ul) / poll_success: it prices every
-retry like the first try.  The simulator (`simulator.simulate_sfn`) retries
-with both levels incremented by one per failure, up to its retry cap.
+mean first-success level; a poll try occupies the two full windows, and
+`_schedule` gives its slots.  The expected duration is the paper's
+fixed-level formula, the first try's slots over poll_success: it prices
+every retry like the first try.  The simulator (`simulator.simulate_sfn`)
+retries with both levels incremented by one per failure, up to its retry
+cap, each retry two slots longer than the last.
 
 Every flood runs through one kernel, `_flood_levels`, which advances F
 floods as one (F, n) recursion; each row stops at its own last level,
@@ -482,13 +483,24 @@ def _candidates(cumulative: np.ndarray) -> list[tuple[int, float]]:
             for r in _level_candidates(dist.mean_level)]
 
 
+def _schedule(r_dl: int, r_ul: int) -> tuple[int, int]:
+    """(first, step) of a poll at levels (r_dl, r_ul): try j costs
+    first + step * j slots.  A try occupies both full windows, a slot
+    for each of levels 0..r_dl of the request's flood and 0..r_ul of the
+    response's, so first is 2 + r_dl + r_ul; each retry raises both
+    levels by one, so step is 2."""
+    return 2 + r_dl + r_ul, 2
+
+
 def _choose(slave: int, uplinks) -> SfnSlaveAnalysis:
     """The least expected duration over a slave's evaluated level pairs.
 
     uplinks holds (r_dl, downlink success, master's cumulative uplink
     reception) per downlink candidate; it is empty when the downlink
-    cannot reach the slave.  Each uplink's levels are its _candidates.
-    Ties in duration go to the smaller (r_dl, r_ul) pair.
+    cannot reach the slave.  Each uplink's levels are its _candidates, and
+    a pair's expected duration is its first try's slots (_schedule) over
+    its poll success.  Ties in duration go to the smaller (r_dl, r_ul)
+    pair.
     """
     candidates = []
     best: SfnCandidate | None = None
@@ -502,7 +514,7 @@ def _choose(slave: int, uplinks) -> SfnSlaveAnalysis:
             poll_success = dl_success * ul_conditional
             if poll_success <= 0.0:
                 continue
-            duration = (2.0 + r_dl + r_ul) / poll_success
+            duration = _schedule(r_dl, r_ul)[0] / poll_success
             cand = SfnCandidate(r_dl, r_ul, poll_success, duration)
             candidates.append(cand)
             if best is None or (cand.expected_duration, cand.r_dl, cand.r_ul) < \
@@ -539,7 +551,7 @@ def slave_analysis(per: PerMatrix, slave: int) -> SfnSlaveAnalysis:
     downlink success mass yields uplink candidates the same way.  Poll
     success multiplies the downlink reception probability by the uplink
     reception probability conditioned on the downlink having succeeded,
-    and a try costs the two full windows, 2 + r_dl + r_ul slots.  The
+    and a try costs the two full windows (_schedule).  The
     reported pair minimizes expected duration over the evaluated grid
     (ties toward the smaller pair).
     """

@@ -26,13 +26,14 @@ in the same order, that it would draw on its own, however long its
 floods run.  So reports are bit-identical across repeats, and no report
 depends on where the chunks end.  An SFN slave with no live route to and
 from the master is given up in every cycle without a flood or a draw.
-Slot accounting is exact: a DLC1000 try reserves 2*(level+1) slots
-whether or not it succeeds, an SFN try reserves the two full flood
-windows, 2 + r_dl + r_ul slots, with both levels incremented by one per
-retry.  Give-ups are counted in Python ints, so no retry cap overflows a
-count.  `analyze` is the one dispatch from a protocol to its cycle
-analysis, and `compare` sets a simulation against the analysis whose
-plan it polled with.
+Slot accounting is exact.  Each protocol states once what a try costs,
+whether or not it succeeds: try j of a poll takes first + step * j
+slots, (first, step) being dlc._schedule or sfn._schedule of the slave's
+plan.  The simulators count tries only, and _slots alone turns a
+cycle's tries into slots; sums that could reach 2**63 are kept in Python
+ints, so no retry cap overflows a count.  `analyze` is the one dispatch
+from a protocol to its cycle analysis, and `compare` sets a simulation
+against the analysis whose plan it polled with.
 """
 from __future__ import annotations
 
@@ -281,7 +282,9 @@ def analyze(per: PerMatrix, protocol: str, max_level: int = 4):
 
 
 def _plan(per: PerMatrix, cfg: SimConfig, protocol: str, analysis):
-    """The cycle analysis that a simulation of protocol polls with.
+    """The cycle analysis that a simulation of protocol polls with, and its
+    poll schedule: each slave's (first, step), from the protocol's
+    _schedule.
 
     analyze(per, protocol, cfg.max_level) when none is given.  An analysis
     of the other protocol, or of a matrix with other slaves, is a
@@ -302,13 +305,16 @@ def _plan(per: PerMatrix, cfg: SimConfig, protocol: str, analysis):
     if got != tuple(per.slaves):
         raise ValueError(f"analysis covers slaves {got}, the matrix has "
                          f"slaves 1..{per.node_count - 1}")
+    schedule = []
     for a in analysis.slaves:
         if protocol == "dlc1000":
             _check_level(a, "best_level", len(a.repeaters), len(a.repeaters))
+            schedule.append(dlc._schedule(a.best_level))
         else:
             _check_level(a, "r_dl", 0, per.node_count)
             _check_level(a, "r_ul", 0, per.node_count)
-    return analysis
+            schedule.append(sfn._schedule(a.r_dl, a.r_ul))
+    return analysis, schedule
 
 
 def _check_level(a, name: str, low: int, high: int) -> None:
@@ -319,36 +325,59 @@ def _check_level(a, name: str, low: int, high: int) -> None:
         _check_integer(f"slave {a.slave} {name}", value, low=low, high=high)
 
 
-def _report(cfg: SimConfig, counts) -> SimReport:
-    """The report of counts, one (tries, successes, slots, lost) per slave.
+def _slots(first, step, tries, squares):
+    """Slots of a poll that makes tries tries, try j taking first + step * j
+    slots: tries * first + step * tries * (tries - 1) / 2, squares being
+    tries * tries.
 
-    tries and slots are those of the cycles that succeed, and lost is the
-    slots of a cycle that gives up after max_retries + 1 tries.  Python
-    ints count the give-ups exactly, whatever the retry cap.
+    That is linear in the tries and their square, so given the sums of
+    several cycles' tries and of their squares it is the sum of their
+    slots.  Exact in Python ints, and in int64 arrays while twice the
+    result fits, the halving's operand being even.
     """
+    return tries * first + step * (squares - tries) // 2
+
+
+def _report(cfg: SimConfig, schedule, live, made) -> SimReport:
+    """The report of made, the try counts of the slaves at indices live:
+    one (live slaves, cycles) array per block or group of cycles, holding
+    the try at which each cycle first succeeds.  A cycle gives up, after
+    cap = max_retries + 1 tries, where that try is 0 or above cap, and
+    the other slaves give up every cycle.
+
+    Each slave's successes, tries and squared tries are summed in int64
+    while no sum can reach 2**63, cycles times the largest square so far,
+    and in Python ints from then on.  _slots prices them, give-ups
+    included, with the slave's (first, step) of _plan's schedule in
+    Python ints, so every count is exact whatever the retry cap.
+    """
+    cap = cfg.max_retries + 1
+    tally = np.zeros((3, live.size), np.int64)  # successes, tries, squares
+    for tries in made:
+        tries[tries > cap] = 0
+        if cfg.cycles * int(tries.max(initial=0)) ** 2 >= 2**63:
+            tally = tally.astype(object)  # Python ints from here on
+        tries = tries.astype(tally.dtype, copy=False)
+        tally += (np.count_nonzero(tries, axis=1), tries.sum(axis=1),
+                  (tries * tries).sum(axis=1))
+    counts = np.zeros((3, len(schedule)), tally.dtype)
+    counts[:, live] = tally
     per_slave = []
-    for s, (tries, succ, slots, lost) in enumerate(counts, 1):
-        succ = int(succ)
+    for s, ((first, step), succ, tries, squares) in enumerate(
+            zip(schedule, *counts.tolist()), 1):
         give_ups = cfg.cycles - succ
-        slots = int(slots) + give_ups * lost
+        tries += give_ups * cap
+        slots = _slots(first, step, tries, squares + give_ups * cap * cap)
         per_slave.append(SlaveStats(
-            slave=s,
-            attempts=int(tries) + give_ups * (cfg.max_retries + 1),
-            successes=succ,
+            slave=s, attempts=tries, successes=succ,
             mean_round_trip_slots=float(slots) / succ if succ else None,
-            give_ups=give_ups,
-            slots=slots,
-        ))
+            give_ups=give_ups, slots=slots))
     reached = [s.slots for s in per_slave if s.successes]
     return SimReport(
-        protocol=cfg.protocol,
-        cycles=cfg.cycles,
-        per_slave=tuple(per_slave),
+        protocol=cfg.protocol, cycles=cfg.cycles, per_slave=tuple(per_slave),
         mean_cycle_duration=float(sum(reached)) / cfg.cycles,
         reached_count=len(reached),
-        total_slots=sum(s.slots for s in per_slave),
-        seed_echo=cfg.seed,
-    )
+        total_slots=sum(s.slots for s in per_slave), seed_echo=cfg.seed)
 
 
 def simulate_dlc(per: PerMatrix, cfg: SimConfig,
@@ -356,34 +385,26 @@ def simulate_dlc(per: PerMatrix, cfg: SimConfig,
     """Monte-Carlo polling under dynamic source routing.
 
     The master polls each slave over the chain the analysis chose for it
-    and retries on the same chain.  A try succeeds exactly when every
-    directed link of its round trip does, with probability
-    dlc.round_trip_success, so each cycle draws its try count at once: a
-    geometric variable G gives min(G, max_retries + 1) tries and a success
-    when G <= max_retries + 1.  Unreachable slaves are still polled (at
-    level 0) and consume slots.  Cycles come in blocks of _BLOCK, and
-    block b draws the G of every slave whose try can succeed from one
-    stream keyed on (0, b) in one call, slave by slave and each slave's
-    cycles in order.  A block's draws take at most _BLOCK * (n - 1)
-    int64 values, less than the n * n PER matrix once n >= _BLOCK - 1.
+    and retries on the same chain, each try at its cost (dlc._schedule).
+    A try succeeds exactly when every directed link of its round trip
+    does, with probability dlc.round_trip_success, so each cycle draws its
+    try count at once: a geometric variable G gives min(G, max_retries +
+    1) tries and a success when G <= max_retries + 1, as _report counts
+    it.  Unreachable slaves are still polled (at level 0) and consume
+    slots.  Cycles come in blocks of _BLOCK, and block b draws the G of
+    every slave whose try can succeed from one stream keyed on (0, b) in
+    one call, slave by slave and each slave's cycles in order.  A block's
+    draws take at most _BLOCK * (n - 1) int64 values, less than the n * n
+    PER matrix once n >= _BLOCK - 1.
     """
-    analysis = _plan(per, cfg, "dlc1000", analysis)
-    cap = cfg.max_retries + 1  # most tries a cycle makes
+    analysis, schedule = _plan(per, cfg, "dlc1000", analysis)
     p = dlc._round_trips(per, [a.slave for a in analysis.slaves],
                          [a.repeaters for a in analysis.slaves])
     live = np.flatnonzero(p > 0.0)  # numpy's geometric rejects p = 0
-    # tries and successes, in int64 only where the sums cannot overflow
-    tries, succ = np.zeros(
-        (2, p.size), np.int64 if cfg.cycles * cap < 2**63 else object)
-    for block, start in enumerate(range(0, cfg.cycles, _BLOCK)):
-        g = _stream(cfg.seed, "dlc1000", block).geometric(
-            p[live, None], (live.size, min(_BLOCK, cfg.cycles - start)))
-        ok = g <= cap  # the cycles that succeed, and their tries
-        succ[live] += ok.sum(axis=1)
-        tries[live] += np.add.reduce(g, 1, tries.dtype, where=ok, initial=0)
-    # slots a try takes; Python ints make every product exact
-    w = np.array([2 * (a.best_level + 1) for a in analysis.slaves], object)
-    return _report(cfg, zip(tries, succ, w * tries.astype(object), w * cap))
+    made = (_stream(cfg.seed, "dlc1000", block).geometric(
+        p[live, None], (live.size, min(_BLOCK, cfg.cycles - start)))
+        for block, start in enumerate(range(0, cfg.cycles, _BLOCK)))
+    return _report(cfg, schedule, live, made)
 
 
 def _reached(links: np.ndarray) -> np.ndarray:
@@ -403,42 +424,33 @@ def simulate_sfn(per: PerMatrix, cfg: SimConfig,
     Try j for a slave uses allowed levels (r_dl + j, r_ul + j), the first
     transmission levels coming from the analytic per-slave plan.  The
     destination only answers after the full downlink window to avoid
-    collisions, so try j always occupies 2 + r_dl + r_ul + 2j slots, and a
-    cycle that makes t tries spends t * (1 + r_dl + r_ul + t).  Each try
-    of a cycle runs one downlink flood from the master and one uplink
-    flood, from the master on the transposed matrix, for all the slaves
-    it still polls (see _first_successes).  Slaves the analysis finds
-    unreachable are polled with levels (0, 0) and consume slots the same
-    way.  A slave with no live route, a chain of PER < 1 links from the
-    master to it and one back, can never be polled: it is given up in
-    every cycle without a flood or a draw, and still spends the slots of
-    cap tries per cycle.  Cycles are tallied per slave in groups of whole
-    blocks, at most _TALLY_CELLS slaves times cycles a group (and at least
-    one block), so memory does not grow with cfg.cycles; block b keeps its
-    stream whatever group it falls in, so the report does not depend on
-    the grouping.
+    collisions, so a try occupies both full windows, and each retry two
+    slots more than the last (sfn._schedule).  Each try of a cycle runs
+    one downlink flood from the master and one uplink flood, from the
+    master on the transposed matrix, for all the slaves it still polls
+    (see _first_successes).  Slaves the analysis finds unreachable are
+    polled with levels (0, 0) and consume slots the same way.  A slave
+    with no live route, a chain of PER < 1 links from the master to it and
+    one back, can never be polled: it is given up in every cycle without a
+    flood or a draw, and still spends the slots of cap tries per cycle.
+    Cycles are tallied per slave in groups of whole blocks, at most
+    _TALLY_CELLS slaves times cycles a group (and at least one block), so
+    memory does not grow with cfg.cycles; block b keeps its stream
+    whatever group it falls in, so the report does not depend on the
+    grouping.
     """
-    analysis = _plan(per, cfg, "sfn", analysis)
-    cap = cfg.max_retries + 1  # most tries a cycle makes
+    analysis, schedule = _plan(per, cfg, "sfn", analysis)
     links = _log_miss(per) < 0  # links[i, j]: i can deliver to j
     live = _reached(links) & _reached(links.T)  # a live route both ways
     plans = np.array([(a.slave, a.r_dl, a.r_ul) for a in analysis.slaves
                       if live[a.slave]], dtype=np.intp).reshape(-1, 3)
-    window = np.array([1 + a.r_dl + a.r_ul for a in analysis.slaves])
-    # tries, successes and slots of each slave's cycles that succeed
-    counts = np.zeros((3, window.size), np.int64)
-    group = _BLOCK * max(1, _TALLY_CELLS // (_BLOCK * window.size))
-    for start in range(0, cfg.cycles, group):
-        first = np.full((window.size, min(group, cfg.cycles - start)), -1,
-                        dtype=np.int64)
-        first[live[per.slaves]] = _first_successes(
-            per, ("sfn",), plans, cap, first.shape[1], cfg.seed,
-            start // _BLOCK)
-        made = first + 1  # the tries of a cycle that succeeds, 0 if none
-        counts += (made.sum(axis=1), np.count_nonzero(made, axis=1),
-                   (made * (window[:, None] + made)).sum(axis=1))
-    lost = [cap * (w + cap) for w in window.tolist()]  # exact Python ints
-    return _report(cfg, zip(*counts, lost))
+    group = _BLOCK * max(1, _TALLY_CELLS // (_BLOCK * len(schedule)))
+    # a cycle's first success, or 0 after max_retries + 1 tries
+    made = (1 + _first_successes(per, ("sfn",), plans, cfg.max_retries + 1,
+                                 min(group, cfg.cycles - start), cfg.seed,
+                                 start // _BLOCK)
+            for start in range(0, cfg.cycles, group))
+    return _report(cfg, schedule, np.flatnonzero(live[per.slaves]), made)
 
 
 def simulate(per: PerMatrix, cfg: SimConfig, analysis=None) -> SimReport:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -178,3 +179,24 @@ def test_build_matrix_dispatch():
     assert rand.node_count == 6
     with pytest.raises(ChannelSpecError):
         build_matrix(ChannelSpec(kind="mesh"))
+
+
+def test_channel_spec_of_numpy_integers_serializes_as_of_ints():
+    # node_count and seed are kept as Python ints, so a spec's dict is
+    # JSON whatever integers it was given, and builds the same matrix
+    spec = ChannelSpec(kind="rand_area", node_count=np.int64(10),
+                       seed=np.uint64(3))
+    plain = ChannelSpec(kind="rand_area", node_count=10, seed=3)
+    assert json.dumps(spec.to_dict()) == json.dumps(plain.to_dict())
+    assert build_matrix(spec).per.tobytes() == build_matrix(plain).per.tobytes()
+    assert list(plain.to_dict()) == ["kind", "node_count", "d50", "width",
+                                     "seed"]
+    assert list(ChannelSpec(kind="ring", node_count=np.int32(5)).to_dict()) \
+        == ["kind", "node_count", "per_adjacent", "per_two_hop"]
+    # a count or seed that is no integer fails as the spec is made, and
+    # a range stays build_matrix's to check
+    for bad in ({"node_count": 5.5}, {"node_count": True}, {"seed": 1.0}):
+        with pytest.raises(ChannelSpecError, match="must be an integer"):
+            ChannelSpec(kind="rand_area", **{"node_count": 5, **bad})
+    with pytest.raises(ChannelSpecError, match="at least 2 nodes"):
+        build_matrix(ChannelSpec(kind="rand_area", node_count=np.int64(1)))

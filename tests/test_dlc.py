@@ -466,3 +466,16 @@ def test_cycle_analysis_searches_only_undecided_descents(monkeypatch):
     cycle_analysis(m, 4)
     assert 0 < len(calls) <= 25
     assert all(level >= 1 for _, _, level in calls)
+
+
+def test_expected_durations_are_the_first_try_over_its_success():
+    # a level's duration is its try's 2 * (level + 1) slots over its
+    # round-trip success, bit for bit as the float formula gives it
+    m = build_matrix(ChannelSpec(kind="rand_area", node_count=20, seed=20))
+    options = [o for a in cycle_analysis(m, 4).slaves for o in a.per_level]
+    assert any(o.expected_duration is not None for o in options)
+    for o in options:
+        if o.success_prob > 0.0:
+            assert o.expected_duration == 2.0 * (o.level + 1) / o.success_prob
+        else:
+            assert o.expected_duration is None

@@ -721,3 +721,13 @@ def test_all_node_product_serves_every_one_row_chunk(monkeypatch, nodes,
     assert chunks["all-node"] > 0
     assert (chunks["other"] == 0) == one_row
     assert _CountedOk.gathers == chunks["one-row"] + chunks["other"]
+
+
+def test_expected_durations_are_the_first_try_over_its_success():
+    # a candidate's duration is its try's 2 + r_dl + r_ul slots over its
+    # poll success, bit for bit as the float formula gives it
+    m = build_matrix(ChannelSpec(kind="rand_area", node_count=20, seed=20))
+    candidates = [c for a in cycle_analysis(m).slaves for c in a.candidates]
+    assert candidates
+    for c in candidates:
+        assert c.expected_duration == (2.0 + c.r_dl + c.r_ul) / c.poll_success

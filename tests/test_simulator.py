@@ -13,6 +13,7 @@ from plcroute.channel import (DEFAULT_MODELS, PerMatrix, build_matrix,
                               generate_rand_area, generate_ring)
 from plcroute.metrics import routing_overhead
 from plcroute.simulator import (
+    PROTOCOLS,
     SimConfig,
     flood_trial,
     sample_first_success_levels,
@@ -928,3 +929,80 @@ def test_mean_cycle_duration_times_cycles_bounded_by_total_slots():
 def test_sample_first_success_levels_deterministic_line():
     levels = sample_first_success_levels(line_matrix(), 2, trials=10, seed=1)
     assert np.all(levels == 1)  # needs exactly one relay level
+
+
+def _series(first: int, step: int, tries: int) -> int:
+    # tries terms of the series first, first + step, ...: (first + last) / 2
+    # per term; first + last is odd only when tries is even
+    return (2 * first + step * (tries - 1)) * tries // 2
+
+
+_SCHEDULES = [*(dlc._schedule(level) for level in range(5)),
+              *(sfn._schedule(r_dl, r_ul)
+                for r_dl, r_ul in ((0, 0), (1, 0), (0, 3), (4, 7)))]
+
+
+@pytest.mark.parametrize("first,step", _SCHEDULES,
+                         ids=[f"{f}+{s}j" for f, s in _SCHEDULES])
+def test_slots_of_tries_are_the_sum_of_their_try_costs(first, step):
+    # try j costs first + step * j, so t tries cost the sum of those, in
+    # Python ints and elementwise in int64 arrays alike
+    want = [sum(first + step * j for j in range(t)) for t in range(6)]
+    assert [simulator._slots(first, step, t, t * t) for t in range(6)] == want
+    tries = np.arange(6)
+    got = simulator._slots(np.full(6, first), np.full(6, step), tries,
+                           tries * tries)
+    assert got.dtype == np.int64 and got.tolist() == want
+    # exact far past int64: at 2**70 tries the sum has some 141 bits
+    big = 2 ** 70
+    assert simulator._slots(first, step, big, big * big) == \
+        _series(first, step, big)
+    # a sum of tries and a sum of their squares price the cycles together
+    cycles = [1, 5, 2, 2 ** 40, 3]
+    assert simulator._slots(first, step, sum(cycles),
+                            sum(t * t for t in cycles)) == \
+        sum(_series(first, step, t) for t in cycles)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_plan_polls_with_each_protocols_try_costs(protocol):
+    # the schedule of each slave is its protocol's: a DLC1000 try retraces
+    # a chain of best_level repeaters both ways, an SFN try fills both
+    # flood windows and each retry raises both levels by one
+    m = build_matrix(dict(DEFAULT_MODELS)["rand_area_20"])
+    analysis, schedule = simulator._plan(m, SimConfig(protocol, cycles=1),
+                                         protocol, None)
+    if protocol == "dlc1000":
+        want = [(2 * (a.best_level + 1), 0) for a in analysis.slaves]
+    else:
+        want = [(2 + a.r_dl + a.r_ul, 2) for a in analysis.slaves]
+    assert schedule == want
+    assert all(type(v) is int for pair in schedule for v in pair)
+
+
+def test_report_sums_exactly_past_int64_and_counts_every_give_up():
+    # slave 1 (live) succeeds at tries 1 and 2**40 and gives up once (0);
+    # slave 2 (live) needs 2**62 tries twice, so its squares pass int64;
+    # slave 3 has no live route and gives up in all three cycles
+    cap = 2 ** 70
+    cfg = SimConfig("sfn", cycles=3, max_retries=cap - 1)
+    schedule = [(4, 0), (5, 2), (2, 2)]
+    made = [np.array([[1, 2 ** 40], [2 ** 62, 5]]),
+            np.array([[0], [2 ** 62]])]
+    report = simulator._report(cfg, schedule, np.array([0, 1]), iter(made))
+    runs = [[1, 2 ** 40, cap], [2 ** 62, 5, 2 ** 62], [cap, cap, cap]]
+    for stats, (first, step), tries in zip(report.per_slave, schedule, runs):
+        slots = sum(_series(first, step, t) for t in tries)
+        succ = sum(t < cap for t in tries)
+        assert (stats.attempts, stats.successes, stats.give_ups,
+                stats.slots) == (sum(tries), succ, 3 - succ, slots)
+        assert type(stats.slots) is int
+    assert report.total_slots == sum(s.slots for s in report.per_slave)
+    # a try above the cap is a give-up too, as DLC1000's geometric draws
+    # give them
+    cfg = SimConfig("dlc1000", cycles=3, max_retries=2)
+    report = simulator._report(cfg, [(6, 0)], np.array([0]),
+                               iter([np.array([[4, 0, 3]])]))
+    stats = report.per_slave[0]
+    assert (stats.attempts, stats.successes, stats.give_ups, stats.slots) \
+        == (9, 1, 2, 54)
