@@ -267,9 +267,10 @@ def slave_analysis(per: PerMatrix, slave: int,
     """
     slave = _check_slave(per, slave)
     _check_integer("max_level", max_level, InvalidPathError, low=0)
-    paths = (best_path(per, slave, level)
-             for level in range(min(max_level, per.node_count - 2) + 1))
-    return _choose_level(slave, ((p.repeaters, p.success_prob) for p in paths))
+    levels = range(min(max_level, per.node_count - 2) + 1)
+    paths = (best_path(per, slave, level) for level in levels)
+    return _choose_level(slave, ((p.repeaters, p.success_prob) for p in paths),
+                         [_schedule(level)[0] for level in levels])
 
 
 def _schedule(level: int) -> tuple[int, int]:
@@ -280,18 +281,19 @@ def _schedule(level: int) -> tuple[int, int]:
     return 2 * (level + 1), 0
 
 
-def _choose_level(slave: int, paths) -> DlcSlaveAnalysis:
+def _choose_level(slave: int, paths, first) -> DlcSlaveAnalysis:
     """A slave's analysis from its best chain at levels 0, 1, ... in order.
 
     `paths` yields (repeaters, success_prob) pairs.  A level's expected
-    duration is its first try's slots (_schedule) over its success.  Ties
-    between levels go to the smaller level.
+    duration is its first try's slots, first[level], read once per
+    analysis from _schedule, over its success.  Ties between levels go to
+    the smaller level.
     """
     options = []
     best: DlcLevelOption | None = None
     repeaters: tuple[int, ...] = ()
     for level, (chain, prob) in enumerate(paths):
-        duration = _schedule(level)[0] / prob if prob > 0.0 else None
+        duration = first[level] / prob if prob > 0.0 else None
         option = DlcLevelOption(level, prob, duration)
         options.append(option)
         if duration is not None and (
@@ -383,10 +385,11 @@ def cycle_analysis(per: PerMatrix, max_level: int = 4) -> DlcCycleAnalysis:
     separately so a partial total stays inspectable.
     """
     _check_integer("max_level", max_level, InvalidPathError, low=0)
-    levels = [_level_paths(per, level)
-              for level in range(min(max_level, per.node_count - 2) + 1)]
-    slaves = tuple(_choose_level(s, options)
-                   for s, options in zip(per.slaves, zip(*levels)))
+    levels = range(min(max_level, per.node_count - 2) + 1)
+    first = [_schedule(level)[0] for level in levels]
+    paths = [_level_paths(per, level) for level in levels]
+    slaves = tuple(_choose_level(s, options, first)
+                   for s, options in zip(per.slaves, zip(*paths)))
     unreachable = tuple(a.slave for a in slaves if not a.reachable)
     total = sum(a.expected_duration for a in slaves if a.reachable)
     return DlcCycleAnalysis(slaves, float(total), unreachable)

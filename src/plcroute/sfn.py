@@ -33,22 +33,25 @@ product over all n nodes.
 
 `cycle_analysis` floods the downlink once and every slave's uplinks
 together; an uplink yields only the master's cumulative reception, the
-kernel's own running sum, level by level.  `_choose` reads two things
-from an uplink: the floor and ceil of the master's mean first-success
-level, and the master's cumulative reception at those two levels.  So an
-uplink flood stops once they are certain (`_settled`): after a level at
-which no mass still fails, the master's reception having reached 1.0, or
-at which a bound on the levels not yet computed puts the mean strictly
-between two integers no later than that level.  The bound holds with a
-margin for rounding, and a mean at or near an integer never stops early,
-so every analysis is byte-identical to one built from full-horizon
-uplinks: the same candidates, read from a prefix that holds them.  Only
-an uplink's truncated mass is that of the prefix, not of the full
-horizon; no analysis reports it.  Where one level can close the master,
-that is where prod_{i != 0} per[i, 0] <= 2^-53 (rand_area_100 and up, but
-not the rings or rand_area_20), each level first computes the master's
-column alone, `_receptions` on a one-column slot table of its live
-in-links; the floods that stop there, or reached level n, skip the full
+kernel's own running sum, level by level.  Both legs' levels come from
+one first-success law, summed level by level by one function,
+`_law_step`: `_candidates` reads from each row of a (rows, levels) table
+of cumulative reception the floor and ceil of the mean first-success
+level and the reception at those two levels.  An uplink flood sums the
+same law as it runs, so it stops once they are certain (`_settled`):
+after a level at which no mass still fails, the master's reception
+having reached 1.0, or at which a bound on the levels not yet computed
+puts the mean strictly between two integers no later than that level.
+The bound holds with a margin for rounding, and a mean at or near an
+integer never stops early, so every analysis is byte-identical to one
+built from full-horizon uplinks: the same candidates, read from the law
+the stop was certified on, which the zeros past the stop leave
+unchanged.  Only an uplink's truncated mass is that of the prefix, not
+of the full horizon; no analysis reports it.  Where one level can close
+the master, that is where prod_{i != 0} per[i, 0] <= 2^-53 (rand_area_100
+and up, but not the rings or rand_area_20), each level first computes the
+master's column alone, `_receptions` on a one-column slot table of its
+live in-links; the floods that stop there, or reached level n, skip the full
 level, and only the others pay the full level.  Elsewhere the kernel
 runs full levels and applies the same stop test after each.  Bounds: the
 uplinks run in row blocks that hold either the level temporary or about
@@ -58,7 +61,6 @@ slots) temporary stays within _BATCH_ELEMENTS.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -190,33 +192,43 @@ def _closes_in_one_level(per: PerMatrix, node: int) -> bool:
     return bool(others.prod() <= 2.0 ** -53)
 
 
-def _settled(law, level, cumulative, n) -> np.ndarray:
-    """Add one level to each row's first-success law; which rows may stop.
+def _law_step(law, level, cumulative) -> None:
+    """Add one level to each row's first-success law, in place.
 
     law holds per row the still-failing mass S, the mass A0 = sum pi_r
     and the moment A1 = sum r * pi_r of the levels so far, formed as
     `first_success_distribution` forms them (pi_r = c_r * S, then
-    S *= 1 - c_r), and is updated in place with the given level's
-    cumulative reception c.  A row may stop when S == 0, since every later
-    pi is then exactly 0, or when the floor and ceil of its mean level are
-    certain.  c never decreases, receptions being clipped at 0, so every
-    level after K = level succeeds with probability at least c_K: the
-    later levels carry mass at most S, at a mean level of at most
-    m = min(K + 1 / c_K, n), and the mean over all levels lies in
-    [A1 / A0, (A1 + S * m) / (A0 + S)].  A row is certified when that
-    interval, widened by _MEAN_MARGIN * (K + 1) for the rounding of the
-    sums here and in `_distribution`, lies strictly inside some (k, k + 1).
-    Then k < A1 / A0 <= K, so both candidate levels, k and k + 1, are
-    already computed.  A mean at or near an integer is never certified.
+    S *= 1 - c_r), c being the row's cumulative reception at the given
+    level.  A level with c = 0 leaves a row's law exactly unchanged.
     """
     failing, mass, moment = law.T
     pi = cumulative * failing
     failing *= 1.0 - cumulative
     mass += pi
     moment += level * pi
+
+
+def _settled(law, level, cumulative, n) -> np.ndarray:
+    """Add one level to each row's first-success law; which rows may stop.
+
+    The level enters the law by `_law_step`.  A row may stop when S == 0,
+    since every later pi is then exactly 0, or when the floor and ceil of
+    its mean level are certain.  c never decreases, receptions being
+    clipped at 0, so every level after K = level succeeds with probability
+    at least c_K: the later levels carry mass at most S, at a mean level
+    of at most m = min(K + 1 / c_K, n), and the mean over all levels lies
+    in [A1 / A0, (A1 + S * m) / (A0 + S)].  A row is certified when that
+    interval, widened by _MEAN_MARGIN * (K + 1) for the rounding of the
+    sums, lies strictly inside some (k, k + 1).  Then k < A1 / A0 <= K, so
+    both candidate levels, k and k + 1, are already computed.  A mean at
+    or near an integer is never certified.
+    """
+    _law_step(law, level, cumulative)
+    failing, mass, moment = law.T
     margin = _MEAN_MARGIN * (level + 1)
-    # a row with no mass yet has c = 0 and a 0 / 0 mean, and is not certified
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a row with no mass yet has c = 0 and a 0 / 0 mean, and is not
+    # certified; a subnormal c overflows 1 / c, and the tail is then n
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         low = moment / mass
         tail = np.minimum(level + 1.0 / cumulative, n)
         high = (moment + failing * tail) / (mass + failing)
@@ -293,8 +305,7 @@ def _flood_levels(per: PerMatrix, origins, initial_tx, *, until=None):
     # transmit mass through level r-1 when building level r+1
     spent_tx = last_tx = np.zeros_like(tx)
     # each row's first-success law of `until`: (still failing, mass, moment)
-    law = np.zeros((rows.size, 3))
-    law[:, 0] = 1.0
+    law = np.tile((1.0, 0.0, 0.0), (rows.size, 1))
     target_first = until is not None and _closes_in_one_level(per, until)
     if target_first:
         # `until`'s live in-links as a one-column slot table
@@ -381,37 +392,32 @@ def flood(per: PerMatrix, origin: int,
                         len(rcv_cols) - 1)
 
 
-def _master_cumulative(per: PerMatrix, origins,
-                       initial_tx) -> list[np.ndarray]:
+def _master_cumulative(per: PerMatrix, origins, initial_tx) -> np.ndarray:
     """The master's cumulative reception per level of each given flood.
 
-    A prefix of flood(per, o, m).cumulative[MASTER] for each origin o and
-    seed m, long enough for `_choose`: a flood stops after the level at
-    which the floor and ceil of the master's mean first-success level
-    become certain, or no mass still fails (`_settled`), so the prefix
-    gives them and holds the entries at both.  The values are the
-    kernel's own running sums, written into one (rows, n + 1) array per
-    block.  The floods run in row blocks sized so that either the
-    kernel's level temporary or its (rows, n) state, about eight arrays,
-    stays within _BATCH_ELEMENTS, whichever admits more rows: the kernel
-    chunks the level temporary itself, and on a dense matrix many rows of
-    a block stop after the master's column alone.
+    Row k of the (floods, n + 1) table is a prefix of
+    flood(per, o, m).cumulative[MASTER], o and m being the k-th origin and
+    seed, and zero past it: a flood stops after the level at which the
+    floor and ceil of the master's mean first-success level become
+    certain, or no mass still fails (`_settled`), so the prefix gives
+    them (`_candidates`) and holds the entries at both.  The values are
+    the kernel's own running sums.  The floods run in row blocks sized so
+    that either the kernel's level temporary or its (rows, n) state,
+    about eight arrays, stays within _BATCH_ELEMENTS, whichever admits
+    more rows: the kernel chunks the level temporary itself, and on a
+    dense matrix many rows of a block stop after the master's column
+    alone.
     """
     slots = _in_links(per)[1].size  # per row of the kernel's temporary
     rows_per_block = max(
         1, _BATCH_ELEMENTS // min(slots, 8 * per.node_count))
-    got = []
+    table = np.zeros((len(origins), per.node_count + 1))
     for start in range(0, len(origins), rows_per_block):
         block = slice(start, start + rows_per_block)
-        block_origins = origins[block]
-        cumulative = np.zeros((len(block_origins), per.node_count + 1))
-        levels = np.zeros(len(block_origins), dtype=np.int64)
         for r, (rows, master_cumulative) in enumerate(_flood_levels(
-                per, block_origins, initial_tx[block], until=MASTER)):
-            cumulative[rows, r] = master_cumulative
-            levels[rows] = r + 1
-        got.extend(c[:k] for c, k in zip(cumulative, levels))
-    return got
+                per, origins[block], initial_tx[block], until=MASTER)):
+            table[start + rows, r] = master_cumulative
+    return table
 
 
 def first_success_distribution(attempt_success) -> tuple[np.ndarray, float]:
@@ -463,24 +469,29 @@ def level_distribution(profile: FloodProfile, target: int) -> LevelDistribution:
     return _distribution(profile.cumulative[target])
 
 
-def _level_candidates(mean: float) -> list[int]:
-    lo, hi = math.floor(mean), math.ceil(mean)
-    return [lo] if lo == hi else [lo, hi]
+def _candidates(table: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each row's candidate levels and its success at each.
 
-
-def _candidates(cumulative: np.ndarray) -> list[tuple[int, float]]:
-    """A leg's candidate levels and its success at each.
-
-    `cumulative` is the target's cumulative reception per level of the
-    leg's flood.  Returns (level, cumulative[level]) at the floor and ceil
-    of the mean first-success level, one pair when the mean is an
-    integer, and [] when no level can succeed.
+    table holds per row a target's cumulative reception per level, zero
+    past the row's last level.  Each row's first-success law is summed
+    level by level (`_law_step`), as an uplink flood sums it to certify
+    its stop (`_settled`); a level that is zero in every row leaves the
+    law exactly unchanged and is skipped.  Returns (levels, success,
+    valid), each (rows, 2): the floor and ceil of the mean first-success
+    level, the cumulative reception at each, and which of them are
+    candidates: the ceil only where it differs from the floor, and
+    neither where no level can succeed.
     """
-    dist = _distribution(cumulative)
-    if dist.unreachable:
-        return []
-    return [(r, float(cumulative[r]))
-            for r in _level_candidates(dist.mean_level)]
+    law = np.tile((1.0, 0.0, 0.0), (len(table), 1))
+    for level in np.flatnonzero(table.any(axis=0)).tolist():
+        _law_step(law, level, table[:, level])
+    _, mass, moment = law.T
+    reached = mass > 0.0
+    with np.errstate(invalid="ignore"):  # 0 / 0 where none is reached
+        mean = np.where(reached, moment / mass, 0.0)
+    levels = np.stack([np.floor(mean), np.ceil(mean)], axis=1).astype(int)
+    valid = np.column_stack([reached, reached & (levels[:, 1] > levels[:, 0])])
+    return levels, np.take_along_axis(table, levels, axis=1), valid
 
 
 def _schedule(r_dl: int, r_ul: int) -> tuple[int, int]:
@@ -492,55 +503,47 @@ def _schedule(r_dl: int, r_ul: int) -> tuple[int, int]:
     return 2 + r_dl + r_ul, 2
 
 
-def _choose(slave: int, uplinks) -> SfnSlaveAnalysis:
-    """The least expected duration over a slave's evaluated level pairs.
-
-    uplinks holds (r_dl, downlink success, master's cumulative uplink
-    reception) per downlink candidate; it is empty when the downlink
-    cannot reach the slave.  Each uplink's levels are its _candidates, and
-    a pair's expected duration is its first try's slots (_schedule) over
-    its poll success.  Ties in duration go to the smaller (r_dl, r_ul)
-    pair.
-    """
-    candidates = []
-    best: SfnCandidate | None = None
-    for r_dl, dl_success, master_cumulative in uplinks:
-        for r_ul, ul_success in _candidates(master_cumulative):
-            # The level recursion can accumulate more reception mass at the
-            # master than the uplink injected (simultaneous relays are
-            # treated as independent chances), so the conditional factor is
-            # capped at 1 to stay a probability.
-            ul_conditional = min(1.0, ul_success / dl_success)
-            poll_success = dl_success * ul_conditional
-            if poll_success <= 0.0:
-                continue
-            duration = _schedule(r_dl, r_ul)[0] / poll_success
-            cand = SfnCandidate(r_dl, r_ul, poll_success, duration)
-            candidates.append(cand)
-            if best is None or (cand.expected_duration, cand.r_dl, cand.r_ul) < \
-                    (best.expected_duration, best.r_dl, best.r_ul):
-                best = cand
-    if best is None:
-        return SfnSlaveAnalysis(slave, 0, 0, 0.0, None, tuple(candidates))
-    return SfnSlaveAnalysis(slave, best.r_dl, best.r_ul, best.poll_success,
-                            best.expected_duration, tuple(candidates))
-
-
 def _slave_analyses(per: PerMatrix, slaves,
                     downlink: FloodProfile) -> tuple[SfnSlaveAnalysis, ...]:
-    """slave_analysis of each slave, with all their uplinks in one batch.
+    """slave_analysis of each slave, in a few array passes.
 
     A slave's downlink levels are the _candidates of its row of the
     shared downlink flood's cumulative reception, and each seeds one
-    uplink flood with its success.
+    uplink flood with its success; the floods run in one batch
+    (`_master_cumulative`), whose table gives each uplink's levels the
+    same way.  A pair's expected duration is its first try's slots
+    (_schedule) over its poll success.  A slave's candidates keep the
+    order of evaluation, downlink level then uplink level, and the best
+    is the least (duration, r_dl, r_ul).
     """
-    plans = [(s, _candidates(downlink.cumulative[s])) for s in slaves]
-    origins = [s for s, dls in plans for _ in dls]
-    seeds = [m for _, dls in plans for _, m in dls]
-    master = iter(_master_cumulative(per, origins, seeds))
-    return tuple(
-        _choose(s, [(r_dl, m, next(master)) for r_dl, m in dls])
-        for s, dls in plans)
+    index = np.array(slaves)
+    dl_levels, dl_success, dl_valid = _candidates(downlink.cumulative[index])
+    owner, side = np.nonzero(dl_valid)
+    r_dl, dl = dl_levels[owner, side, None], dl_success[owner, side, None]
+    ul_levels, ul_success, ul_valid = _candidates(
+        _master_cumulative(per, index[owner], dl[:, 0]))
+    # The level recursion can accumulate more reception mass at the master
+    # than the uplink injected (simultaneous relays are treated as
+    # independent chances), so the conditional factor is capped at 1 to
+    # stay a probability.
+    poll = dl * np.minimum(1.0, ul_success / dl)
+    uplink, side = np.nonzero(ul_valid & (poll > 0.0))
+    owner, r_dl = owner[uplink], r_dl[uplink, 0]
+    r_ul, poll = ul_levels[uplink, side], poll[uplink, side]
+    found = [[] for _ in slaves]
+    for k, *fields in zip(owner.tolist(), r_dl.tolist(), r_ul.tolist(),
+                          poll.tolist(),
+                          (_schedule(r_dl, r_ul)[0] / poll).tolist()):
+        found[k].append(SfnCandidate(*fields))
+    unreached = SfnCandidate(0, 0, 0.0, None)  # a slave with no candidate
+    analyses = []
+    for slave, candidates in zip(slaves, map(tuple, found)):
+        best = min(candidates, default=unreached, key=lambda c: (
+            c.expected_duration, c.r_dl, c.r_ul))
+        analyses.append(SfnSlaveAnalysis(
+            slave, best.r_dl, best.r_ul, best.poll_success,
+            best.expected_duration, candidates))
+    return tuple(analyses)
 
 
 def slave_analysis(per: PerMatrix, slave: int) -> SfnSlaveAnalysis:

@@ -1,10 +1,13 @@
 """Cross-module invariants checked over randomized instances."""
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plcroute import sfn
 from plcroute.channel import PerMatrix, load_matrix, save_matrix
 from plcroute.dlc import best_path, round_trip_success
 from plcroute.sfn import first_success_distribution, flood
@@ -123,6 +126,49 @@ def test_first_success_distribution_equals_level_loop_bit_for_bit(q):
     assert pi.tobytes() == want_pi.tobytes()
     assert truncated == want_truncated
     assert isinstance(truncated, float)
+
+
+@st.composite
+def padded_tables(draw):
+    """(table, lengths): rows of nondecreasing cumulative reception in
+    [0, 1] of random lengths, each zero past its last level, as
+    sfn._master_cumulative gives them."""
+    width = draw(st.integers(1, 40))
+    lengths = draw(st.lists(st.integers(1, width), min_size=1, max_size=6))
+    table = np.zeros((len(lengths), width))
+    for row, length in zip(table, lengths):
+        values = draw(st.lists(
+            st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])),
+            min_size=length, max_size=length))
+        row[:length] = np.maximum.accumulate(values)
+    return table, lengths
+
+
+@given(padded_tables(), st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_candidates_sum_the_stop_tests_law_bit_for_bit(drawn, extra):
+    # sfn._candidates reads each row's levels from the law that an uplink
+    # flood's stop test (sfn._settled) sums as the flood runs, bit for bit;
+    # zero columns, past a row's end or appended, leave it unchanged
+    table, lengths = drawn
+    laws = []
+    law_step = sfn._law_step
+
+    def recording(law, level, cumulative):
+        laws.append(law)
+        law_step(law, level, cumulative)
+
+    with patch.object(sfn, "_law_step", recording):
+        got = sfn._candidates(table)
+    for k, (row, length) in enumerate(zip(table, lengths)):
+        want = np.array([[1.0, 0.0, 0.0]])
+        for level in range(length):
+            sfn._settled(want, level, row[level:level + 1], length - 1)
+        law = laws[-1][k] if laws else np.array([1.0, 0.0, 0.0])
+        assert law.tobytes() == want[0].tobytes()
+    padded = np.hstack([table, np.zeros((len(table), extra))])
+    assert [a.tobytes() for a in sfn._candidates(padded)] == [
+        a.tobytes() for a in got]
 
 
 @given(per_matrices(min_nodes=2, max_nodes=5))

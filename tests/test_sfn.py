@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+import warnings
 from functools import lru_cache
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from plcroute.channel import (
     ChannelSpec,
     PerMatrix,
     build_matrix,
+    generate_rand_area,
     generate_ring,
 )
 from plcroute.dlc import cycle_analysis as dlc_cycle_analysis
@@ -223,33 +226,78 @@ def test_slave_analysis_unreachable():
     assert analysis.expected_duration is None
 
 
+def candidate_pairs(*rows) -> list[list[tuple[int, float]]]:
+    """Each row's (level, cumulative reception) candidates, as
+    sfn._candidates gives them for a table of the rows, zero-padded."""
+    table = np.zeros((len(rows), max(map(len, rows))))
+    for row, cumulative in zip(table, rows):
+        row[:len(cumulative)] = cumulative
+    levels, success, valid = sfn._candidates(table)
+    return [[(r, c) for r, c, ok in zip(*row) if ok]
+            for row in zip(levels.tolist(), success.tolist(), valid.tolist())]
+
+
 def test_candidates_are_the_floor_and_ceil_of_the_mean_level():
     # pi = (0.25, 0.375, 0.375), mean level 1.125: levels 1 and 2, each
     # with the cumulative reception at that level
-    assert sfn._candidates(np.array([0.25, 0.5, 1.0])) == [(1, 0.5), (2, 1.0)]
+    assert candidate_pairs([0.25, 0.5, 1.0]) == [[(1, 0.5), (2, 1.0)]]
     # pi = (0, 0.25), mean level exactly 1
-    assert sfn._candidates(np.array([0.0, 0.25])) == [(1, 0.25)]
-    assert sfn._candidates(np.array([0.0, 0.0, 0.0])) == []
+    assert candidate_pairs([0.0, 0.25]) == [[(1, 0.25)]]
+    assert candidate_pairs([0.0, 0.0, 0.0]) == [[]]
+    # the same rows in one table, the shorter one zero-padded
+    assert candidate_pairs([0.25, 0.5, 1.0], [0.0, 0.25], [0.0, 0.0, 0.0]) == [
+        [(1, 0.5), (2, 1.0)], [(1, 0.25)], []]
 
 
-def test_choose_breaks_an_exact_tie_toward_the_smaller_level_pair():
-    # (r_dl, r_ul) = (1, 2) and (2, 1) both take 5 slots a try at poll
-    # success 0.5, so both last exactly 10 slots; in either evaluation
-    # order (1, 2) wins and both stay candidates in that order
-    one_two = (1, 0.5, np.array([0.0, 0.0, 0.5]))  # uplink mean level 2
-    two_one = (2, 0.5, np.array([0.0, 0.5]))  # uplink mean level 1
-    for uplinks in ([one_two, two_one], [two_one, one_two]):
-        got = sfn._choose(4, uplinks)
-        assert (got.r_dl, got.r_ul, got.expected_duration) == (1, 2, 10.0)
-        assert [(c.r_dl, c.r_ul, c.expected_duration)
-                for c in got.candidates] == [
-            (r_dl, 3 - r_dl, 10.0) for r_dl, _, _ in uplinks]
+def analysis_from(monkeypatch, slave, downlink, uplinks):
+    """sfn._slave_analyses of one slave, from its row of the downlink's
+    cumulative reception and the master's cumulative reception of the
+    uplinks it seeds, in order; with the (origin, seed) of each uplink."""
+    cumulative = np.zeros((slave + 1, len(downlink)))
+    cumulative[slave] = downlink
+    profile = sfn.FloodProfile(0, 1.0, cumulative, cumulative, cumulative,
+                               len(downlink) - 1)
+    table = np.zeros((len(uplinks), max(map(len, uplinks))))
+    for row, master in zip(table, uplinks):
+        row[:len(master)] = master
+    seeds = []
+
+    def master_cumulative(per, origins, initial_tx):
+        seeds.extend(zip(origins.tolist(), initial_tx.tolist()))
+        return table
+
+    monkeypatch.setattr(sfn, "_master_cumulative", master_cumulative)
+    got, = sfn._slave_analyses(PerMatrix(np.zeros((slave + 1,) * 2)),
+                               [slave], profile)
+    return got, seeds
 
 
-def test_choose_caps_the_uplink_conditional_factor_at_one():
+def test_choose_breaks_an_exact_tie_toward_the_smaller_level_pair(
+        monkeypatch):
+    # The downlink's pi = (0, 0.5, 0.25) has mean level 4/3, so it seeds
+    # uplinks at levels 1 and 2, both with success 0.5.  The first uplink's
+    # mean level is 2 and the second's 1: (r_dl, r_ul) = (1, 2) and (2, 1)
+    # both take 5 slots a try at poll success 0.5, so both last exactly 10
+    # slots; (1, 2) wins and both stay candidates in evaluation order.
+    got, seeds = analysis_from(monkeypatch, 4, [0.0, 0.5, 0.5],
+                               [[0.0, 0.0, 0.5], [0.0, 0.5]])
+    assert seeds == [(4, 0.5), (4, 0.5)]
+    assert (got.r_dl, got.r_ul, got.expected_duration) == (1, 2, 10.0)
+    assert [(c.r_dl, c.r_ul, c.expected_duration)
+            for c in got.candidates] == [(1, 2, 10.0), (2, 1, 10.0)]
+    # and within one uplink: pi = (0.5, 0.375) has mean level 3/7, and
+    # (0, 0) takes 2 slots at 0.5, (0, 1) 3 slots at 0.75, both 4 slots
+    got, _ = analysis_from(monkeypatch, 4, [1.0], [[0.5, 0.75]])
+    assert (got.r_dl, got.r_ul, got.expected_duration) == (0, 0, 4.0)
+    assert [(c.r_dl, c.r_ul, c.expected_duration)
+            for c in got.candidates] == [(0, 0, 4.0), (0, 1, 4.0)]
+
+
+def test_choose_caps_the_uplink_conditional_factor_at_one(monkeypatch):
     # the master's uplink reception 0.8 exceeds the downlink success 0.5:
     # the conditional factor is 1, not 1.6, so the poll succeeds with 0.5
-    got = sfn._choose(1, [(0, 0.5, np.array([0.8]))])
+    got, seeds = analysis_from(monkeypatch, 1, [0.5], [[0.8]])
+    assert seeds == [(1, 0.5)]
     assert (got.r_dl, got.r_ul) == (0, 0)
     assert got.poll_success == 0.5
     assert got.expected_duration == 4.0
@@ -354,7 +402,7 @@ def test_degradation_monotonicity_is_not_universal():
 def until_master_closes(cumulative: np.ndarray) -> np.ndarray:
     """The master's cumulative reception cut after its first 1.0.
 
-    Every later entry repeats it, so `_master_cumulative` leaves them off.
+    Every later entry repeats it, so an uplink flood stops there.
     """
     closed = np.flatnonzero(cumulative >= 1.0)
     return cumulative[:closed[0] + 1] if closed.size else cumulative
@@ -387,20 +435,27 @@ def test_batched_floods_stop_each_row_at_its_own_level():
         stops.add(want.horizon)
     assert len(stops) > 2
     # An uplink flood stops once the floor and ceil of the master's mean
-    # first-success level are certain: its cumulative is a prefix of the
-    # full-horizon one that holds the level at the ceil.  A flood that
-    # cannot reach the master runs to its end.
+    # first-success level are certain: its row of the table is a prefix of
+    # the full-horizon cumulative that holds the level at the ceil, zero
+    # past the levels the kernel yielded for it.  A flood that cannot reach
+    # the master runs to its end.
+    levels = np.zeros(len(origins) - 1, dtype=int)
+    for rows, _ in sfn._flood_levels(m, origins[1:], seeds[1:], until=0):
+        levels[rows] += 1
     master = sfn._master_cumulative(m, origins[1:], seeds[1:])
+    assert master.shape == (len(origins) - 1, n + 1)
     cut = 0
-    for got, origin, seed in zip(master, origins[1:], seeds[1:]):
+    for got, size, origin, seed in zip(master, levels, origins[1:],
+                                       seeds[1:]):
         full = per_origin_flood(m, origin, seed).cumulative[0]
-        assert np.array_equal(got, full[:got.size])
+        assert np.array_equal(got[:size], full[:size])
+        assert not got[size:].any()
         mean = first_success_mean(full)
         if mean is None:
-            assert got.size == full.size
+            assert size == full.size
         else:
-            assert got.size > math.ceil(mean)
-        cut += got.size < full.size
+            assert size > math.ceil(mean)
+        cut += size < full.size
     assert cut >= 1
 
 
@@ -419,25 +474,30 @@ def test_cycle_analysis_equals_slave_analysis_per_slave(name, spec, table):
 def uplink_seeds(per: PerMatrix):
     """(slave, r_dl, downlink success) of every uplink flood that
     cycle_analysis runs, in its order."""
-    downlink = flood(per, 0)
-    plan = []
-    for s in per.slaves:
-        dist = level_distribution(downlink, s)
-        if not dist.unreachable:
-            plan.extend((s, r, float(downlink.cumulative[s, r]))
-                        for r in sfn._level_candidates(dist.mean_level))
-    return plan
+    levels, success, valid = sfn._candidates(flood(per, 0).cumulative[1:])
+    row, side = np.nonzero(valid)
+    return [(s + 1, r, c) for s, r, c in zip(
+        row.tolist(), levels[row, side].tolist(), success[row, side].tolist())]
 
 
 def full_length_cycle_analysis(per: PerMatrix):
-    """cycle_analysis rebuilt from the oracle's full-length uplinks."""
-    uplinks = {s: [] for s in per.slaves}
-    for s, r_dl, seed in uplink_seeds(per):
-        master = per_origin_flood(per, s, seed).cumulative[0]
-        uplinks[s].append((r_dl, seed, master))
-    slaves = tuple(sfn._choose(s, uplinks[s]) for s in per.slaves)
-    return slaves, sum(until_master_closes(m).size < m.size
-                       for ups in uplinks.values() for _, _, m in ups)
+    """cycle_analysis rebuilt from the oracle's full-length uplinks, with
+    the count of those in which the master's reception closes."""
+    plan = uplink_seeds(per)
+    full = [per_origin_flood(per, s, seed).cumulative[0]
+            for s, _, seed in plan]
+    table = np.zeros((len(full), per.node_count + 1))
+    for row, master in zip(table, full):
+        row[:master.size] = master
+
+    def full_length(_, origins, initial_tx):
+        assert [*zip(origins.tolist(), initial_tx.tolist())] == [
+            (s, seed) for s, _, seed in plan]
+        return table
+
+    with patch.object(sfn, "_master_cumulative", full_length):
+        slaves = cycle_analysis(per).slaves
+    return slaves, sum(until_master_closes(m).size < m.size for m in full)
 
 
 def closing_matrix(seed: int) -> PerMatrix:
@@ -515,10 +575,10 @@ def test_cycle_analysis_equals_full_length_uplinks(monkeypatch, batch):
 def test_uplink_floods_stop_once_the_master_closes():
     m = build_matrix(ChannelSpec(kind="rand_area", node_count=100, seed=100))
     plan = uplink_seeds(m)
-    master = sfn._master_cumulative(
-        m, [s for s, _, _ in plan], [seed for _, _, seed in plan])
+    run = sum(len(rows) for rows, _ in sfn._flood_levels(
+        m, [s for s, _, _ in plan], [seed for _, _, seed in plan], until=0))
     full = sum(flood(m, s, seed).horizon + 1 for s, _, seed in plan)
-    assert sum(c.size for c in master) < full
+    assert run < full
 
 
 def test_ring_uplinks_run_fewer_full_levels_than_their_horizons(monkeypatch):
@@ -567,10 +627,17 @@ def test_mean_at_or_near_an_integer_stops_only_when_nothing_fails(
     assert stop_level(cumulative) == np.flatnonzero(failing == 0.0)[0]
 
 
+def test_a_subnormal_reception_bounds_the_tail_without_a_warning():
+    # 1 / c overflows for a subnormal reception c, so the bound on the
+    # later levels' mean level is n; the stop test must not warn of it
+    assert stop_level([2.2250738585072014e-311, 1.0]) == 1
+
+
 def test_certified_stop_keeps_floor_and_ceil_of_the_mean():
     # Nondecreasing sequences in [0, 1], every other one short and on a
     # grid of quarters, whose means are often integers: wherever the rule
-    # stops, the candidates from the prefix are those of the whole
+    # stops, the candidates from the prefix, alone or zero-padded to the
+    # whole length as in an uplink's table, are those of the whole
     # sequence and lie within the prefix.
     rng = np.random.default_rng(0)
     early = integer_means = 0
@@ -582,17 +649,18 @@ def test_certified_stop_keeps_floor_and_ceil_of_the_mean():
         else:
             cumulative = np.minimum(np.cumsum(steps) * rng.random(), 1.0)
         level = stop_level(cumulative)
-        whole = sfn._distribution(cumulative)
-        if whole.unreachable:
+        want, = candidate_pairs(cumulative)
+        if not want:
             assert level is None
             continue
-        integer_means += whole.mean_level == math.floor(whole.mean_level)
-        want = sfn._level_candidates(whole.mean_level)
+        integer_means += len(want) == 1
         if level is None:
             continue
-        prefix = sfn._distribution(cumulative[:level + 1])
-        assert sfn._level_candidates(prefix.mean_level) == want
-        assert max(want) <= level
+        prefix = cumulative[:level + 1]
+        assert candidate_pairs(prefix, cumulative) == [want, want]
+        assert candidate_pairs(
+            np.append(prefix, np.zeros(n - level))) == [want]
+        assert max(r for r, _ in want) <= level
         early += level < n and cumulative[level] < 1.0
     assert early >= 100
     assert integer_means >= 20
@@ -731,3 +799,14 @@ def test_expected_durations_are_the_first_try_over_its_success():
     assert candidates
     for c in candidates:
         assert c.expected_duration == (2.0 + c.r_dl + c.r_ul) / c.poll_success
+
+
+def test_unreachable_slaves_raise_no_numpy_warning():
+    # a narrow logistic width leaves slaves 2, 11 and 17 with no level at
+    # which the downlink reaches them: their rows of the table have no
+    # mean level, and the table pass must not divide 0 by 0 aloud
+    m = generate_rand_area(20, width=1e-4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        analysis = cycle_analysis(m)
+    assert analysis.unreachable == (2, 11, 17)
