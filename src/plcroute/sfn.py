@@ -37,8 +37,10 @@ kernel's own running sum, level by level.  Both legs' levels come from
 one first-success law, summed level by level by one function,
 `_law_step`: `_candidates` reads from each row of a (rows, levels) table
 of cumulative reception the floor and ceil of the mean first-success
-level and the reception at those two levels.  An uplink flood sums the
-same law as it runs, so it stops once they are certain (`_settled`):
+level and the reception at those two levels, and `level_distribution`
+reads its mean from the same law, so it names the plan's floor and ceil.
+An uplink flood sums the same law as it runs, so it stops once they are
+certain (`_settled`):
 after a level at which no mass still fails, the master's reception
 having reached 1.0, or at which a bound on the levels not yet computed
 puts the mean strictly between two integers no later than that level.
@@ -86,7 +88,8 @@ class FloodProfile:
 
     Arrays are indexed [node, level] with levels 0..horizon; level r
     receptions happen in slot r + 1 of the window.  cumulative[s, r] is the
-    probability that node s has received the packet within level r.
+    probability that node s has received the packet within level r; the
+    origin's row is 0, as the origin never first-receives its own packet.
     """
 
     origin: int
@@ -437,55 +440,54 @@ def first_success_distribution(attempt_success) -> tuple[np.ndarray, float]:
     return q * still_failing[:-1], float(still_failing[-1])
 
 
-def _distribution(cumulative: np.ndarray) -> LevelDistribution:
-    pi, truncated = first_success_distribution(cumulative)
-    head = pi
-    if not pi[-1]:
-        # Sum over pi cut after its last nonzero entry: numpy and BLAS
-        # group the additions by length, so trailing zeros (a flood that
-        # ran on after its target's reception became certain) would move
-        # the mean's last bit.
-        nonzero = np.flatnonzero(pi)
-        head = pi[:nonzero[-1] + 1 if nonzero.size else 0]
-    mass = head.sum()
-    if mass <= 0.0:
-        return LevelDistribution(pi, None, 1.0, True)
-    mean = float(np.arange(head.size) @ head / mass)
-    return LevelDistribution(pi, mean, truncated, False)
-
-
 def level_distribution(profile: FloodProfile, target: int) -> LevelDistribution:
     """First-success level statistics of retrying a flood toward a target.
 
     An attempt at level r succeeds with the cumulative reception
     probability at that level.  The mean is taken over the normalized
     distribution; residual mass beyond the horizon is reported and flagged
-    when it is large enough to bias the mean.
+    when it is large enough to bias the mean.  The mean and the residual
+    mass come from the law that the analysis sums (`_law`), so the floor
+    and ceil of the mean are the levels that `_candidates` plans.
     """
     _check_integer("target", target,
                    low=0, high=profile.cumulative.shape[0] - 1)
     if target == profile.origin:
         raise ValueError("target must differ from the flood origin")
-    return _distribution(profile.cumulative[target])
+    cumulative = profile.cumulative[target]
+    failing, mass, moment = _law(cumulative[None])[0].tolist()
+    reached = mass > 0.0
+    return LevelDistribution(
+        first_success_distribution(cumulative)[0],
+        moment / mass if reached else None, failing, not reached)
+
+
+def _law(table: np.ndarray) -> np.ndarray:
+    """Each row's first-success law, (still failing, mass, moment).
+
+    table holds per row a target's cumulative reception per level, zero
+    past the row's last level.  The law is summed level by level
+    (`_law_step`), as an uplink flood sums it to certify its stop
+    (`_settled`); a level that is zero in every row leaves the law
+    exactly unchanged and is skipped.
+    """
+    law = np.tile((1.0, 0.0, 0.0), (len(table), 1))
+    for level in np.flatnonzero(table.any(axis=0)).tolist():
+        _law_step(law, level, table[:, level])
+    return law
 
 
 def _candidates(table: np.ndarray) -> tuple[np.ndarray, ...]:
     """Each row's candidate levels and its success at each.
 
-    table holds per row a target's cumulative reception per level, zero
-    past the row's last level.  Each row's first-success law is summed
-    level by level (`_law_step`), as an uplink flood sums it to certify
-    its stop (`_settled`); a level that is zero in every row leaves the
-    law exactly unchanged and is skipped.  Returns (levels, success,
-    valid), each (rows, 2): the floor and ceil of the mean first-success
-    level, the cumulative reception at each, and which of them are
-    candidates: the ceil only where it differs from the floor, and
-    neither where no level can succeed.
+    table is as `_law` takes it, and the mean first-success level is
+    that of each row's law.  Returns (levels, success, valid), each
+    (rows, 2): the floor and ceil of the mean level, the cumulative
+    reception at each, and which of them are candidates: the ceil only
+    where it differs from the floor, and neither where no level can
+    succeed.
     """
-    law = np.tile((1.0, 0.0, 0.0), (len(table), 1))
-    for level in np.flatnonzero(table.any(axis=0)).tolist():
-        _law_step(law, level, table[:, level])
-    _, mass, moment = law.T
+    _, mass, moment = _law(table).T
     reached = mass > 0.0
     with np.errstate(invalid="ignore"):  # 0 / 0 where none is reached
         mean = np.where(reached, moment / mass, 0.0)

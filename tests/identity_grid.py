@@ -1,6 +1,6 @@
 """Print one sha256 per output of a fixed grid, then one of the whole list.
 
-    python tests/identity_grid.py
+    python -W error::RuntimeWarning tests/identity_grid.py
 
 Runs the plcroute of the `src/` next to this directory.  The grid:
 `dlc.cycle_analysis` at max_level 0-6 and `sfn.cycle_analysis` on the five
@@ -9,20 +9,29 @@ protocols on those seven models at (cycles, cap, seed) = (2, 2, 5),
 (300, 2, 21), (600, 0, 3) and (257, 10000, 7), cap being max_retries;
 the `compare --defaults --cycles 2 --seed 0 -o` document; both analyses
 of ring_1000 (about 8 s, most of it the SFN analysis's 1,998 uplink
-floods); and `sample_first_success_levels` toward every slave of ring_10
-and of rand_area_20.  An analysis or report is hashed as
-repr(dataclasses.asdict(...)), the document as its bytes, a model's
-sampled levels as the bytes of their arrays in slave order.  The ring_1000
-and sampler entries were appended last, so the first 113 lines are the
-listing of the grid without them.  A change that claims to move no
-number runs this on its parent and on itself and compares the two
-listings; nothing here is pinned yet.  pytest does not collect this file.
+floods); `sample_first_success_levels` toward every slave of ring_10
+and of rand_area_20; the `analyze --format json` document of each default
+model, saved as digest-models/<name>.per in a temporary directory, which
+the document names by that relative path; and `sfn.level_distribution`
+toward every slave of ring_10 and of rand_area_20, from the master's
+flood.  An analysis or report is hashed as repr(dataclasses.asdict(...)),
+a document as its bytes, a model's sampled levels as the bytes of their
+arrays in slave order, and a model's level distributions as the bytes of
+each pi followed by the repr of (mean_level, truncated_mass, unreachable),
+in slave order.  Entries were appended in groups, so the first 113 lines
+are the listing of the grid before the ring_1000 and sampler entries, and
+the first 117 the listing before the analyze and level_distribution
+entries.  A change that claims to move no number runs this on its parent
+and on itself and compares the two listings; nothing here is pinned yet.
+With -W error::RuntimeWarning, a numpy warning anywhere in the grid ends
+the run.  pytest does not collect this file.
 """
 from __future__ import annotations
 
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import tempfile
 from dataclasses import asdict
@@ -31,8 +40,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from plcroute import cli, dlc, sfn  # noqa: E402
-from plcroute.channel import (DEFAULT_MODELS, ChannelSpec,  # noqa: E402
-                              build_matrix)
+from plcroute.channel import (DEFAULT_MODELS, MASTER,  # noqa: E402
+                              ChannelSpec, build_matrix, save_matrix)
 from plcroute.simulator import (PROTOCOLS, SimConfig,  # noqa: E402
                                 sample_first_success_levels, simulate)
 
@@ -46,12 +55,24 @@ COMPARE = ["compare", "--defaults", "--cycles", "2", "--seed", "0"]
 RING_1000 = ChannelSpec(kind="ring", node_count=1000)
 # (model, trials, seed) of the sampled first-success levels
 SAMPLES = (("ring_10", 500, 3), ("rand_area_20", 500, 3))
+# models whose level distributions toward every slave are hashed
+DISTRIBUTIONS = ("ring_10", "rand_area_20")
 
 
 def _sha(data) -> str:
     if not isinstance(data, bytes):
         data = repr(asdict(data)).encode()
     return hashlib.sha256(data).hexdigest()
+
+
+def _cli(argv) -> bytes:
+    """What `plcroute *argv` writes to stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    if code:
+        raise SystemExit(f"plcroute {' '.join(argv)} exited with {code}")
+    return out.getvalue().encode()
 
 
 def entries():
@@ -70,10 +91,7 @@ def entries():
                        f"cap={cap} seed={seed}", _sha(simulate(per, cfg)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "compare.json"
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main([*COMPARE, "-o", str(path)])
-        if code:
-            raise SystemExit(f"{' '.join(COMPARE)} exited with {code}")
+        _cli([*COMPARE, "-o", str(path)])
         yield " ".join([*COMPARE, "-o"]), _sha(path.read_bytes())
     per = build_matrix(RING_1000)
     yield ("dlc.cycle_analysis ring_1000 max_level=4",
@@ -86,6 +104,27 @@ def entries():
             for s in per.slaves)
         yield (f"sample_first_success_levels {name} trials={trials} "
                f"seed={seed}", _sha(levels))
+    home = Path.cwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        # a document names its matrix by the path it was given
+        os.chdir(tmp)
+        try:
+            Path("digest-models").mkdir()
+            for name, spec in DEFAULT_MODELS:
+                path = f"digest-models/{name}.per"
+                save_matrix(build_matrix(spec), path)
+                yield (f"analyze --format json {path}",
+                       _sha(_cli(["analyze", "--format", "json", path])))
+        finally:
+            os.chdir(home)
+    for name in DISTRIBUTIONS:
+        per = build_matrix(dict(MODELS)[name])
+        downlink = sfn.flood(per, MASTER)
+        dists = (sfn.level_distribution(downlink, s) for s in per.slaves)
+        yield f"sfn.level_distribution {name}", _sha(b"".join(
+            d.pi.tobytes()
+            + repr((d.mean_level, d.truncated_mass, d.unreachable)).encode()
+            for d in dists))
 
 
 def main() -> None:

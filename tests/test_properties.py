@@ -148,9 +148,14 @@ def padded_tables(draw):
 @settings(max_examples=200, deadline=None)
 def test_candidates_sum_the_stop_tests_law_bit_for_bit(drawn, extra):
     # sfn._candidates reads each row's levels from the law that an uplink
-    # flood's stop test (sfn._settled) sums as the flood runs, bit for bit;
-    # zero columns, past a row's end or appended, leave it unchanged
+    # flood's stop test (sfn._settled) sums as the flood runs, bit for bit,
+    # and sfn.level_distribution its mean; zero columns, past a row's end
+    # or appended, leave it unchanged
     table, lengths = drawn
+    # a flood from node 0 toward each row, node 0's own row being zero
+    cumulative = np.vstack([np.zeros(table.shape[1]), table])
+    profile = sfn.FloodProfile(0, 1.0, cumulative, cumulative, cumulative,
+                               table.shape[1] - 1)
     laws = []
     law_step = sfn._law_step
 
@@ -166,6 +171,9 @@ def test_candidates_sum_the_stop_tests_law_bit_for_bit(drawn, extra):
             sfn._settled(want, level, row[level:level + 1], length - 1)
         law = laws[-1][k] if laws else np.array([1.0, 0.0, 0.0])
         assert law.tobytes() == want[0].tobytes()
+        _, mass, moment = want[0].tolist()
+        assert sfn.level_distribution(profile, k + 1).mean_level == (
+            moment / mass if mass > 0.0 else None)
     padded = np.hstack([table, np.zeros((len(table), extra))])
     assert [a.tobytes() for a in sfn._candidates(padded)] == [
         a.tobytes() for a in got]

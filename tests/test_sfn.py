@@ -155,6 +155,15 @@ def test_level_distribution_mean_and_mass():
     assert not dist.unreachable
 
 
+def target_distribution(cumulative):
+    """level_distribution toward node 1 of a flood from node 0 whose
+    target row is the given cumulative reception."""
+    table = np.vstack([np.zeros(len(cumulative)), cumulative])
+    profile = sfn.FloodProfile(0, 1.0, table, table, table,
+                               len(cumulative) - 1)
+    return level_distribution(profile, 1)
+
+
 def test_mean_level_ignores_trailing_certain_levels():
     # once the target's reception is certain, pi is 0 at every later
     # level; the mean must not depend on how many of them a flood carries
@@ -163,10 +172,22 @@ def test_mean_level_ignores_trailing_certain_levels():
         0.028319671145462966, 0.033585575305464355, 0.12428327649956394,
         0.17565562060255901, 0.2997118905373848, 0.42268722119765845,
         0.5414612202490917, 0.6706244146936303, 0.7296554464299441, 1.0])
-    means = {sfn._distribution(np.append(cumulative, np.ones(k))).mean_level
+    means = {target_distribution(np.append(cumulative, np.ones(k))).mean_level
              for k in range(30)}
     assert len(means) == 1
-    assert means.pop() == pytest.approx(4.337982782569221, abs=1e-15)
+    assert means.pop() == pytest.approx(4.337982782569223, abs=1e-15)
+
+
+def test_level_distribution_names_the_planned_floor_and_ceil():
+    # the law's mean lands just above 7, so the analysis plans levels 7 and
+    # 8; a second summation order of the same law gave exactly 7.0
+    cumulative = np.array([
+        0, 0, 0, 0, 0, 0.13745459758053824, 0.23343424986586375,
+        0.26789709032653714, 0.41595182358832244, 0.48619119525661714])
+    assert target_distribution(cumulative).mean_level == 7.000000000000001
+    levels, _, valid = sfn._candidates(cumulative[None])
+    assert levels.tolist() == [[7, 8]]
+    assert valid.tolist() == [[True, True]]
 
 
 def test_level_distribution_unreachable():
